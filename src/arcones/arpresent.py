@@ -7,7 +7,7 @@ frozen-vertex deletions "u", "sharp", "l", "r") with B-matrices and weight
 configurations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact import mat_inv, mat_mul, rank, vec_mat
 from .rootdata import NUM_POS_ROOTS, cartan_data
@@ -209,7 +209,9 @@ class PresentationCatalog:
     tau: dict                      # Presentation -> Presentation along orbits
     tau_inv: dict
     by_module: dict                # Module -> Presentation (incl. projectives)
-    by_label: dict = field(default_factory=dict)
+    by_label: dict                 # label -> Presentation
+    star: dict                     # i -> i*, the involution -w0
+    orbits: dict                   # i -> [O_i^+, ..., O_{i*}^-] along tau
 
     @property
     def n(self):
@@ -221,11 +223,6 @@ class PresentationCatalog:
 
     def triple_weight(self, p):
         return (self.e_vec[p], self.f_minus[p], self.f_plus[p])
-
-    def dual_orbit(self, p):
-        i, t = self.orbit[p]
-        star = self._star
-        return (star[i], self.t_star(i) - t)
 
     def pi(self, p):
         """The permutation pi of catalog objects (orbit shift by duality)."""
@@ -246,7 +243,7 @@ class PresentationCatalog:
         return self._orbit_member(i, self.t_star(i) - t)
 
     def _orbit_member(self, i, t):
-        return self._orbits[i][t]
+        return self.orbits[i][t]
 
 
 def enumerate_presentations(ar, hom=None):
@@ -324,12 +321,9 @@ def enumerate_presentations(ar, hom=None):
                + [pos[i] for i in range(1, n + 1)]
                + [neu[i] for i in range(1, n + 1)]
                + mods)
-    cat = PresentationCatalog(ar, objects, f_minus, f_plus, e_vec,
-                              orbit, orbit_len, tau, tau_inv, by_module)
-    cat.by_label = {p.label: p for p in objects}
-    cat._star = star
-    cat._orbits = orbits
-    return cat
+    return PresentationCatalog(ar, objects, f_minus, f_plus, e_vec,
+                               orbit, orbit_len, tau, tau_inv, by_module,
+                               {p.label: p for p in objects}, star, orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +356,19 @@ class IceQuiver:
     @property
     def n(self):
         return self.cat.n
+
+    def tv_dim(self, v):
+        """Dimension vector of T_v for the frozen vertex v, indexed like
+        self.vertices: at p it is coordinate i* of e(p) for v = O_i^-,
+        coordinate i of f_+(p) for O_i^+ and of f_-(p) for Id_i."""
+        cat = self.cat
+        if v.kind == "negative":
+            rows, k = cat.e_vec, cat.star[v.index] - 1
+        elif v.kind == "positive":
+            rows, k = cat.f_plus, v.index - 1
+        else:
+            rows, k = cat.f_minus, v.index - 1
+        return tuple(rows[p][k] for p in self.vertices)
 
     def to_json_dict(self):
         return {

@@ -19,7 +19,8 @@ import sys
 
 import click
 
-from . import arpresent, cone, count, lieoracle, mutation, rootdata
+from . import arpresent, cone, count, lieoracle, mutation
+from .system import System
 
 FORMAT_VERSION = 1
 
@@ -55,20 +56,6 @@ def _parse_weight(text):
     return tuple(int(x) for x in text.split(","))
 
 
-def _build_full2(letter, rank, orient):
-    Q = rootdata.build_dynkin(letter, rank, _parse_orient(orient))
-    ar = arpresent.knit_rep_ar(Q)
-    cat = arpresent.enumerate_presentations(ar)
-    return arpresent.build_ice_quiver(cat)
-
-
-def _cone_and_sigma(iq, variant):
-    spec = cone.assemble_cone(iq, variant)
-    amb = iq if variant == "full2" else \
-        arpresent.build_ice_quiver(iq.cat, variant)
-    return spec, arpresent.weight_configuration(amb)
-
-
 def _guard(fn):
     """Map exception classes onto the documented exit codes."""
 
@@ -76,7 +63,7 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValueError, KeyError, OSError) as exc:
+        except (ValueError, KeyError, OSError, NotImplementedError) as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(2)
         except (AssertionError, RuntimeError) as exc:
@@ -95,13 +82,9 @@ def main():
 # build
 # ---------------------------------------------------------------------------
 
-_BUILD_FILES = ("summary.json", "quiver.json", "quiver.dot", "icequiver.json",
-                "icequiver.dot", "hmatrix.json", "hmatrix.csv", "sigma.json")
-
-
-def _write_build_artifacts(letter, rank, orient, variant, outdir):
-    iq = _build_full2(letter, rank, orient)
-    Q = iq.cat.ar.Q
+def _write_build_artifacts(system, variant, outdir):
+    iq = system.ice()
+    Q = system.quiver
     files = {
         "quiver.json": json.dumps({"format": FORMAT_VERSION,
                                    **Q.to_json_dict()}, indent=1),
@@ -110,11 +93,12 @@ def _write_build_artifacts(letter, rank, orient, variant, outdir):
                                       **iq.to_json_dict()}, indent=1),
         "icequiver.dot": iq.to_dot(),
     }
-    summary = {"format": FORMAT_VERSION, "type": letter, "rank": rank,
+    summary = {"format": FORMAT_VERSION, "type": system.letter,
+               "rank": system.rank,
                "orientation": [list(a) for a in Q.arrows],
                "variant": variant, "vertices": len(iq.vertices)}
     if Q.trivially_valued:
-        spec, sig = _cone_and_sigma(iq, variant)
+        spec, sig = system.cone(variant), system.sigma(variant)
         files["hmatrix.json"] = json.dumps({"format": FORMAT_VERSION,
                                             **spec.to_json_dict()}, indent=1)
         files["hmatrix.csv"] = spec.to_csv()
@@ -153,11 +137,12 @@ def _cache_key(letter, rank, orient, variant):
 def build(type_, rank, orient, variant, cache_dir, out):
     """Write quiver, ice quiver, H matrix and weight configuration files."""
     letter, rank = _parse_type(type_, rank)
+    system = System(letter, rank, _parse_orient(orient))
     if cache_dir:
         slot = os.path.join(cache_dir, _cache_key(letter, rank, orient,
                                                   variant))
         if not os.path.exists(os.path.join(slot, "summary.json")):
-            _write_build_artifacts(letter, rank, orient, variant, slot)
+            _write_build_artifacts(system, variant, slot)
         os.makedirs(out, exist_ok=True)
         for name in os.listdir(slot):
             shutil.copyfile(os.path.join(slot, name),
@@ -165,7 +150,7 @@ def build(type_, rank, orient, variant, cache_dir, out):
         with open(os.path.join(out, "summary.json")) as fh:
             summary = json.load(fh)
     else:
-        summary = _write_build_artifacts(letter, rank, orient, variant, out)
+        summary = _write_build_artifacts(system, variant, out)
     click.echo(json.dumps(summary, indent=1))
 
 
@@ -177,10 +162,7 @@ _WORKER_FAMILY = None
 
 
 def _worker_count(target):
-    try:
-        return _WORKER_FAMILY.count(target)
-    except count.UnboundedSliceError:
-        return "unbounded"
+    return _count_one(_WORKER_FAMILY, target)
 
 
 def _count_many(fam, targets, jobs):
@@ -254,20 +236,19 @@ def _oracle_value(cd, variant, weights):
 @click.option("--check", is_flag=True, default=False,
               help="Add oracle and match columns; exit 1 on any mismatch.")
 @click.option("--jobs", type=int, default=1)
-@click.option("--cache-dir", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None,
               help="Write the CSV here instead of stdout.")
 @_guard
 def cmd_count(type_, rank, orient, variant, triple, targets_opt, grid, check,
-              jobs, cache_dir, out):
+              jobs, out):
     """Count lattice points of weight slices; CSV output."""
     letter, rank = _parse_type(type_, rank)
-    iq = _build_full2(letter, rank, orient)
-    if not iq.cat.ar.Q.trivially_valued:
+    system = System(letter, rank, _parse_orient(orient))
+    if not system.quiver.trivially_valued:
         raise ValueError("counting is unsupported for valued type %s%d"
                          % (letter, rank))
-    spec, sig = _cone_and_sigma(iq, variant)
-    cd = rootdata.cartan_data(iq.cat.ar.Q)
+    sig = system.sigma(variant)
+    cd = system.cd
     rows = []
     for t in triple:
         if variant != "full2":
@@ -286,7 +267,7 @@ def cmd_count(type_, rank, orient, variant, triple, targets_opt, grid, check,
                 any(len(w) != rank for w in weights):
             raise ValueError("bad target %r for variant %s"
                              % (weights, variant))
-    fam = count.slice_family(spec, sig)
+    fam = system.family(variant)
     targets = [tuple(x for w in weights for x in w) for weights in rows]
     counts = _count_many(fam, targets, jobs)
     header = {"full2": ["mu", "nu", "lambda"], "sharp": ["mu", "lambda"],
@@ -322,95 +303,80 @@ def cmd_count(type_, rank, orient, variant, triple, targets_opt, grid, check,
 _D4_COUNTS = ([3, 3, 3, 3], [7, 6, 1, 1], [1, 2, 7, 7])
 
 
-def _suite_structural(letter, rank, orient, _bound):
-    if (letter, rank) == ("D", 4) and orient is None:
-        found = None
+def _suite_structural(system, _bound):
+    if (system.letter, system.rank) == ("D", 4) and system.orient is None:
         edges = [(1, 2), (3, 2), (4, 2)]
         for bits in itertools.product((0, 1), repeat=3):
             arrows = [(j, i) if b else (i, j)
                       for (i, j), b in zip(edges, bits)]
-            iq = arpresent.build_ice_quiver(
-                arpresent.enumerate_presentations(arpresent.knit_rep_ar(
-                    rootdata.build_dynkin("D", 4, arrows))))
-            sets = cone.tv_strict_sets(iq)
-            cat = iq.cat
+            found = System("D", 4, arrows)
+            sets, cat = found.tv_sets, found.catalog
             got = ([len(sets[cat.by_label["O%d-" % i]]) for i in range(1, 5)],
                    [len(sets[cat.by_label["O%d+" % i]]) for i in range(1, 5)],
                    [len(sets[cat.by_label["Id%d" % i]]) for i in range(1, 5)])
             if got == _D4_COUNTS:
-                found = (arrows, iq, sets)
                 break
-        if found is None:
+        else:
             return {"passed": False,
                     "detail": "no orientation matches the expected counts"}
-        arrows, iq, sets = found
-        spec = cone.assemble_cone(iq, strict_sets=sets)
+        spec = found.cone()
         pruned = cone.prune_redundant(spec)
         ok = len(spec.columns) == 44 and len(pruned.columns) == 44
         return {"passed": ok, "orientation": [list(a) for a in arrows],
                 "columns": len(spec.columns),
                 "after_prune": len(pruned.columns)}
-    iq = _build_full2(letter, rank, orient)
-    sets = cone.tv_strict_sets(iq)
-    spec = cone.assemble_cone(iq, strict_sets=sets)
+    spec = system.cone()
     pruned = cone.prune_redundant(spec)
     return {"passed": len(pruned.columns) == len(spec.columns),
             "columns": len(spec.columns),
             "after_prune": len(pruned.columns)}
 
 
-def _suite_kostant(letter, rank, orient, bound):
-    iq = _build_full2(letter, rank, orient)
-    spec, sig = _cone_and_sigma(iq, "u")
-    cd = rootdata.cartan_data(iq.cat.ar.Q)
-    fam = count.slice_family(spec, sig)
+def _suite_kostant(system, bound):
+    sig = system.sigma("u")
+    fam = system.family("u")
     seen = set()
     for h in itertools.product(range(bound + 1), repeat=len(sig.sigma)):
         gamma = tuple(sum(hk * row[j] for hk, row in zip(h, sig.sigma))
-                      for j in range(rank))
+                      for j in range(system.rank))
         seen.add(gamma)
     bad = []
     for gamma in sorted(seen):
-        if fam.count(gamma) != count.kostant_partition(cd, gamma):
+        if fam.count(gamma) != count.kostant_partition(system.cd, gamma):
             bad.append(list(gamma))
     return {"passed": not bad, "targets": len(seen), "mismatches": bad}
 
 
-def _suite_weights(letter, rank, orient, bound):
+def _suite_weights(system, bound):
+    rank = system.rank
     if rank > 2:
         bound = min(bound, 1)
-    iq = _build_full2(letter, rank, orient)
-    spec, sig = _cone_and_sigma(iq, "sharp")
-    cd = rootdata.cartan_data(iq.cat.ar.Q)
-    fam = count.slice_family(spec, sig)
+    fam = system.family("sharp")
     bad, total = [], 0
     for mu in itertools.product(range(bound + 1), repeat=rank):
-        for lam, mult in lieoracle.freudenthal(cd, mu).items():
+        for lam, mult in lieoracle.freudenthal(system.cd, mu).items():
             total += 1
             if fam.count(list(mu) + list(lam)) != mult:
                 bad.append([list(mu), list(lam)])
     return {"passed": not bad, "targets": total, "mismatches": bad}
 
 
-def _suite_mutation(letter, rank, orient, _bound):
-    iq = _build_full2(letter, rank, orient)
-    report = mutation.verify_cyclic(iq)
+def _suite_mutation(system, _bound):
+    report = mutation.verify_cyclic(system.ice())
     return {"passed": report["all"], **report}
 
 
-def _suite_fpoly(letter, rank, orient, _bound):
-    iq = _build_full2(letter, rank, orient)
-    sets = cone.tv_strict_sets(iq, source="both")
+def _suite_fpoly(system, _bound):
+    sets = cone.tv_strict_sets(system.ice(), source="both")
     return {"passed": True,
             "counts": {v.label: len(s) for v, s in sorted(
                 sets.items(), key=lambda kv: kv[0].label)}}
 
 
-def _suite_oracle(letter, rank, orient, bound):
+def _suite_oracle(system, bound):
+    letter, rank, cd = system.letter, system.rank, system.cd
     if rank > 2:
         bound = min(bound, 1)
-    iq = _build_full2(letter, rank, orient)
-    cd = rootdata.cartan_data(iq.cat.ar.Q)
     doms = list(itertools.product(range(bound + 1), repeat=rank))
     bad, total = [], 0
     for mu in doms:
@@ -446,18 +412,18 @@ _SUITE_FUNCS = {
 @click.option("--orient", default=None)
 @click.option("--max", "bound", type=int, default=2,
               help="Grid bound for the kostant/weights/oracle suites.")
-@click.option("--cache-dir", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None,
               help="Write the JSON report here.")
 @_guard
-def verify(suite, type_, rank, orient, bound, cache_dir, out):
+def verify(suite, type_, rank, orient, bound, out):
     """Run a verification suite; exit 0 iff every check passes."""
     letter, rank = _parse_type(type_, rank)
+    system = System(letter, rank, _parse_orient(orient))
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     report = {"format": FORMAT_VERSION, "type": "%s%d" % (letter, rank),
               "suites": {}}
     for name in names:
-        result = _SUITE_FUNCS[name](letter, rank, orient, bound)
+        result = _SUITE_FUNCS[name](system, bound)
         report["suites"][name] = result
         click.echo("%-12s %s" % (name, "pass" if result["passed"]
                                  else "FAIL"))

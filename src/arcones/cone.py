@@ -15,20 +15,23 @@ from .exact import lp_min
 _GROUP_OF_KIND = {"negative": "u", "neutral": "l", "positive": "r"}
 _GROUP_ORDER = {"u": 0, "l": 1, "r": 2}
 
-# maximal frozen vertex of T_v, as (kind, index function)
+# largest total dimension of a T_v that the brute force enumerates
 DEFAULT_CAP = 24
 
 
-def subreps_bruteforce(rep, q, cap=DEFAULT_CAP):
+def subreps_bruteforce(rep, q):
     """All dimension vectors of nonzero subrepresentations of rep over the
     field with q elements (the full module included).
 
     The matrices are first canonicalized by pathalg.reduce_for_counting so
-    that reduction mod q cannot silently drop a constraint.
+    that reduction mod q cannot silently drop a constraint.  Raises
+    NotImplementedError for inputs the enumeration does not handle: total
+    dimension above DEFAULT_CAP, or a shape reduce_for_counting refuses.
     """
-    if sum(rep.dims) > cap:
-        raise ValueError("total dimension %d exceeds cap %d; use the "
-                         "F-polynomial route" % (sum(rep.dims), cap))
+    if sum(rep.dims) > DEFAULT_CAP:
+        raise NotImplementedError(
+            "total dimension %d exceeds cap %d; use the F-polynomial route"
+            % (sum(rep.dims), DEFAULT_CAP))
     rep = pathalg.reduce_for_counting(rep)
     iq = rep.iq
     n = len(iq.vertices)
@@ -70,10 +73,10 @@ def subreps_bruteforce(rep, q, cap=DEFAULT_CAP):
     return found
 
 
-def strict_subreps(rep, q, cap=DEFAULT_CAP):
+def strict_subreps(rep, q):
     """Nonzero strict subrepresentation dimension vectors over GF(q)."""
     full = tuple(rep.dims)
-    return {dv for dv in subreps_bruteforce(rep, q, cap) if dv != full}
+    return {dv for dv in subreps_bruteforce(rep, q) if dv != full}
 
 
 def _subspaces(d, q):
@@ -137,19 +140,20 @@ def _maximal_vertex(iq, v):
     occupies)."""
     cat = iq.cat
     if v.kind == "negative":
-        return cat.by_label["O%d+" % cat._star[v.index]]
+        return cat.by_label["O%d+" % cat.star[v.index]]
     if v.kind == "positive":
         return cat.by_label["Id%d" % v.index]
     return cat.by_label["O%d-" % v.index]
 
 
-def tv_strict_sets(iq, source="bruteforce", cap=DEFAULT_CAP):
+def tv_strict_sets(iq, source="bruteforce"):
     """Strict nonzero subrep dim vectors of every T_v of the full2 quiver,
     as a dict frozen vertex -> set of vectors (full2 coordinates).
 
     source "bruteforce" enumerates over GF(2) and GF(3) and requires the two
     to agree; "fpoly" runs the mutation algorithm; "both" additionally
-    requires the two routes to agree exactly.
+    requires the two routes to agree exactly.  The brute force raises
+    NotImplementedError where it does not apply (see subreps_bruteforce).
     """
     out = {}
     if source in ("fpoly", "both"):
@@ -157,12 +161,13 @@ def tv_strict_sets(iq, source="bruteforce", cap=DEFAULT_CAP):
             for v, s in mutation.tv_subreps_via_fpoly(iq, i).items():
                 out[v] = set(s)
     if source in ("bruteforce", "both"):
+        alg = pathalg.PathAlg(iq)
         for v in iq.vertices:
             if not iq.frozen[v]:
                 continue
-            rep = pathalg.build_tv(v, iq)
-            s2 = strict_subreps(rep, 2, cap)
-            s3 = strict_subreps(rep, 3, cap)
+            rep = alg.build_tv(v)
+            s2 = strict_subreps(rep, 2)
+            s3 = strict_subreps(rep, 3)
             if s2 != s3:
                 raise RuntimeError(
                     "subrep sets of T_%s differ between GF(2) and GF(3): "
@@ -176,9 +181,9 @@ def tv_strict_sets(iq, source="bruteforce", cap=DEFAULT_CAP):
     return out
 
 
-def assemble_cone(iq, variant="full2", source="bruteforce", cap=DEFAULT_CAP,
-                  strict_sets=None):
-    """Build the ConeSpec of the given variant from the full2 ice quiver.
+def assemble_cone(iq, variant="full2", *, strict_sets):
+    """Build the ConeSpec of the given variant from the full2 ice quiver
+    and its T_v sets (as returned by tv_strict_sets).
 
     Restricted variants keep the groups listed for them, restrict every
     vector to the surviving coordinates, and additionally include the full
@@ -191,8 +196,6 @@ def assemble_cone(iq, variant="full2", source="bruteforce", cap=DEFAULT_CAP,
     amb = iq if variant == "full2" else \
         arpresent.build_ice_quiver(iq.cat, variant)
     keep = [iq.index[v] for v in amb.vertices]
-    if strict_sets is None:
-        strict_sets = tv_strict_sets(iq, source, cap)
     entries = []
     for v in iq.vertices:
         if not iq.frozen[v]:
@@ -203,8 +206,7 @@ def assemble_cone(iq, variant="full2", source="bruteforce", cap=DEFAULT_CAP,
         vecs = set(strict_sets[v])
         if variant != "full2" and \
                 _maximal_vertex(iq, v) not in amb.vertices:
-            full = _full_dim(iq, v)
-            vecs.add(full)
+            vecs.add(iq.tv_dim(v))
         for vec in vecs:
             r = tuple(vec[k] for k in keep)
             if any(r):
@@ -218,16 +220,6 @@ def assemble_cone(iq, variant="full2", source="bruteforce", cap=DEFAULT_CAP,
         groups.setdefault(g, []).append(len(columns))
         columns.append((v, r))
     return ConeSpec(variant, list(amb.vertices), columns, groups)
-
-
-def _full_dim(iq, v):
-    cat = iq.cat
-    if v.kind == "negative":
-        i_star = cat._star[v.index]
-        return tuple(cat.e_vec[p][i_star - 1] for p in iq.vertices)
-    if v.kind == "positive":
-        return tuple(cat.f_plus[p][v.index - 1] for p in iq.vertices)
-    return tuple(cat.f_minus[p][v.index - 1] for p in iq.vertices)
 
 
 def prune_redundant(spec):

@@ -7,11 +7,10 @@ kernel lattice of sigma and enumerates by a pruned depth-first search.  All
 arithmetic is exact (ints and Fractions); no floating point anywhere.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from . import rootdata
+from . import arpresent, rootdata
 from .exact import (dot, integer_row_solution, left_kernel_lattice, lp_min,
                     mat_inv, vec_mat)
 
@@ -81,11 +80,12 @@ class SliceFamily:
     c with g = g0 + c . kernel), the inequality vectors in c-coordinates,
     and per-coordinate bounding functionals expressing each +-c_i as a
     nonnegative combination of the inequality vectors.  The functionals turn
-    into finite enumeration boxes for every individual target.
+    into finite enumeration boxes for every individual target.  sigma is a
+    WeightConfig or its list of rows.
     """
 
     def __init__(self, cone, sigma):
-        if hasattr(sigma, "sigma"):
+        if isinstance(sigma, arpresent.WeightConfig):
             sigma = sigma.sigma
         if sigma is None:
             raise ValueError("this cone variant carries no weight grading")
@@ -269,39 +269,6 @@ class SliceFamily:
 def ineq_to_ub(rows):
     """Rows of g . row >= 0 inequalities as a_ub rows for lp_min."""
     return [[-x for x in r] for r in rows]
-
-
-@dataclass
-class SlicePolytope:
-    """A weight slice of a cone: fixes the grading g . sigma to a target."""
-
-    cone: object
-    sigma: list
-    target: tuple
-
-    def count(self, strategy="propagate"):
-        return count_lattice(self.cone, self.sigma, self.target, strategy)
-
-
-def slice_family(cone, sigma):
-    """The (cached) SliceFamily of the cone for the given grading."""
-    if hasattr(sigma, "sigma"):
-        sigma = sigma.sigma
-    if sigma is None:
-        raise ValueError("this cone variant carries no weight grading")
-    key = tuple(tuple(r) for r in sigma)
-    fams = getattr(cone, "_families", None)
-    if fams is None:
-        fams = cone._families = {}
-    if key not in fams:
-        fams[key] = SliceFamily(cone, sigma)
-    return fams[key]
-
-
-def count_lattice(cone, sigma, target, strategy="propagate"):
-    """Number of integer g with g . h >= 0 for every cone column h and
-    g . sigma = target."""
-    return slice_family(cone, sigma).count(target, strategy)
 
 
 def kostant_partition(Q, gamma):

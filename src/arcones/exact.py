@@ -29,31 +29,8 @@ def vec_mat(v, a):
     return [sum(x * row[j] for x, row in zip(v, a)) for j in range(len(a[0]))]
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * x for x in v]
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(
-        len(r) == len(s) and all(x == y for x, y in zip(r, s))
-        for r, s in zip(a, b)
-    )
 
 
 def rref(a):

@@ -7,10 +7,7 @@ separate from the quiver machinery so they can serve as cross-checks.
 All weights are integer tuples in fundamental-weight coordinates.
 """
 
-import json
-import os
 from fractions import Fraction
-from functools import reduce
 
 from .exact import mat_inv
 
@@ -73,7 +70,7 @@ def _weight_saturation(cd, mu):
     return seen
 
 
-def freudenthal(cd, mu, cache_dir=None):
+def freudenthal(cd, mu):
     """Weight multiplicities of the irreducible L(mu).
 
     Returns a dict {weight tuple: multiplicity} covering every weight of
@@ -86,10 +83,6 @@ def freudenthal(cd, mu, cache_dir=None):
     key = ("fr", cd.Q.letter, cd.Q.n, mu)
     if key in _memo:
         return _memo[key]
-    cached = _cache_load(cd, mu, cache_dir)
-    if cached is not None:
-        _memo[key] = cached
-        return cached
     from .rootdata import positive_roots
 
     n = cd.Q.n
@@ -119,36 +112,7 @@ def freudenthal(cd, mu, cache_dir=None):
         mult[lam] = int(m)
     assert sum(mult.values()) == weyl_dimension(cd, mu)
     _memo[key] = mult
-    _cache_store(cd, mu, mult, cache_dir)
     return mult
-
-
-def _cache_path(cd, mu, cache_dir):
-    name = "char_%s%d_%s.json" % (cd.Q.letter, cd.Q.n, "_".join(map(str, mu)))
-    return os.path.join(cache_dir, name)
-
-
-def _cache_load(cd, mu, cache_dir):
-    if cache_dir is None:
-        return None
-    path = _cache_path(cd, mu, cache_dir)
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("format") != 1:
-        return None
-    return {tuple(w): m for w, m in data["weights"]}
-
-
-def _cache_store(cd, mu, mult, cache_dir):
-    if cache_dir is None:
-        return
-    os.makedirs(cache_dir, exist_ok=True)
-    data = {"format": 1, "type": cd.Q.letter, "rank": cd.Q.n, "mu": list(mu),
-            "weights": [[list(w), m] for w, m in sorted(mult.items())]}
-    with open(_cache_path(cd, mu, cache_dir), "w") as fh:
-        json.dump(data, fh)
 
 
 def _straighten(cd, v):
@@ -174,7 +138,7 @@ def _straighten(cd, v):
     return sign, tuple(v)
 
 
-def tensor_multiplicity(cd, mu, nu, lam, cache_dir=None):
+def tensor_multiplicity(cd, mu, nu, lam):
     """c^lam_{mu,nu} by the Brauer-Klimyk signed-orbit algorithm."""
     mu, nu, lam = tuple(mu), tuple(nu), tuple(lam)
     if any(x < 0 for w in (mu, nu, lam) for x in w):
@@ -182,7 +146,7 @@ def tensor_multiplicity(cd, mu, nu, lam, cache_dir=None):
     n = cd.Q.n
     target = tuple(lam[j] + 1 for j in range(n))
     total = 0
-    for xi, m in freudenthal(cd, nu, cache_dir).items():
+    for xi, m in freudenthal(cd, nu).items():
         v = tuple(mu[j] + xi[j] + 1 for j in range(n))
         sign, dom = _straighten(cd, v)
         if sign and dom == target:
@@ -191,12 +155,12 @@ def tensor_multiplicity(cd, mu, nu, lam, cache_dir=None):
     return total
 
 
-def tensor_decomposition(cd, mu, nu, cache_dir=None):
+def tensor_decomposition(cd, mu, nu):
     """Full decomposition of L(mu) (x) L(nu) as {lam: multiplicity}."""
     mu, nu = tuple(mu), tuple(nu)
     n = cd.Q.n
     out = {}
-    for xi, m in freudenthal(cd, nu, cache_dir).items():
+    for xi, m in freudenthal(cd, nu).items():
         v = tuple(mu[j] + xi[j] + 1 for j in range(n))
         sign, dom = _straighten(cd, v)
         if sign:

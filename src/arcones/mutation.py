@@ -1,9 +1,9 @@
 """Skew-symmetrizable mutation engine.
 
-B-matrix, g-vector, weight-configuration and dual-(g, F) mutation; the
-mutation sequences mu_sqrt_l, mu_l, mu_r with the permutation pi; the cyclic
-identities report; and the F-polynomial algorithm that computes all
-subrepresentation dimension vectors of the cone modules T_v.
+B-matrix, g-vector and dual-(g, F) mutation; the mutation sequences
+mu_sqrt_l, mu_l, mu_r with the permutation pi; the cyclic identities report;
+and the F-polynomial algorithm that computes all subrepresentation dimension
+vectors of the cone modules T_v.
 """
 
 from dataclasses import dataclass
@@ -37,19 +37,6 @@ def mutate_g(g, b, u):
             out[v] = g[v] + bvu * max(gu, 0)
         else:
             out[v] = g[v] + bvu * max(-gu, 0)
-    return out
-
-
-def mutate_sigma(sigma, b, u):
-    """Weight-configuration mutation at u; sigma is a list of weight rows."""
-    out = [list(r) for r in sigma]
-    ncol = len(sigma[0])
-    row = [0] * ncol
-    for w in range(len(sigma)):
-        c = max(b[u][w], 0)
-        if c:
-            row = [x + c * y for x, y in zip(row, sigma[w])]
-    out[u] = [x - y for x, y in zip(row, sigma[u])]
     return out
 
 
@@ -251,8 +238,7 @@ def _base_state(iq, i):
     O_{i*}^+, with g^vee = e_{O_i^-} - sum_{i->j} e_{O_j^-}."""
     cat = iq.cat
     m = len(iq.vertices)
-    star = cat._star
-    chain = cat._orbits[star[i]]
+    chain = cat.orbits[cat.star[i]]
     g = [0] * m
     g[iq.index[cat.by_label["O%d-" % i]]] = 1
     for (a, j) in cat.ar.Q.arrows:
@@ -267,20 +253,6 @@ def _base_state(iq, i):
     return DualTracked(g, fpoly)
 
 
-def _theta(iq, v):
-    """Dimension vector of T_v per the structure theorem."""
-    cat = iq.cat
-    dims = [0] * len(iq.vertices)
-    for p in iq.vertices:
-        if v.kind == "negative":
-            dims[iq.index[p]] = cat.e_vec[p][cat._star[v.index] - 1]
-        elif v.kind == "positive":
-            dims[iq.index[p]] = cat.f_plus[p][v.index - 1]
-        else:  # neutral
-            dims[iq.index[p]] = cat.f_minus[p][v.index - 1]
-    return tuple(dims)
-
-
 def tv_subreps_via_fpoly(iq, i):
     """Subrepresentation dimension vectors of T_{O_i^-}, T_{Id_{i*}}, T_{O_i^+}.
 
@@ -293,7 +265,7 @@ def tv_subreps_via_fpoly(iq, i):
         raise RuntimeError("mu_l(Delta) != pi^2(Delta); fall back to brute force")
     cat = iq.cat
     seqs = mu_sequences(iq)
-    star = cat._star
+    star = cat.star
     out = {}
     neg = cat.by_label["O%d-" % i]
     out[neg] = set(_base_state(iq, i).fpoly)
@@ -314,11 +286,12 @@ def tv_subreps_via_fpoly(iq, i):
             for w in iq.vertices:
                 e2[iq.index[w]] = e[iq.index[relabel[w]]]
             relabelled.add(tuple(e2))
-        full = _theta(iq, target)
+        full = iq.tv_dim(target)
         assert full in relabelled, "full dimension vector missing for %s" % target.label
         assert max(relabelled, key=sum) == full
         out[target] = relabelled
+    zero = (0,) * len(iq.vertices)
     for v in list(out):
-        zero = (0,) * len(iq.vertices)
-        out[v] = {e for e in out[v] if e != zero and e != _theta(iq, v)}
+        trivial = {zero, iq.tv_dim(v)}
+        out[v] = {e for e in out[v] if e not in trivial}
     return out

@@ -226,33 +226,16 @@ class PathAlg:
 
     def rad_basis(self, f, g):
         """Basis of rad(f, g); equals Hom(f, g) for f != g (bricks)."""
+        basis = self.hom_basis(f, g).basis
         if f is not g:
-            return self.hom_basis(f, g).basis
-        # End(f) is local with End/rad = Q; since the validated dimension of
-        # every End here is 1, the radical is zero, but compute it honestly
-        # via the trace form (char 0: rad = radical of the trace form).
-        basis = self.hom_basis(f, f).basis
-        if len(basis) <= 1:
-            return []
-        mats = [self._left_mult_matrix(f, phi, basis) for phi in basis]
-        tr = [[sum((_matmul(mats[a], mats[b]))[i][i]
-                   for i in range(len(basis)))
-               for b in range(len(basis))] for a in range(len(basis))]
-        rad = []
-        for s in nullspace(tr):
-            s = clear_denominators(s)
-            rad.append(_combine(basis, s))
-        return rad
-
-    def _left_mult_matrix(self, f, phi, basis):
-        cols = []
-        flat = [_flatten(b) for b in basis]
-        for b in basis:
-            prod = _flatten(_compose(phi, b))
-            coords = _coords_in(flat, prod)
-            cols.append(coords)
-        return [[cols[j][i] for j in range(len(cols))]
-                for i in range(len(cols[0]))]
+            return basis
+        # End(f) is local with End/rad = Q, so rad(f, f) = 0 when End(f) is
+        # one-dimensional; it is for every catalog object of A1-A7, D4 (all
+        # orientations), D5, D6 and E6
+        if len(basis) > 1:
+            raise RuntimeError("dim End(%s) = %d > 1: not a brick"
+                               % (f.label, len(basis)))
+        return []
 
     def rad2_basis(self, f, g):
         key = (f, g)
@@ -267,7 +250,7 @@ class PathAlg:
             self._rad2[key] = _span_basis([_flatten(v) for v in vecs])
         return self._rad2[key]
 
-    def irreducible_morphisms(self, f, g, choice="first"):
+    def irreducible_morphisms(self, f, g):
         """A deterministic basis of Irr(f, g) = rad(f, g)/rad^2(f, g),
         returned as representatives (phi_plus, phi_minus) in rad."""
         radb = self.rad_basis(f, g)
@@ -275,9 +258,8 @@ class PathAlg:
             return []
         stack = list(self.rad2_basis(f, g))
         base_rank = rank(stack) if stack else 0
-        order = radb if choice == "first" else list(reversed(radb))
         reps = []
-        for phi in order:
+        for phi in radb:
             cand = stack + [_flatten(phi)]
             r = rank(cand)
             if r > base_rank + len(reps):
@@ -287,29 +269,23 @@ class PathAlg:
 
     # -- the modules T_v ---------------------------------------------------
 
-    def build_tv(self, v, choice="first"):
+    def build_tv(self, v):
         iq = self.iq
-        cat = self.cat
         if v.kind == "negative":
             return self._build_t_negative(v)
-        if v.kind == "positive":
-            theta = {p: cat.f_plus[p][v.index - 1] for p in iq.vertices}
-            part = 0                  # top restriction of phi_plus
-        else:
-            theta = {p: cat.f_minus[p][v.index - 1] for p in iq.vertices}
-            part = 1                  # top restriction of phi_minus
+        part = 0 if v.kind == "positive" else 1   # top of phi_plus/phi_minus
         i = v.index
-        dims = tuple(theta[p] for p in iq.vertices)
+        dims = iq.tv_dim(v)
         mats = []
         for (src, dst, _val, typ) in iq.arrows:
-            if theta[src] == 0 or theta[dst] == 0:
+            ds, dd = dims[iq.index[src]], dims[iq.index[dst]]
+            if ds == 0 or dd == 0:
                 mats.append(None)
                 continue
             if typ == "C":
-                mats.append(tuple((0,) * theta[src]
-                                  for _ in range(theta[dst])))
+                mats.append(tuple((0,) * ds for _ in range(dd)))
                 continue
-            reps = self.irreducible_morphisms(src, dst, choice)
+            reps = self.irreducible_morphisms(src, dst)
             assert len(reps) == 1, "Irr(%s,%s) not one-dimensional" % (
                 src.label, dst.label)
             phi = reps[0][part]
@@ -317,19 +293,18 @@ class PathAlg:
             d_sum = self.real[dst].plus if part == 0 else self.real[dst].minus
             srows = [k for k, q in enumerate(d_sum) if q == i]
             scols = [k for k, q in enumerate(s_sum) if q == i]
-            assert len(srows) == theta[dst] and len(scols) == theta[src]
+            assert len(srows) == dd and len(scols) == ds
             mats.append(tuple(tuple(phi[r][c] for c in scols) for r in srows))
         return RepZ(iq, dims, tuple(mats))
 
     def _build_t_negative(self, v):
         iq = self.iq
         cat = self.cat
-        i_star = cat._star[v.index]
+        i_star = cat.star[v.index]
         support = {p for p in iq.vertices
                    if p.kind != "neutral" and cat.orbit[p][0] == i_star}
-        for p in iq.vertices:
-            assert (cat.e_vec[p][i_star - 1] == 1) == (p in support)
-        dims = tuple(int(p in support) for p in iq.vertices)
+        dims = iq.tv_dim(v)
+        assert dims == tuple(int(p in support) for p in iq.vertices)
         mats = []
         for (src, dst, _val, _typ) in iq.arrows:
             if src in support and dst in support:
@@ -458,26 +433,6 @@ def _inv2(h):
             [-h[1][0] / det, h[0][0] / det]]
 
 
-# -- module-level wrappers ------------------------------------------------
-
-def _ctx(iq):
-    if not hasattr(iq, "_pathalg"):
-        iq._pathalg = PathAlg(iq)
-    return iq._pathalg
-
-
-def hom_basis(iq, f, g):
-    return _ctx(iq).hom_basis(f, g)
-
-
-def irreducible_morphisms(iq, f, g, choice="first"):
-    return _ctx(iq).irreducible_morphisms(f, g, choice)
-
-
-def build_tv(v, iq, choice="first"):
-    return _ctx(iq).build_tv(v, choice)
-
-
 # -- small helpers ---------------------------------------------------------
 
 def _hom_table(ar):
@@ -519,32 +474,6 @@ def _compose(psi, phi):
 
 def _flatten(phi):
     return [x for part in phi for row in part for x in row]
-
-
-def _combine(basis, coeffs):
-    out = None
-    for b, c in zip(basis, coeffs):
-        scaled = (tuple(tuple(c * x for x in row) for row in b[0]),
-                  tuple(tuple(c * x for x in row) for row in b[1]))
-        if out is None:
-            out = scaled
-        else:
-            out = (tuple(tuple(x + y for x, y in zip(r1, r2))
-                         for r1, r2 in zip(out[0], scaled[0])),
-                   tuple(tuple(x + y for x, y in zip(r1, r2))
-                         for r1, r2 in zip(out[1], scaled[1])))
-    return out
-
-
-def _coords_in(flat_basis, vec):
-    """Coordinates of vec in the span of flat_basis (exact solve)."""
-    from .exact import solve, transpose
-
-    a = transpose(flat_basis)
-    sol = solve(a, vec)
-    if sol is None:
-        raise RuntimeError("vector not in span")
-    return sol
 
 
 def _span_basis(vecs):

@@ -1,0 +1,90 @@
+"""One Dynkin quiver and every object the pipeline builds from it.
+
+A System is the single place where a (type, orientation) pair is built:
+quiver -> AR quiver -> presentation catalog -> ice quivers -> T_v
+subrepresentation sets -> per-variant cone H, weight configuration sigma and
+SliceFamily.  Each stage is built on first use and kept in a field declared
+on the class, so later stages and repeated calls reuse it.
+"""
+
+from dataclasses import dataclass, field
+from functools import cached_property
+
+from . import arpresent, count, rootdata
+from .cone import assemble_cone, tv_strict_sets
+
+
+def _memo(table, variant, make):
+    if variant not in table:
+        table[variant] = make()
+    return table[variant]
+
+
+@dataclass(eq=False)
+class System:
+    """The pipeline of the Dynkin quiver of type letter+rank.
+
+    orient is a list of arrows (i, j), meaning i -> j, or None for the
+    default orientation.  Per-variant stages take the variant name ("full2",
+    "u", "sharp", "l", "r"); the cone of every variant is assembled from the
+    T_v sets of the full2 ice quiver.
+
+    Route rule for the T_v sets: the GF(2)/GF(3) brute force wherever it
+    accepts the input, since it is the faster route there and the reference
+    the tests compare against; F-polynomial mutation where the brute force
+    refuses with NotImplementedError (from D5 on: vertex spaces it cannot
+    reduce, or a T_v above cone.DEFAULT_CAP).
+    """
+
+    letter: str
+    rank: int
+    orient: list = None
+    _ice: dict = field(default_factory=dict, init=False, repr=False)
+    _cone: dict = field(default_factory=dict, init=False, repr=False)
+    _sigma: dict = field(default_factory=dict, init=False, repr=False)
+    _family: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def quiver(self):
+        return rootdata.build_dynkin(self.letter, self.rank, self.orient)
+
+    @cached_property
+    def ar(self):
+        return arpresent.knit_rep_ar(self.quiver)
+
+    @property
+    def cd(self):
+        """Cartan data of the quiver (computed while knitting)."""
+        return self.ar.cd
+
+    @cached_property
+    def catalog(self):
+        return arpresent.enumerate_presentations(self.ar)
+
+    def ice(self, variant="full2"):
+        return _memo(self._ice, variant,
+                     lambda: arpresent.build_ice_quiver(self.catalog,
+                                                        variant))
+
+    @cached_property
+    def tv_sets(self):
+        """Strict subrep dimension vectors of every T_v, by the route rule."""
+        try:
+            return tv_strict_sets(self.ice(), "bruteforce")
+        except NotImplementedError:
+            return tv_strict_sets(self.ice(), "fpoly")
+
+    def cone(self, variant="full2"):
+        return _memo(self._cone, variant,
+                     lambda: assemble_cone(self.ice(), variant,
+                                           strict_sets=self.tv_sets))
+
+    def sigma(self, variant="full2"):
+        return _memo(self._sigma, variant,
+                     lambda: arpresent.weight_configuration(
+                         self.ice(variant)))
+
+    def family(self, variant="full2"):
+        return _memo(self._family, variant,
+                     lambda: count.SliceFamily(self.cone(variant),
+                                               self.sigma(variant)))

@@ -7,33 +7,16 @@ import time
 
 import pytest
 
-from arcones import arpresent, cone, count, lieoracle, mutation, rootdata
+from arcones import cone, count, lieoracle, mutation
+from arcones.system import System
 
 D4_ORIENT = [(2, 1), (3, 2), (4, 2)]
 
 
-def full2(letter, n, orient=None):
-    ar = arpresent.knit_rep_ar(rootdata.build_dynkin(letter, n, orient))
-    cat = arpresent.enumerate_presentations(ar)
-    return arpresent.build_ice_quiver(cat)
-
-
 @pytest.fixture(scope="module")
-def quivers():
-    return {"A2": full2("A", 2), "A3": full2("A", 3),
-            "D4": full2("D", 4, D4_ORIENT)}
-
-
-def cone_family(iq, variant):
-    spec = cone.assemble_cone(iq, variant)
-    amb = iq if variant == "full2" else \
-        arpresent.build_ice_quiver(iq.cat, variant)
-    sig = arpresent.weight_configuration(amb)
-    return spec, sig, count.slice_family(spec, sig)
-
-
-def cartan(iq):
-    return rootdata.cartan_data(iq.cat.ar.Q)
+def systems():
+    return {"A2": System("A", 2), "A3": System("A", 3),
+            "D4": System("D", 4, D4_ORIENT)}
 
 
 # -- A: D4 structural fixture ------------------------------------------------
@@ -45,19 +28,17 @@ def test_a_d4_structural_fixture():
     for bits in itertools.product((0, 1), repeat=3):
         arrows = [(j, i) if b else (i, j)
                   for (i, j), b in zip(edges, bits)]
-        iq = full2("D", 4, arrows)
-        sets = cone.tv_strict_sets(iq)
-        cat = iq.cat
+        s = System("D", 4, arrows)
+        sets, cat = s.tv_sets, s.catalog
         counts = (
             [len(sets[cat.by_label["O%d-" % i]]) for i in range(1, 5)],
             [len(sets[cat.by_label["O%d+" % i]]) for i in range(1, 5)],
             [len(sets[cat.by_label["Id%d" % i]]) for i in range(1, 5)])
         if counts == ([3, 3, 3, 3], [7, 6, 1, 1], [1, 2, 7, 7]):
-            match = (iq, sets)
+            match = s
             break
     assert match is not None
-    iq, sets = match
-    spec = cone.assemble_cone(iq, strict_sets=sets)
+    spec = match.cone()
     assert len(spec.columns) == 44
     assert len(cone.prune_redundant(spec).columns) == 44
     assert time.time() - start < 60
@@ -69,10 +50,10 @@ def _dominant(n, bound):
     return list(itertools.product(range(bound + 1), repeat=n))
 
 
-def _tensor_cases(iq, bound, rng):
+def _tensor_cases(s, bound, rng):
     """(mu, nu, lam, oracle) rows: full oracle support plus 10 zeros each."""
-    cd = cartan(iq)
-    n = iq.n
+    cd = s.cd
+    n = s.rank
     for mu in _dominant(n, bound):
         for nu in _dominant(n, bound):
             dec = lieoracle.tensor_decomposition(cd, mu, nu)
@@ -90,13 +71,13 @@ def _tensor_cases(iq, bound, rng):
 B_GRIDS = (("A2", 2), ("A3", 1), ("D4", 1))
 
 
-def test_b_tensor_multiplicities(quivers):
+def test_b_tensor_multiplicities(systems):
     start = time.time()
     rng = random.Random(7)
     for key, bound in B_GRIDS:
-        iq = quivers[key]
-        _spec, _sig, fam = cone_family(iq, "full2")
-        for mu, nu, lam, mult in _tensor_cases(iq, bound, rng):
+        s = systems[key]
+        fam = s.family("full2")
+        for mu, nu, lam, mult in _tensor_cases(s, bound, rng):
             got = fam.count(list(mu) + list(nu) + list(lam))
             assert got == mult, (key, mu, nu, lam, got, mult)
     assert time.time() - start < 600
@@ -104,13 +85,13 @@ def test_b_tensor_multiplicities(quivers):
 
 # -- C: Kostant partition function -------------------------------------------
 
-def test_c_kostant(quivers):
+def test_c_kostant(systems):
     start = time.time()
     for key in ("A2", "A3"):
-        iq = quivers[key]
-        _spec, sig, fam = cone_family(iq, "u")
-        cd = cartan(iq)
-        n = iq.n
+        s = systems[key]
+        sig, fam = s.sigma("u"), s.family("u")
+        cd = s.cd
+        n = s.rank
         seen = set()
         for h in itertools.product(range(3), repeat=len(sig.sigma)):
             gamma = tuple(sum(hk * row[j]
@@ -125,13 +106,13 @@ def test_c_kostant(quivers):
 
 # -- D: weight multiplicities vs Freudenthal ---------------------------------
 
-def test_d_weight_multiplicities(quivers):
+def test_d_weight_multiplicities(systems):
     start = time.time()
     for key, bound in B_GRIDS:
-        iq = quivers[key]
-        _spec, _sig, fam = cone_family(iq, "sharp")
-        cd = cartan(iq)
-        for mu in _dominant(iq.n, bound):
+        s = systems[key]
+        fam = s.family("sharp")
+        cd = s.cd
+        for mu in _dominant(s.rank, bound):
             for lam, mult in lieoracle.freudenthal(cd, mu).items():
                 got = fam.count(list(mu) + list(lam))
                 assert got == mult, (key, mu, lam, got, mult)
@@ -141,28 +122,28 @@ def test_d_weight_multiplicities(quivers):
 # -- E: cyclic mutation identities -------------------------------------------
 
 @pytest.mark.parametrize("key", ["A2", "A3", "D4"])
-def test_e_mutation_identities(quivers, key):
-    report = mutation.verify_cyclic(quivers[key])
+def test_e_mutation_identities(systems, key):
+    report = mutation.verify_cyclic(systems[key].ice())
     assert report["all"], report
 
 
 # -- F: F-polynomial subreps equal brute force -------------------------------
 
 @pytest.mark.parametrize("key", ["A2", "A3", "D4"])
-def test_f_fpoly_equals_bruteforce(quivers, key):
+def test_f_fpoly_equals_bruteforce(systems, key):
     # source="both" raises if the mutation route and the GF(2)/GF(3)
     # enumerations disagree on any frozen vertex
-    sets = cone.tv_strict_sets(quivers[key], source="both")
-    assert all(sets[v] for v in quivers[key].vertices
-               if quivers[key].frozen[v])
+    iq = systems[key].ice()
+    sets = cone.tv_strict_sets(iq, source="both")
+    assert all(sets[v] for v in iq.vertices if iq.frozen[v])
 
 
 # -- G: the count-one family -------------------------------------------------
 
 @pytest.mark.parametrize("key", ["A3", "D4"])
-def test_g_count_one_family(quivers, key):
-    iq = quivers[key]
-    _spec, _sig, fam = cone_family(iq, "full2")
+def test_g_count_one_family(systems, key):
+    iq = systems[key].ice()
+    fam = systems[key].family("full2")
     for v in iq.vertices:
         e, fm, fp = iq.cat.triple_weight(v)
         assert fam.count(list(e) + list(fm) + list(fp)) == 1, v.label
@@ -177,9 +158,9 @@ def _exp_label(cat, v):
     return a + "," + b
 
 
-def test_h_d4_containment_example(quivers):
-    iq = quivers["D4"]
-    spec, sig, fam = cone_family(iq, "full2")
+def test_h_d4_containment_example(systems):
+    s = systems["D4"]
+    iq, spec, sig, fam = s.ice(), s.cone(), s.sigma(), s.family()
     e2 = [0, 1, 0, 0]
     assert fam.count(e2 * 3) == 1
     labels = {_exp_label(iq.cat, v): v for v in iq.vertices}
@@ -196,11 +177,10 @@ def test_h_d4_containment_example(quivers):
 
 # -- I: LR rule agrees with Brauer-Klimyk ------------------------------------
 
-def test_i_lr_equals_tensor(quivers):
+def test_i_lr_equals_tensor(systems):
     rng = random.Random(7)
     for key, bound in (("A2", 2), ("A3", 1)):
-        iq = quivers[key]
-        cd = cartan(iq)
-        for mu, nu, lam, mult in _tensor_cases(iq, bound, rng):
-            assert lieoracle.lr_from_weights(iq.n, mu, nu, lam) == mult, \
+        s = systems[key]
+        for mu, nu, lam, mult in _tensor_cases(s, bound, rng):
+            assert lieoracle.lr_from_weights(s.rank, mu, nu, lam) == mult, \
                 (key, mu, nu, lam)

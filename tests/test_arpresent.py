@@ -1,15 +1,12 @@
 import pytest
 
-from arcones import arpresent, rootdata
+from arcones import arpresent
 from arcones.exact import rank
-
-
-def make(letter, n, orient=None):
-    return arpresent.knit_rep_ar(rootdata.build_dynkin(letter, n, orient))
+from arcones.system import System
 
 
 def test_knit_a2():
-    ar = make("A", 2)
+    ar = System("A", 2).ar
     dims = {m.dim for m in ar.modules}
     assert dims == {(1, 1), (0, 1), (1, 0)}
     s1 = arpresent.Module((1, 0))
@@ -17,25 +14,25 @@ def test_knit_a2():
 
 
 def test_knit_a1():
-    ar = make("A", 1)
+    ar = System("A", 1).ar
     assert len(ar.modules) == 1
     assert not ar.tau
 
 
 def test_knit_d4():
-    ar = make("D", 4)
+    ar = System("D", 4).ar
     assert len(ar.modules) == 12
 
 
 def test_knit_g2():
-    ar = make("G", 2)
+    ar = System("G", 2).ar
     dims = {m.dim for m in ar.modules}
     assert dims == {(1, 1), (0, 1), (3, 2), (2, 1), (3, 1), (1, 0)}
 
 
 @pytest.mark.parametrize("letter,n", [("A", 3), ("D", 4), ("B", 3), ("G", 2)])
 def test_mesh_additivity(letter, n):
-    ar = make(letter, n)
+    ar = System(letter, n).ar
     for N, L in ar.tau.items():
         total = [-(x + y) for x, y in zip(L.dim, N.dim)]
         for (s, mid), (a, b) in ar.arrows.items():
@@ -45,7 +42,7 @@ def test_mesh_additivity(letter, n):
 
 
 def test_hom_table_a2():
-    ar = make("A", 2)
+    ar = System("A", 2).ar
     hom = arpresent.hom_dim_table(ar)
     p1, p2 = ar.projectives[1], ar.projectives[2]
     assert hom[p2][p1] == 1
@@ -55,7 +52,7 @@ def test_hom_table_a2():
 
 
 def test_hom_table_g2():
-    ar = make("G", 2)
+    ar = System("G", 2).ar
     hom = arpresent.hom_dim_table(ar)
     p1, p2 = ar.projectives[1], ar.projectives[2]
     assert hom[p2][p1] == 3
@@ -66,13 +63,13 @@ def test_hom_table_g2():
 @pytest.mark.parametrize("letter,n", [("A", 2), ("A", 3), ("D", 4), ("B", 2)])
 def test_hom_table_euler_validated(letter, n):
     # the Euler / AR-formula validation runs inside hom_dim_table
-    ar = make(letter, n)
+    ar = System(letter, n).ar
     arpresent.hom_dim_table(ar)
 
 
 def test_catalog_a2():
-    ar = make("A", 2)
-    cat = arpresent.enumerate_presentations(ar)
+    s = System("A", 2)
+    ar, cat = s.ar, s.catalog
     assert len(cat.objects) == 7
     fs1 = cat.by_module[ar.simples[1]]
     assert cat.f_minus[fs1] == (1, 0)
@@ -87,8 +84,7 @@ def test_catalog_a2():
 
 
 def test_catalog_triple_weights():
-    ar = make("A", 2)
-    cat = arpresent.enumerate_presentations(ar)
+    cat = System("A", 2).catalog
     assert cat.triple_weight(cat.by_label["Id1"]) == ((0, 0), (1, 0), (1, 0))
     assert cat.triple_weight(cat.by_label["O1+"]) == ((1, 0), (0, 0), (1, 0))
     # e(O_i^-) = e_{i*}; for A2 star swaps 1 and 2
@@ -96,8 +92,7 @@ def test_catalog_triple_weights():
 
 
 def test_catalog_d4():
-    ar = make("D", 4)
-    cat = arpresent.enumerate_presentations(ar)
+    cat = System("D", 4).catalog
     assert len(cat.objects) == 20
     assert sum(1 for p in cat.objects if p.kind == "module") == 8
     for i in range(1, 5):
@@ -105,8 +100,7 @@ def test_catalog_d4():
 
 
 def test_pi_permutation():
-    ar = make("A", 2)
-    cat = arpresent.enumerate_presentations(ar)
+    cat = System("A", 2).catalog
     pi = cat.pi
     assert pi(cat.by_label["O1-"]) == cat.by_label["Id1"]
     assert pi(cat.by_label["Id1"]) == cat.by_label["O1+"]
@@ -118,9 +112,7 @@ def test_pi_permutation():
 
 
 def test_ice_quiver_a2():
-    ar = make("A", 2)
-    cat = arpresent.enumerate_presentations(ar)
-    iq = arpresent.build_ice_quiver(cat)
+    iq = System("A", 2).ice()
     assert len(iq.vertices) == 7
     assert len(iq.mutable) == 1
     assert iq.mutable[0].label == "f[1,0]"
@@ -128,9 +120,7 @@ def test_ice_quiver_a2():
 
 
 def test_ice_quiver_d4_counts():
-    ar = make("D", 4)
-    cat = arpresent.enumerate_presentations(ar)
-    iq = arpresent.build_ice_quiver(cat)
+    iq = System("D", 4).ice()
     assert len(iq.vertices) == 20
     assert len(iq.mutable) == 8
     assert rank(iq.bmat) == 8
@@ -139,9 +129,7 @@ def test_ice_quiver_d4_counts():
 @pytest.mark.parametrize("letter,n", [("A", 2), ("A", 3), ("D", 4), ("B", 2), ("G", 2)])
 @pytest.mark.parametrize("variant", arpresent.VARIANTS)
 def test_weight_configurations(letter, n, variant):
-    ar = make(letter, n)
-    cat = arpresent.enumerate_presentations(ar)
-    iq = arpresent.build_ice_quiver(cat, variant)
+    iq = System(letter, n).ice(variant)
     assert rank(iq.bmat) == len(iq.mutable)
     wc = arpresent.weight_configuration(iq)
     if variant in ("l", "r"):
@@ -151,18 +139,16 @@ def test_weight_configurations(letter, n, variant):
 
 
 def test_sigma_q_row_is_alpha1():
-    ar = make("A", 2)
-    cat = arpresent.enumerate_presentations(ar)
-    iq = arpresent.build_ice_quiver(cat, "u")
+    s = System("A", 2)
+    ar, cat, iq = s.ar, s.catalog, s.ice("u")
     wc = arpresent.weight_configuration(iq)
     fs1 = cat.by_module[ar.simples[1]]
     assert wc.sigma[iq.vertices.index(fs1)] == [2, -1]
 
 
 def test_sigma2_row_fs1():
-    ar = make("A", 2)
-    cat = arpresent.enumerate_presentations(ar)
-    iq = arpresent.build_ice_quiver(cat)
+    s = System("A", 2)
+    ar, cat, iq = s.ar, s.catalog, s.ice()
     wc = arpresent.weight_configuration(iq)
     fs1 = cat.by_module[ar.simples[1]]
     assert wc.sigma[iq.vertices.index(fs1)] == [1, 0, 1, 0, 0, 1]
@@ -170,9 +156,7 @@ def test_sigma2_row_fs1():
 
 @pytest.mark.parametrize("letter,n", [("B", 2), ("G", 2), ("C", 3), ("F", 4)])
 def test_skew_symmetrizable_valued(letter, n):
-    ar = make(letter, n)
-    cat = arpresent.enumerate_presentations(ar)
-    iq = arpresent.build_ice_quiver(cat)
+    iq = System(letter, n).ice()
     # a positive symmetrizer with D B skew-symmetric exists
     from fractions import Fraction
 

@@ -27,6 +27,14 @@ def test_build_d4_44_columns(tmp_path):
     assert len(header) - 1 == 44
 
 
+def test_build_d5_via_fpoly(tmp_path):
+    # brute force refuses D5, so the T_v sets come from F-polynomials
+    res = run("build", "--type", "D5", "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    summary = json.load(open(tmp_path / "summary.json"))
+    assert summary["cone"] == {"supported": True, "columns": 192}
+
+
 def test_build_g2_cone_unsupported(tmp_path):
     res = run("build", "--type", "G2", "--out", str(tmp_path))
     assert res.exit_code == 0
@@ -58,6 +66,14 @@ def test_count_d4_e2_cube():
               "0,1,0,0")
     assert res.exit_code == 0
     assert res.output.splitlines()[1].endswith(",1")
+
+
+def test_count_d5_triple_check():
+    res = run("count", "--type", "D5", "--triple", "1,0,0,0,0", "1,0,0,0,0",
+              "0,1,0,0,0", "--check")
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[1] == \
+        "1 0 0 0 0,1 0 0 0 0,0 1 0 0 0,1,1,yes"
 
 
 def test_count_grid_check_a3():
@@ -93,6 +109,13 @@ def test_verify_mutation_d4():
 def test_verify_kostant_a2_max4():
     res = run("verify", "kostant", "--type", "A2", "--max", "4")
     assert res.exit_code == 0
+
+
+def test_verify_fpoly_d5_refused_exit_2():
+    # the suite compares against brute force, which does not handle D5
+    res = run("verify", "fpoly", "--type", "D5")
+    assert res.exit_code == 2
+    assert "arrow between dim-2 vertices" in res.output
 
 
 def test_verify_structural_d4_report(tmp_path):

@@ -1,12 +1,7 @@
 import pytest
 
-from arcones import arpresent, cone, pathalg, rootdata
-
-
-def ice(letter, n, orient=None):
-    ar = arpresent.knit_rep_ar(rootdata.build_dynkin(letter, n, orient))
-    cat = arpresent.enumerate_presentations(ar)
-    return arpresent.build_ice_quiver(cat)
+from arcones import cone, pathalg
+from arcones.system import System
 
 
 def support_counts(iq, dv):
@@ -14,31 +9,35 @@ def support_counts(iq, dv):
 
 
 def test_bruteforce_chain_tails():
-    iq = ice("A", 2)
-    rep = pathalg.build_tv(iq.cat.by_label["O2-"], iq)
+    iq = System("A", 2).ice()
+    rep = pathalg.PathAlg(iq).build_tv(iq.cat.by_label["O2-"])
     subs = cone.subreps_bruteforce(rep, 2)
     named = {tuple(sorted(support_counts(iq, dv))) for dv in subs}
     assert named == {("O2-",), ("O2-", "f[1,0]"), ("O1+", "O2-", "f[1,0]")}
 
 
 def test_bruteforce_two_vertex():
-    iq = ice("A", 2)
-    rep = pathalg.build_tv(iq.cat.by_label["O1+"], iq)
+    iq = System("A", 2).ice()
+    rep = pathalg.PathAlg(iq).build_tv(iq.cat.by_label["O1+"])
     subs = cone.subreps_bruteforce(rep, 2)
     named = {tuple(sorted(support_counts(iq, dv))) for dv in subs}
     assert named == {("O1+",), ("Id1", "O1+")}
 
 
 def test_bruteforce_cap():
-    iq = ice("A", 2)
-    rep = pathalg.build_tv(iq.cat.by_label["O2-"], iq)
-    with pytest.raises(ValueError):
-        cone.subreps_bruteforce(rep, 2, cap=2)
+    # the largest D6 T_v has total dimension 29, above the cap of 24
+    iq = System("D", 6).ice()
+    v = max((v for v in iq.vertices if iq.frozen[v]),
+            key=lambda v: sum(iq.tv_dim(v)))
+    rep = pathalg.PathAlg(iq).build_tv(v)
+    assert sum(rep.dims) == 29 > cone.DEFAULT_CAP
+    with pytest.raises(NotImplementedError):
+        cone.subreps_bruteforce(rep, 2)
 
 
 def test_d4_strict_counts():
     # this orientation reproduces the known D4 strict-subrep counts per index
-    iq = ice("D", 4, [(2, 1), (3, 2), (4, 2)])
+    iq = System("D", 4, [(2, 1), (3, 2), (4, 2)]).ice()
     sets = cone.tv_strict_sets(iq, source="both")
     cat = iq.cat
     assert [len(sets[cat.by_label["O%d-" % i]]) for i in range(1, 5)] == \
@@ -50,8 +49,7 @@ def test_d4_strict_counts():
 
 
 def test_d4_cone_44_and_prune():
-    iq = ice("D", 4, [(2, 1), (3, 2), (4, 2)])
-    spec = cone.assemble_cone(iq)
+    spec = System("D", 4, [(2, 1), (3, 2), (4, 2)]).cone()
     assert len(spec.columns) == 44
     assert all(all(x >= 0 for x in c) and any(c) for _v, c in spec.columns)
     pruned = cone.prune_redundant(spec)
@@ -59,8 +57,7 @@ def test_d4_cone_44_and_prune():
 
 
 def test_a2_u_variant_columns():
-    iq = ice("A", 2)
-    spec = cone.assemble_cone(iq, "u")
+    spec = System("A", 2).cone("u")
     per = {}
     for v, c in spec.columns:
         per.setdefault(v.index, []).append(c)
@@ -71,10 +68,8 @@ def test_a2_u_variant_columns():
 @pytest.mark.parametrize("variant", ["u", "sharp", "l", "r"])
 @pytest.mark.parametrize("letter,n", [("A", 2), ("A", 3), ("D", 4)])
 def test_restricted_columns_are_restrictions(letter, n, variant):
-    iq = ice(letter, n)
-    sets = cone.tv_strict_sets(iq)
-    full2 = cone.assemble_cone(iq, strict_sets=sets)
-    sub = cone.assemble_cone(iq, variant, strict_sets=sets)
+    s = System(letter, n)
+    iq, full2, sub = s.ice(), s.cone(), s.cone(variant)
     keep = [iq.index[v] for v in sub.vertices]
     groups = {"u": ("negative",), "sharp": ("negative", "positive"),
               "l": ("neutral",), "r": ("positive",)}[variant]
@@ -88,8 +83,7 @@ def test_restricted_columns_are_restrictions(letter, n, variant):
 
 
 def test_prune_drops_redundant():
-    iq = ice("A", 3)
-    spec = cone.assemble_cone(iq)
+    spec = System("A", 3).cone()
     # duplicating a column must not change the pruned cone
     v0, c0 = spec.columns[0]
     doubled = cone.ConeSpec(spec.variant, spec.vertices,
@@ -101,8 +95,7 @@ def test_prune_drops_redundant():
 
 
 def test_exports():
-    iq = ice("A", 2)
-    spec = cone.assemble_cone(iq)
+    spec = System("A", 2).cone()
     d = spec.to_json_dict()
     assert set(d) == {"variant", "ambient", "columns", "groups"}
     csv = spec.to_csv()

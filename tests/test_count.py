@@ -2,25 +2,13 @@ import itertools
 
 import pytest
 
-from arcones import arpresent, cone, count, lieoracle, rootdata
-
-
-def full2(letter, n, orient=None):
-    ar = arpresent.knit_rep_ar(rootdata.build_dynkin(letter, n, orient))
-    cat = arpresent.enumerate_presentations(ar)
-    return arpresent.build_ice_quiver(cat)
-
-
-def cone_and_sigma(letter, n, variant="full2"):
-    iq = full2(letter, n)
-    spec = cone.assemble_cone(iq, variant)
-    amb = iq if variant == "full2" else \
-        arpresent.build_ice_quiver(iq.cat, variant)
-    return spec, arpresent.weight_configuration(amb)
+from arcones import cone, count, lieoracle, rootdata
+from arcones.system import System
 
 
 def test_lp_bound_zero_slice_pointed():
-    spec, sig = cone_and_sigma("A", 2)
+    s = System("A", 2)
+    spec, sig = s.cone(), s.sigma()
     for k in range(spec.dim):
         obj = [1 if j == k else 0 for j in range(spec.dim)]
         st, _g, v = count.lp_bound(obj, spec.rows(), None, sig.sigma,
@@ -29,16 +17,18 @@ def test_lp_bound_zero_slice_pointed():
 
 
 def test_lp_bound_infeasible_negative_lambda():
-    spec, sig = cone_and_sigma("A", 2)
+    s = System("A", 2)
+    spec, sig = s.cone(), s.sigma()
     st, _g, _v = count.lp_bound([0] * spec.dim, spec.rows(), None,
                                 sig.sigma, [0, 0, 0, 0, -1, 0])
     assert st == "infeasible"
 
 
 def test_lp_bound_d4_brackets_finite():
-    spec, sig = cone_and_sigma("D", 4)
+    s = System("D", 4)
+    spec, sig = s.cone(), s.sigma()
     # the bounding functionals certify every coordinate bracket finite ...
-    fam = count.slice_family(spec, sig)
+    fam = s.family()
     assert fam.unbounded_ray is None
     assert all(l is not None for l in fam.lower_mult + fam.upper_mult)
     # ... and a few direct LP brackets confirm it on the example target
@@ -52,71 +42,67 @@ def test_lp_bound_d4_brackets_finite():
 
 
 def test_count_a2_examples():
-    spec, sig = cone_and_sigma("A", 2)
-    assert count.count_lattice(spec, sig, (1, 0, 0, 1, 1, 1)) == 1
-    assert count.count_lattice(spec, sig, (1, 1, 1, 1, 1, 1)) == 2
-    assert count.count_lattice(spec, sig, (0,) * 6) == 1
+    fam = System("A", 2).family()
+    assert fam.count((1, 0, 0, 1, 1, 1)) == 1
+    assert fam.count((1, 1, 1, 1, 1, 1)) == 2
+    assert fam.count((0,) * 6) == 1
 
 
 def test_count_matches_oracle_a2_grid():
-    spec, sig = cone_and_sigma("A", 2)
+    fam = System("A", 2).family()
     cd = rootdata.cartan_data(rootdata.build_dynkin("A", 2))
     for mu in itertools.product(range(3), repeat=2):
         for nu in itertools.product(range(3), repeat=2):
             for lam, mult in lieoracle.tensor_decomposition(
                     cd, mu, nu).items():
-                got = count.count_lattice(spec, sig,
-                                          list(mu) + list(nu) + list(lam))
+                got = fam.count(list(mu) + list(nu) + list(lam))
                 assert got == mult, (mu, nu, lam)
 
 
 def test_count_symmetric_in_mu_nu():
-    spec, sig = cone_and_sigma("A", 2)
+    fam = System("A", 2).family()
     for mu in itertools.product(range(2), repeat=2):
         for nu in itertools.product(range(2), repeat=2):
             for lam in itertools.product(range(3), repeat=2):
                 t1 = list(mu) + list(nu) + list(lam)
                 t2 = list(nu) + list(mu) + list(lam)
-                assert count.count_lattice(spec, sig, t1) == \
-                    count.count_lattice(spec, sig, t2)
+                assert fam.count(t1) == fam.count(t2)
 
 
 def test_count_cartan_component_is_one():
-    spec, sig = cone_and_sigma("A", 3)
+    fam = System("A", 3).family()
     for mu in itertools.product(range(2), repeat=3):
         for nu in itertools.product(range(2), repeat=3):
             lam = [m + n for m, n in zip(mu, nu)]
-            assert count.count_lattice(spec, sig,
-                                       list(mu) + list(nu) + lam) == 1
+            assert fam.count(list(mu) + list(nu) + lam) == 1
 
 
 def test_strategies_agree():
-    spec, sig = cone_and_sigma("A", 2)
+    fam = System("A", 2).family()
     for mu in itertools.product(range(2), repeat=2):
         for nu in itertools.product(range(2), repeat=2):
             for lam in itertools.product(range(2), repeat=2):
                 t = list(mu) + list(nu) + list(lam)
-                assert count.count_lattice(spec, sig, t, "propagate") == \
-                    count.count_lattice(spec, sig, t, "lp")
+                assert fam.count(t, "propagate") == fam.count(t, "lp")
 
 
 def test_sharp_variant_counts_weight_multiplicities():
-    spec, sig = cone_and_sigma("A", 2, "sharp")
+    fam = System("A", 2).family("sharp")
     cd = rootdata.cartan_data(rootdata.build_dynkin("A", 2))
     mu = (1, 1)
     for lam, mult in lieoracle.freudenthal(cd, mu).items():
-        got = count.count_lattice(spec, sig, list(mu) + list(lam))
+        got = fam.count(list(mu) + list(lam))
         assert got == mult, lam
 
 
 def test_u_variant_counts_kostant():
-    spec, sig = cone_and_sigma("A", 2, "u")
+    fam = System("A", 2).family("u")
     cd = rootdata.cartan_data(rootdata.build_dynkin("A", 2))
     a1, a2 = cd.cartan
     for c1 in range(4):
         for c2 in range(4):
             gamma = [c1 * a1[k] + c2 * a2[k] for k in range(2)]
-            assert count.count_lattice(spec, sig, gamma) == \
+            assert fam.count(gamma) == \
                 count.kostant_partition(cd, gamma), (c1, c2)
 
 
@@ -133,9 +119,9 @@ def test_kostant_examples():
 
 
 def test_non_integral_slice_is_empty():
-    spec, sig = cone_and_sigma("A", 2, "u")
+    fam = System("A", 2).family("u")
     # gamma = alpha1 shifted off the root lattice
-    assert count.count_lattice(spec, sig, (1, 0)) == 0
+    assert fam.count((1, 0)) == 0
 
 
 class _V:
@@ -146,13 +132,8 @@ def test_unbounded_slice_raises_with_ray():
     spec = cone.ConeSpec("full2", [_V(), _V()], [])
     sigma = [[1], [0]]
     with pytest.raises(count.UnboundedSliceError) as exc:
-        count.count_lattice(spec, sigma, (0,))
+        count.SliceFamily(spec, sigma).count((0,))
     ray = exc.value.ray
     assert any(ray)
     assert sum(r * s[0] for r, s in zip(ray, sigma)) == 0
 
-
-def test_slice_polytope_wrapper():
-    spec, sig = cone_and_sigma("A", 2)
-    p = count.SlicePolytope(spec, sig, (1, 1, 1, 1, 1, 1))
-    assert p.count() == 2

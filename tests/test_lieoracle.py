@@ -53,13 +53,6 @@ def test_freudenthal_g2():
     assert m[(0, 0)] == 2
 
 
-def test_freudenthal_cache(tmp_path):
-    m1 = lieoracle.freudenthal(A3, (1, 1, 0), cache_dir=str(tmp_path))
-    lieoracle._memo.pop(("fr", "A", 3, (1, 1, 0)))
-    m2 = lieoracle.freudenthal(A3, (1, 1, 0), cache_dir=str(tmp_path))
-    assert m1 == m2
-
-
 def test_tensor_a2_basics():
     assert lieoracle.tensor_multiplicity(A2, (1, 0), (0, 1), (1, 1)) == 1
     assert lieoracle.tensor_multiplicity(A2, (1, 0), (0, 1), (0, 0)) == 1
