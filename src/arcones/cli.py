@@ -102,10 +102,16 @@ def _write_build_artifacts(system, variant, outdir):
         files["hmatrix.json"] = json.dumps({"format": FORMAT_VERSION,
                                             **spec.to_json_dict()}, indent=1)
         files["hmatrix.csv"] = spec.to_csv()
-        files["sigma.json"] = json.dumps(
-            {"format": FORMAT_VERSION,
-             "rows": {v.label: list(r)
-                      for v, r in zip(spec.vertices, sig.sigma)}}, indent=1)
+        if sig.sigma is None:
+            summary["sigma"] = {"written": False,
+                                "reason": "variant %s has no grading"
+                                          % variant}
+        else:
+            files["sigma.json"] = json.dumps(
+                {"format": FORMAT_VERSION,
+                 "rows": {v.label: list(r)
+                          for v, r in zip(spec.vertices, sig.sigma)}},
+                indent=1)
         summary["cone"] = {"supported": True, "columns": len(spec.columns)}
     else:
         summary["cone"] = {"supported": False,
@@ -367,8 +373,11 @@ def _suite_mutation(system, _bound):
 
 
 def _suite_fpoly(system, _bound):
-    sets = cone.tv_strict_sets(system.ice(), source="both")
-    return {"passed": True,
+    brute = system.tv_bruteforce
+    sets = cone.tv_strict_sets(system.ice(), source="fpoly")
+    bad = sorted(v.label for v in brute.keys() | sets.keys()
+                 if brute.get(v) != sets.get(v))
+    return {"passed": not bad, "mismatches": bad,
             "counts": {v.label: len(s) for v, s in sorted(
                 sets.items(), key=lambda kv: kv[0].label)}}
 

@@ -1,7 +1,9 @@
 """Exact linear algebra helpers over the rationals and the integers.
 
 Everything here works on plain lists of lists holding ints or Fractions.
-No floating point is used anywhere.
+The linear programs of lp_min are solved by a fraction-free integer simplex:
+its tableau holds only ints over one common denominator.  No floating point
+is used anywhere.
 """
 
 from fractions import Fraction
@@ -210,13 +212,35 @@ def clear_denominators(v):
     return w
 
 
+def _integer_row(v):
+    """Scale a rational vector by the lcm of its denominators."""
+    den = 1
+    for x in v:
+        if not isinstance(x, int):
+            den = lcm(den, Fraction(x).denominator)
+    return [int(x * den) for x in v]
+
+
+def _eliminate(row, pr, col, p, d):
+    """One row of a fraction-free pivot: (p*x - f*y) // d, exact."""
+    f = row[col]
+    if not f:
+        return row if p == d else [p * x // d for x in row]
+    return [(p * x - f * y) // d for x, y in zip(row, pr)]
+
+
 def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
     """Exact linear program: minimize c.x subject to a_ub.x <= b_ub and
     a_eq.x == b_eq, over free variables x (or x >= 0 when nonneg is True).
 
-    Two-phase simplex with Bland's rule over Fractions.  Returns a tuple
-    (status, x, value) with status one of "optimal", "infeasible",
-    "unbounded"; x and value are None unless status is "optimal".
+    Two-phase simplex with Bland's rule, fraction-free: the integer-
+    preserving pivot of Edmonds (1967) and Bareiss (1968).  The tableau
+    holds ints over one common denominator D > 0, the last pivot; a pivot on
+    p updates every other row x by its pivot-column entry f and the pivot
+    row y as (p*x - f*y) // D, a division that is always exact.  Returns a
+    tuple (status, x, value) with status one of "optimal", "infeasible",
+    "unbounded"; x (Fractions) and value are None unless status is
+    "optimal", and an optimal x is re-checked against every constraint.
     """
     a_ub = a_ub or []
     b_ub = b_ub or []
@@ -226,101 +250,101 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
     # free variables split as x = u - w with u, w >= 0; with nonneg no
     # splitting is needed
     nv = n if nonneg else 2 * n
-    rows = []
-    for a, b, is_eq in ([(a, b, False) for a, b in zip(a_ub, b_ub)] +
-                        [(a, b, True) for a, b in zip(a_eq, b_eq)]):
-        row = [Fraction(x) for x in a]
-        if not nonneg:
-            row = row + [Fraction(-x) for x in a]
-        rows.append((row, Fraction(b), is_eq))
-    nslack = sum(1 for _, _, is_eq in rows if not is_eq)
+    rows = ([(a, b, False) for a, b in zip(a_ub, b_ub)] +
+            [(a, b, True) for a, b in zip(a_eq, b_eq)])
+    nslack = sum(1 for _a, _b, is_eq in rows if not is_eq)
     m = len(rows)
-    width = nv + nslack + m         # variables, slacks, artificials
+    # Columns: variables, then slacks, then the right-hand side.  Every row
+    # starts with an artificial basic variable, numbered ncol + i; phase 1
+    # never lets one enter, so their columns are not stored.
+    ncol = nv + nslack
     tab = []
-    sl = 0
-    basis = []
-    for i, (row, b, is_eq) in enumerate(rows):
-        r = row + [Fraction(0)] * (nslack + m) + [b]
+    for i, (a, b, is_eq) in enumerate(rows):
+        *a, b = _integer_row(list(a) + [b])
+        r = a + ([] if nonneg else [-x for x in a]) + [0] * nslack + [b]
         if not is_eq:
-            r[nv + sl] = Fraction(1)
-            sl += 1
+            r[nv + i] = 1
         if b < 0:
-            r = [-x for x in r[:-1]] + [-b]
-        r[nv + nslack + i] = Fraction(1)
+            r = [-x for x in r]
         tab.append(r)
-        basis.append(2 * n + nslack + i)
+    basis = [ncol + i for i in range(m)]
+    d = 1
 
-    def pivot(tab, obj, basis, col, rowi):
+    def pivot(col, rowi, obj):
+        nonlocal d
         pr = tab[rowi]
-        pv = pr[col]
-        tab[rowi] = [x / pv for x in pr]
-        pr = tab[rowi]
-        for k in range(len(tab)):
-            if k != rowi and tab[k][col]:
-                f = tab[k][col]
-                tab[k] = [x - f * y for x, y in zip(tab[k], pr)]
-        if obj[col]:
-            f = obj[col]
-            for j in range(len(obj)):
-                obj[j] -= f * pr[j]
+        p = pr[col]
+        for k, row in enumerate(tab):
+            if k != rowi:
+                tab[k] = _eliminate(row, pr, col, p, d)
+        if obj is not None:
+            obj[:] = _eliminate(obj, pr, col, p, d)
         basis[rowi] = col
+        d = p
 
-    def solve_phase(tab, obj, basis, allowed):
+    def solve_phase(obj):
         while True:
-            col = -1
-            for j in range(width):
-                if j in allowed and obj[j] < 0:
-                    col = j
-                    break
+            col = next((j for j in range(ncol) if obj[j] < 0), -1)
             if col < 0:
                 return "optimal"
-            rowi, best = -1, None
-            for i in range(len(tab)):
-                if tab[i][col] > 0:
-                    ratio = tab[i][-1] / tab[i][col]
-                    if best is None or ratio < best or \
-                            (ratio == best and basis[i] < basis[rowi]):
-                        rowi, best = i, ratio
+            # Bland's ratio test: least b_i / t_i over t_i > 0, ties to the
+            # least basis index; the common denominator D cancels
+            rowi = -1
+            for i, row in enumerate(tab):
+                t = row[col]
+                if t > 0:
+                    if rowi < 0:
+                        rowi = i
+                        continue
+                    lhs = row[-1] * tab[rowi][col]
+                    rhs = tab[rowi][-1] * t
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[rowi]):
+                        rowi = i
             if rowi < 0:
                 return "unbounded"
-            pivot(tab, obj, basis, col, rowi)
+            pivot(col, rowi, obj)
 
     # phase 1: minimize the sum of artificials
-    obj1 = [Fraction(0)] * width + [Fraction(0)]
-    for i in range(m):
-        obj1 = [o - t for o, t in zip(obj1, tab[i])]
-    allowed1 = set(range(nv + nslack))
-    solve_phase(tab, obj1, basis, allowed1)
-    if -obj1[-1] != 0:
+    obj1 = [-sum(col) for col in zip(*tab)] if tab else [0] * (ncol + 1)
+    solve_phase(obj1)
+    if obj1[-1] != 0:
         return ("infeasible", None, None)
-    # drive remaining artificials out of the basis where possible
+    # drive remaining artificials out of the basis where possible; their
+    # value is 0, so negating the row to make the pivot positive keeps the
+    # right-hand side and D > 0
     for i in range(m):
-        if basis[i] >= nv + nslack:
-            for j in range(nv + nslack):
-                if tab[i][j]:
-                    pivot(tab, obj1, basis, j, i)
-                    break
-    # phase 2
-    obj2 = [Fraction(x) for x in c]
-    if not nonneg:
-        obj2 = obj2 + [Fraction(-x) for x in c]
-    obj2 = obj2 + [Fraction(0)] * (nslack + m) + [Fraction(0)]
-    for i in range(m):
-        if obj2[basis[i]]:
-            f = obj2[basis[i]]
-            obj2 = [o - f * t for o, t in zip(obj2, tab[i])]
-    status = solve_phase(tab, obj2, basis, set(range(nv + nslack)))
-    if status != "optimal":
+        if basis[i] >= ncol:
+            j = next((j for j in range(ncol) if tab[i][j]), None)
+            if j is not None:
+                if tab[i][j] < 0:
+                    tab[i] = [-x for x in tab[i]]
+                pivot(j, i, None)
+    # an artificial still basic sits on a zero row (a redundant equality)
+    keep = [i for i in range(m) if basis[i] < ncol]
+    tab[:] = [tab[i] for i in keep]
+    basis[:] = [basis[i] for i in keep]
+    # phase 2: D * (reduced costs of c)
+    cost = _integer_row(c)
+    cost = cost + ([] if nonneg else [-x for x in cost]) + [0] * nslack
+    obj2 = [d * x for x in cost] + [0]
+    for row, bi in zip(tab, basis):
+        if cost[bi]:
+            f = cost[bi]
+            obj2 = [o - f * t for o, t in zip(obj2, row)]
+    if solve_phase(obj2) != "optimal":
         return ("unbounded", None, None)
     xs = [Fraction(0)] * nv
-    for i, bi in enumerate(basis):
+    for row, bi in zip(tab, basis):
         if bi < nv:
-            xs[bi] = tab[i][-1]
+            xs[bi] = Fraction(row[-1], d)
     x = xs if nonneg else [xs[j] - xs[n + j] for j in range(n)]
     value = sum(ci * xi for ci, xi in zip(c, x))
-    # exact feasibility certificate
+    # exact feasibility certificate, by substituting x (its nonzero entries)
+    support = [(j, xj) for j, xj in enumerate(x) if xj]
     for a, b in zip(a_ub, b_ub):
-        assert sum(ai * xi for ai, xi in zip(a, x)) <= b
+        if sum(a[j] * xj for j, xj in support) > b:
+            raise RuntimeError("lp_min solution violates an inequality")
     for a, b in zip(a_eq, b_eq):
-        assert sum(ai * xi for ai, xi in zip(a, x)) == b
+        if sum(a[j] * xj for j, xj in support) != b:
+            raise RuntimeError("lp_min solution violates an equality")
     return ("optimal", x, value)

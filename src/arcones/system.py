@@ -67,10 +67,16 @@ class System:
                                                         variant))
 
     @cached_property
+    def tv_bruteforce(self):
+        """The T_v sets by the GF(2)/GF(3) brute force; raises
+        NotImplementedError where the brute force refuses the input."""
+        return tv_strict_sets(self.ice(), "bruteforce")
+
+    @cached_property
     def tv_sets(self):
         """Strict subrep dimension vectors of every T_v, by the route rule."""
         try:
-            return tv_strict_sets(self.ice(), "bruteforce")
+            return self.tv_bruteforce
         except NotImplementedError:
             return tv_strict_sets(self.ice(), "fpoly")
 

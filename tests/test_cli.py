@@ -1,9 +1,10 @@
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
-from arcones import cli
+from arcones import cli, cone
 
 
 def run(*args):
@@ -33,6 +34,21 @@ def test_build_d5_via_fpoly(tmp_path):
     assert res.exit_code == 0, res.output
     summary = json.load(open(tmp_path / "summary.json"))
     assert summary["cone"] == {"supported": True, "columns": 192}
+
+
+@pytest.mark.parametrize("variant", ["l", "r"])
+def test_build_a2_ungraded_variant(tmp_path, variant):
+    # l and r carry no weight configuration, so no sigma.json is written
+    res = run("build", "--type", "A2", "--variant", variant,
+              "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    summary = json.load(open(tmp_path / "summary.json"))
+    assert summary["sigma"] == {"written": False,
+                                "reason": "variant %s has no grading"
+                                          % variant}
+    assert summary["cone"]["supported"]
+    assert os.path.exists(tmp_path / "hmatrix.csv")
+    assert not os.path.exists(tmp_path / "sigma.json")
 
 
 def test_build_g2_cone_unsupported(tmp_path):
@@ -116,6 +132,37 @@ def test_verify_fpoly_d5_refused_exit_2():
     res = run("verify", "fpoly", "--type", "D5")
     assert res.exit_code == 2
     assert "arrow between dim-2 vertices" in res.output
+
+
+def test_verify_all_bruteforce_once(monkeypatch):
+    calls = []
+    real = cone.strict_subreps
+
+    def counted(rep, q):
+        calls.append(q)
+        return real(rep, q)
+
+    monkeypatch.setattr(cone, "strict_subreps", counted)
+    res = run("verify", "all", "--type", "A2", "--max", "1")
+    assert res.exit_code == 0, res.output
+    # one GF(2) and one GF(3) enumeration per frozen vertex of A2's full2
+    # ice quiver (6 of its 7 vertices), for the whole run
+    assert calls.count(2) == calls.count(3) == 6
+
+
+def test_verify_fpoly_mismatch_exit_1(monkeypatch):
+    real = cone.tv_strict_sets
+
+    def planted(iq, source):
+        sets = real(iq, source)
+        v = min(sets, key=lambda v: v.label)
+        sets[v] = set(list(sets[v])[1:])
+        return sets
+
+    monkeypatch.setattr(cone, "tv_strict_sets", planted)
+    res = run("verify", "fpoly", "--type", "A2")
+    assert res.exit_code == 1
+    assert "FAIL" in res.output
 
 
 def test_verify_structural_d4_report(tmp_path):

@@ -1,8 +1,14 @@
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import arcones
 from arcones import exact
 
 
@@ -89,3 +95,118 @@ def test_integer_row_solution_none():
 def test_clear_denominators():
     assert exact.clear_denominators([Fraction(1, 2), Fraction(3, 4)]) == [2, 3]
     assert exact.clear_denominators([2, 4]) == [1, 2]
+
+
+@st.composite
+def tiny_lp(draw):
+    """(c, a_ub, b_ub, a_eq, b_eq, nonneg): <= 3 variables, <= 4
+    constraints, integer entries in [-4, 4]."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 4))
+    n_eq = draw(st.integers(0, k))
+    ints = st.integers(-4, 4)
+    row = st.lists(ints, min_size=n, max_size=n)
+    c = draw(row)
+    a = draw(st.lists(row, min_size=k, max_size=k))
+    b = draw(st.lists(ints, min_size=k, max_size=k))
+    return c, a[n_eq:], b[n_eq:], a[:n_eq], b[:n_eq], draw(st.booleans())
+
+
+def _lp_by_vertices(c, a_ub, b_ub, a_eq, b_eq, nonneg):
+    """(status, optimum) by enumerating basic solutions in two boxes.
+
+    Every vertex, and on a polyhedron without vertices some point of every
+    minimal face, has coordinates below 400 in absolute value (Cramer's rule
+    and Hadamard's bound for 3x3 minors of entries in [-4, 4]).  So the
+    polyhedron is empty iff the box |x_j| <= 1000 holds no basic solution,
+    and the LP is unbounded iff widening the box to 2000 lowers the minimum.
+    """
+    n = len(c)
+    ub = list(zip(a_ub, b_ub))
+    if nonneg:
+        ub += [([-int(i == j) for j in range(n)], 0) for i in range(n)]
+    eq = list(zip(a_eq, b_eq))
+
+    def box_min(big):
+        box = [([s * int(i == j) for j in range(n)], big)
+               for i in range(n) for s in (1, -1)]
+        best = None
+        for sub in itertools.combinations(ub + eq + box, n):
+            rows = [a for a, _b in sub]
+            if exact.rank(rows) < n:
+                continue
+            x = exact.solve(rows, [b for _a, b in sub])
+            if all(exact.dot(a, x) <= b for a, b in ub + box) and \
+                    all(exact.dot(a, x) == b for a, b in eq):
+                v = exact.dot(c, x)
+                best = v if best is None else min(best, v)
+        return best
+
+    lo = box_min(1000)
+    if lo is None:
+        return "infeasible", None
+    if box_min(2000) < lo:
+        return "unbounded", None
+    return "optimal", lo
+
+
+@given(tiny_lp())
+@example(([1, 1], [[1, 0], [-1, 0]], [-1, -1], [], [], False))  # infeasible
+@example(([1, -1], [], [], [[1, 1]], [2], True))                # optimal
+@example(([-1, 0], [[0, 1]], [3], [], [], True))                # unbounded
+@example(([0, 0], [], [], [[1, 1], [2, 2]], [1, 2], True))      # redundant
+@example(([3, 3], [], [], [[0, -2]], [0], True))             # pivot p < 0
+@settings(max_examples=200, deadline=None)
+def test_lp_min_matches_vertex_enumeration(lp):
+    c, a_ub, b_ub, a_eq, b_eq, nonneg = lp
+    status, x, value = exact.lp_min(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+    want, best = _lp_by_vertices(*lp)
+    assert status == want
+    if status != "optimal":
+        assert x is None and value is None
+        return
+    assert value == best == exact.dot(c, x)
+    assert all(exact.dot(a, x) <= b for a, b in zip(a_ub, b_ub))
+    assert all(exact.dot(a, x) == b for a, b in zip(a_eq, b_eq))
+    assert not nonneg or all(xi >= 0 for xi in x)
+
+
+def test_lp_min_redundant_equality():
+    # the artificial variable of the second row stays basic after phase 1
+    for nonneg in (True, False):
+        status, x, value = exact.lp_min([0, 0], a_eq=[[1, 1], [2, 2]],
+                                        b_eq=[1, 2], nonneg=nonneg)
+        assert status == "optimal" and value == 0 and sum(x) == 1
+
+
+def test_lp_min_rational_input():
+    half = Fraction(1, 2)
+    status, x, value = exact.lp_min([half, 1], a_ub=[[-half, 0], [0, -1]],
+                                    b_ub=[-1, Fraction(-5, 2)])
+    assert (status, x, value) == ("optimal", [2, Fraction(5, 2)],
+                                  Fraction(7, 2))
+
+
+def test_lp_min_certificate_survives_python_O():
+    # every Fraction lp_min builds is planted one too large, so the
+    # read-out x is wrong; the check must still fire with asserts stripped
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from arcones import exact
+        if __debug__:
+            sys.exit("not running under -O")
+        exact.Fraction = lambda *args: Fraction(*args) + 1
+        try:
+            exact.lp_min([1], a_eq=[[1]], b_eq=[2], nonneg=True)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("wrong read-out returned")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arcones.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "violates an equality" in res.stdout
