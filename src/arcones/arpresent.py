@@ -43,14 +43,6 @@ class ARQuiver:
     def is_projective(self, m):
         return any(p == m for p in self.projectives.values())
 
-    def is_injective(self, m):
-        return any(p == m for p in self.injectives.values())
-
-    def arrows_from(self, m):
-        return [(n, v) for (s, n), v in self.arrows.items() if s == m]
-
-    def arrows_to(self, m):
-        return [(s, v) for (s, n), v in self.arrows.items() if n == m]
 
 
 def knit_rep_ar(Q):
@@ -66,7 +58,8 @@ def knit_rep_ar(Q):
     for i in range(1, n + 1):
         pd = tuple(int(x) for x in proj_rows[i - 1])
         idim = tuple(int(x) for x in inj_rows[i - 1])
-        assert all(x >= 0 for x in pd) and all(x >= 0 for x in idim)
+        if any(x < 0 for x in pd + idim):
+            raise RuntimeError("negative dimension in P%d or I%d" % (i, i))
         projectives[i] = Module(pd)
         injectives[i] = Module(idim)
     inj_dims = {m.dim for m in injectives.values()}
@@ -103,7 +96,9 @@ def knit_rep_ar(Q):
                 for k in range(n):
                     new_dim[k] += b * N.dim[k]
             new_dim = tuple(new_dim)
-            assert all(x >= 0 for x in new_dim) and any(new_dim), new_dim
+            if any(x < 0 for x in new_dim) or not any(new_dim):
+                raise RuntimeError("knitting produced the dimension vector "
+                                   "%s" % (new_dim,))
             tl = Module(new_dim)
             if tl not in modules:
                 modules.append(tl)
@@ -119,7 +114,8 @@ def knit_rep_ar(Q):
     for i in range(1, n + 1):
         sdim = tuple(int(k == i) for k in range(1, n + 1))
         simples[i] = Module(sdim)
-        assert simples[i] in modules
+        if simples[i] not in modules:
+            raise RuntimeError("simple S%d missing from the AR quiver" % i)
     return ARQuiver(Q, cd, modules, arrows, tau, tau_inv,
                     projectives, injectives, simples)
 
@@ -156,7 +152,9 @@ def hom_dim_table(ar):
                     val += b * row[mid]
             if M == N:
                 val += _euler_form(cd, N.dim, N.dim)
-            assert val >= 0
+            if val < 0:
+                raise RuntimeError("dim Hom(%s, %s) = %d < 0"
+                                   % (M.name, N.name, val))
             row[N] = val
         table[M] = row
     _validate_euler(ar, table)
@@ -172,8 +170,9 @@ def _validate_euler(ar, table):
     for M in ar.modules:
         for N in ar.modules:
             ext = 0 if ar.is_projective(M) else table[N][ar.tau[M]]
-            assert table[M][N] - ext == _euler_form(ar.cd, M.dim, N.dim), \
-                "Euler form mismatch at (%s, %s)" % (M.name, N.name)
+            if table[M][N] - ext != _euler_form(ar.cd, M.dim, N.dim):
+                raise RuntimeError("Euler form mismatch at (%s, %s)"
+                                   % (M.name, N.name))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +211,7 @@ class PresentationCatalog:
     by_label: dict                 # label -> Presentation
     star: dict                     # i -> i*, the involution -w0
     orbits: dict                   # i -> [O_i^+, ..., O_{i*}^-] along tau
+    hom: dict                      # M -> N -> dim Hom(M, N), hom_dim_table
 
     @property
     def n(self):
@@ -246,14 +246,13 @@ class PresentationCatalog:
         return self.orbits[i][t]
 
 
-def enumerate_presentations(ar, hom=None):
+def enumerate_presentations(ar):
     """Build the full catalog of presentations of C^2 Q."""
     from .rootdata import star_involution
 
     Q, cd = ar.Q, ar.cd
     n = Q.n
-    if hom is None:
-        hom = hom_dim_table(ar)
+    hom = hom_dim_table(ar)
     star = star_involution(cd)
 
     neg = {i: Presentation("negative", i) for i in range(1, n + 1)}
@@ -291,9 +290,9 @@ def enumerate_presentations(ar, hom=None):
         # cross-check against hom dims: f_-(i) = dimHom(M, S_i) / d_i
         for i in range(1, n + 1):
             h = hom[M][ar.simples[i]]
-            assert h % Q.d[i - 1] == 0
-            assert f_minus[p][i - 1] == h // Q.d[i - 1], \
-                "f_- mismatch for %s at vertex %d" % (M.name, i)
+            if h % Q.d[i - 1] or f_minus[p][i - 1] != h // Q.d[i - 1]:
+                raise RuntimeError("f_- mismatch for %s at vertex %d"
+                                   % (M.name, i))
 
     # thread tau-orbits: O_i^+ -> f(I_i) -> ... -> O_{i*}^-
     tau, tau_inv, orbit, orbit_len = {}, {}, {}, {}
@@ -307,7 +306,9 @@ def enumerate_presentations(ar, hom=None):
                 break
             M = cur.module
             cur = by_module[ar.tau[M]]
-        assert chain[-1] == neg[star[i]], "orbit of O%d+ does not end at O%d-" % (i, star[i])
+        if chain[-1] != neg[star[i]]:
+            raise RuntimeError("orbit of O%d+ does not end at O%d-"
+                               % (i, star[i]))
         for t, p in enumerate(chain):
             orbit[p] = (i, t)
             e_vec[p] = unit(i)
@@ -323,7 +324,8 @@ def enumerate_presentations(ar, hom=None):
                + mods)
     return PresentationCatalog(ar, objects, f_minus, f_plus, e_vec,
                                orbit, orbit_len, tau, tau_inv, by_module,
-                               {p.label: p for p in objects}, star, orbits)
+                               {p.label: p for p in objects}, star, orbits,
+                               hom)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +460,6 @@ def build_ice_quiver(cat, variant="full2"):
 class WeightConfig:
     iq: IceQuiver
     sigma: list                   # one row per vertex, or None for l/r
-    rank_label: str
 
 
 def weight_configuration(iq):
@@ -466,7 +467,7 @@ def weight_configuration(iq):
     cat = iq.cat
     n = iq.n
     if iq.variant in ("l", "r"):
-        return WeightConfig(iq, None, "none")
+        return WeightConfig(iq, None)
     rows = []
     for v in iq.vertices:
         e, fm, fp = cat.triple_weight(v)
@@ -479,8 +480,7 @@ def weight_configuration(iq):
     prod = mat_mul(iq.bmat, rows)
     if any(any(x != 0 for x in r) for r in prod):
         raise AssertionError("B . sigma != 0 for variant %s" % iq.variant)
-    label = {"full2": "triple", "u": "single", "sharp": "double"}[iq.variant]
     if iq.variant == "full2":
         if rank(rows) != 3 * n:
             raise AssertionError("sigma^2 is not full rank 3n")
-    return WeightConfig(iq, rows, label)
+    return WeightConfig(iq, rows)

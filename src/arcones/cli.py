@@ -11,7 +11,6 @@ import hashlib
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import shutil
@@ -164,23 +163,6 @@ def build(type_, rank, orient, variant, cache_dir, out):
 # count
 # ---------------------------------------------------------------------------
 
-_WORKER_FAMILY = None
-
-
-def _worker_count(target):
-    return _count_one(_WORKER_FAMILY, target)
-
-
-def _count_many(fam, targets, jobs):
-    if jobs <= 1 or len(targets) <= 1:
-        return [_count_one(fam, t) for t in targets]
-    global _WORKER_FAMILY
-    _WORKER_FAMILY = fam
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return pool.map(_worker_count, targets)
-
-
 def _count_one(fam, target):
     try:
         return fam.count(target)
@@ -205,15 +187,12 @@ def _grid_targets(cd, variant, sig, bound, rng):
         for mu in doms:
             for lam in sorted(lieoracle.freudenthal(cd, mu)):
                 rows.append((mu, lam))
-    else:  # u
-        seen = set()
-        for h in itertools.product(range(bound + 1),
-                                   repeat=len(sig.sigma)):
-            gamma = tuple(sum(hk * row[j] for hk, row in zip(h, sig.sigma))
-                          for j in range(n))
-            if gamma not in seen:
-                seen.add(gamma)
-                rows.append((gamma,))
+    else:  # u: every sum of h_v * sigma_v with 0 <= h_v <= bound
+        gammas = {(0,) * n}
+        for row in sig.sigma:
+            gammas = {tuple(g + k * x for g, x in zip(gamma, row))
+                      for gamma in gammas for k in range(bound + 1)}
+        rows.extend((gamma,) for gamma in sorted(gammas))
     return rows
 
 
@@ -241,12 +220,11 @@ def _oracle_value(cd, variant, weights):
               help="Sweep dominant weights with entries up to the bound.")
 @click.option("--check", is_flag=True, default=False,
               help="Add oracle and match columns; exit 1 on any mismatch.")
-@click.option("--jobs", type=int, default=1)
 @click.option("--out", type=click.Path(), default=None,
               help="Write the CSV here instead of stdout.")
 @_guard
 def cmd_count(type_, rank, orient, variant, triple, targets_opt, grid, check,
-              jobs, out):
+              out):
     """Count lattice points of weight slices; CSV output."""
     letter, rank = _parse_type(type_, rank)
     system = System(letter, rank, _parse_orient(orient))
@@ -275,7 +253,7 @@ def cmd_count(type_, rank, orient, variant, triple, targets_opt, grid, check,
                              % (weights, variant))
     fam = system.family(variant)
     targets = [tuple(x for w in weights for x in w) for weights in rows]
-    counts = _count_many(fam, targets, jobs)
+    counts = [_count_one(fam, t) for t in targets]
     header = {"full2": ["mu", "nu", "lambda"], "sharp": ["mu", "lambda"],
               "u": ["gamma"]}[variant] + ["count"]
     if check:
@@ -338,33 +316,26 @@ def _suite_structural(system, _bound):
             "after_prune": len(pruned.columns)}
 
 
+def _suite_grid(system, variant, bound):
+    """The targets and oracle of `count --variant V --grid B --check`."""
+    cd = system.cd
+    rows = _grid_targets(cd, variant, system.sigma(variant), bound,
+                         random.Random(0))
+    fam = system.family(variant)
+    bad = [[list(w) for w in weights] for weights in rows
+           if _count_one(fam, [x for w in weights for x in w])
+           != _oracle_value(cd, variant, weights)]
+    return {"passed": not bad, "targets": len(rows), "mismatches": bad}
+
+
 def _suite_kostant(system, bound):
-    sig = system.sigma("u")
-    fam = system.family("u")
-    seen = set()
-    for h in itertools.product(range(bound + 1), repeat=len(sig.sigma)):
-        gamma = tuple(sum(hk * row[j] for hk, row in zip(h, sig.sigma))
-                      for j in range(system.rank))
-        seen.add(gamma)
-    bad = []
-    for gamma in sorted(seen):
-        if fam.count(gamma) != count.kostant_partition(system.cd, gamma):
-            bad.append(list(gamma))
-    return {"passed": not bad, "targets": len(seen), "mismatches": bad}
+    return _suite_grid(system, "u", bound)
 
 
 def _suite_weights(system, bound):
-    rank = system.rank
-    if rank > 2:
+    if system.rank > 2:
         bound = min(bound, 1)
-    fam = system.family("sharp")
-    bad, total = [], 0
-    for mu in itertools.product(range(bound + 1), repeat=rank):
-        for lam, mult in lieoracle.freudenthal(system.cd, mu).items():
-            total += 1
-            if fam.count(list(mu) + list(lam)) != mult:
-                bad.append([list(mu), list(lam)])
-    return {"passed": not bad, "targets": total, "mismatches": bad}
+    return _suite_grid(system, "sharp", bound)
 
 
 def _suite_mutation(system, _bound):

@@ -135,32 +135,20 @@ class ConeSpec:
         return "\n".join(lines)
 
 
-def _maximal_vertex(iq, v):
-    """The maximal frozen vertex of T_v (the spot only the full module
-    occupies)."""
-    cat = iq.cat
-    if v.kind == "negative":
-        return cat.by_label["O%d+" % cat.star[v.index]]
-    if v.kind == "positive":
-        return cat.by_label["Id%d" % v.index]
-    return cat.by_label["O%d-" % v.index]
-
-
 def tv_strict_sets(iq, source="bruteforce"):
     """Strict nonzero subrep dim vectors of every T_v of the full2 quiver,
     as a dict frozen vertex -> set of vectors (full2 coordinates).
 
     source "bruteforce" enumerates over GF(2) and GF(3) and requires the two
-    to agree; "fpoly" runs the mutation algorithm; "both" additionally
-    requires the two routes to agree exactly.  The brute force raises
+    to agree; "fpoly" runs the mutation algorithm.  The brute force raises
     NotImplementedError where it does not apply (see subreps_bruteforce).
     """
     out = {}
-    if source in ("fpoly", "both"):
+    if source == "fpoly":
         for i in range(1, iq.n + 1):
             for v, s in mutation.tv_subreps_via_fpoly(iq, i).items():
                 out[v] = set(s)
-    if source in ("bruteforce", "both"):
+    if source == "bruteforce":
         alg = pathalg.PathAlg(iq)
         for v in iq.vertices:
             if not iq.frozen[v]:
@@ -172,11 +160,6 @@ def tv_strict_sets(iq, source="bruteforce"):
                 raise RuntimeError(
                     "subrep sets of T_%s differ between GF(2) and GF(3): "
                     "%s vs %s" % (v.label, sorted(s2 - s3), sorted(s3 - s2)))
-            if source == "both" and out[v] != s2:
-                raise RuntimeError(
-                    "subrep sets of T_%s disagree: fpoly-only %s, "
-                    "bruteforce-only %s"
-                    % (v.label, sorted(out[v] - s2), sorted(s2 - out[v])))
             out[v] = s2
     return out
 
@@ -204,8 +187,9 @@ def assemble_cone(iq, variant="full2", *, strict_sets):
         if g not in groups_of:
             continue
         vecs = set(strict_sets[v])
-        if variant != "full2" and \
-                _maximal_vertex(iq, v) not in amb.vertices:
+        # pi^{-1}(v) is the maximal frozen vertex of T_v, the spot only the
+        # full module occupies
+        if variant != "full2" and iq.cat.pi_inv(v) not in amb.vertices:
             vecs.add(iq.tv_dim(v))
         for vec in vecs:
             r = tuple(vec[k] for k in keep)

@@ -136,10 +136,10 @@ class SliceFamily:
     def _record_ray(self, i, sign):
         """Find the Farkas-dual recession ray certifying that coordinate i
         is unbounded in the direction -sign."""
-        rows = [list(a) for a, _i in self.active]
+        a_ub = [[-x for x in a] for a, _i in self.active]
         a_eq = [[1 if k == i else 0 for k in range(self.m)]]
-        status, c, _v = lp_min([0] * self.m, ineq_to_ub(rows),
-                               [0] * len(rows), a_eq, [-sign])
+        status, c, _v = lp_min([0] * self.m, a_ub, [0] * len(a_ub), a_eq,
+                               [-sign])
         if status != "optimal":
             raise AssertionError("no bounding functional and no ray for "
                                  "coordinate %d" % i)
@@ -264,11 +264,6 @@ class SliceFamily:
             return total
 
         return rec({}, 0)
-
-
-def ineq_to_ub(rows):
-    """Rows of g . row >= 0 inequalities as a_ub rows for lp_min."""
-    return [[-x for x in r] for r in rows]
 
 
 def kostant_partition(Q, gamma):

@@ -49,7 +49,8 @@ def weyl_dimension(cd, mu):
         num *= _pairing(cd, lam_rho, alpha)
         den *= _pairing(cd, rho, alpha)
     dim = num / den
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise RuntimeError("dim L(%s) = %s is not an integer" % (mu, dim))
     return int(dim)
 
 
@@ -108,9 +109,13 @@ def freudenthal(cd, mu):
         lam_rho = tuple(a + b for a, b in zip(lam, rho))
         denom = c_mu - _pairing(cd, lam_rho, lam_rho)
         m = 2 * acc / denom
-        assert m.denominator == 1 and m > 0
+        if m.denominator != 1 or m <= 0:
+            raise RuntimeError("multiplicity %s of %s in L(%s)"
+                               % (m, lam, mu))
         mult[lam] = int(m)
-    assert sum(mult.values()) == weyl_dimension(cd, mu)
+    if sum(mult.values()) != weyl_dimension(cd, mu):
+        raise RuntimeError("weight multiplicities of L(%s) do not add up to "
+                           "its dimension" % (mu,))
     _memo[key] = mult
     return mult
 
@@ -151,7 +156,9 @@ def tensor_multiplicity(cd, mu, nu, lam):
         sign, dom = _straighten(cd, v)
         if sign and dom == target:
             total += sign * m
-    assert total >= 0
+    if total < 0:
+        raise RuntimeError("negative multiplicity of %s in %s x %s"
+                           % (lam, mu, nu))
     return total
 
 
@@ -167,9 +174,11 @@ def tensor_decomposition(cd, mu, nu):
             lam = tuple(x - 1 for x in dom)
             out[lam] = out.get(lam, 0) + sign * m
     out = {lam: c for lam, c in out.items() if c != 0}
-    assert all(c > 0 for c in out.values())
+    if any(c < 0 for c in out.values()):
+        raise RuntimeError("negative multiplicity in %s x %s" % (mu, nu))
     total = sum(c * weyl_dimension(cd, lam) for lam, c in out.items())
-    assert total == weyl_dimension(cd, mu) * weyl_dimension(cd, nu)
+    if total != weyl_dimension(cd, mu) * weyl_dimension(cd, nu):
+        raise RuntimeError("dimensions of %s x %s do not add up" % (mu, nu))
     return out
 
 

@@ -80,7 +80,9 @@ def mutate_dual_state(state, b, u):
         # expand sum c * t^p * (1+t)^(q+s), all powers nonneg after the shift
         coeffs = {}
         for p, q, c in terms:
-            assert q + s >= 0
+            if q + s < 0:
+                raise RuntimeError("negative binomial exponent in "
+                                   "F-polynomial mutation")
             binom = 1
             for k in range(q + s + 1):
                 coeffs[p + k] = coeffs.get(p + k, 0) + c * binom
@@ -96,20 +98,25 @@ def mutate_dual_state(state, b, u):
                 cur = c - prev
                 quot.append(cur)
                 prev = cur
-            assert quot[-1] == 0, "F-polynomial mutation left a remainder"
+            if quot[-1] != 0:
+                raise RuntimeError("F-polynomial mutation left a remainder")
             arr = quot[:-1]
         for k, c in enumerate(arr):
             if c:
                 deg = lo + k
-                assert deg >= 0, "negative exponent in mutated F-polynomial"
+                if deg < 0:
+                    raise RuntimeError("negative exponent in mutated "
+                                       "F-polynomial")
                 ee = list(off)
                 ee[u] = deg
                 key = tuple(ee)
                 newf[key] = newf.get(key, 0) + c
     newf = {e: c for e, c in newf.items() if c}
     zero = (0,) * m
-    assert newf.get(zero) == 1, "mutated F-polynomial has no constant term 1"
-    assert all(c > 0 for c in newf.values()), "negative F-polynomial coefficient"
+    if newf.get(zero) != 1:
+        raise RuntimeError("mutated F-polynomial has no constant term 1")
+    if any(c < 0 for c in newf.values()):
+        raise RuntimeError("negative F-polynomial coefficient")
     return DualTracked(g2, newf)
 
 
@@ -225,8 +232,12 @@ def check_mu_l_pi2(iq):
     """
     seqs = mu_sequences(iq)
     b0 = [list(r) for r in iq.bmat_full]
-    bl = _mutate_b_along(b0, iq, seqs.mu_l)
-    bp = _relabelled_b(b0, iq, seqs.pi2)
+    return _mu_l_is_pi2(iq, _mutate_b_along(b0, iq, seqs.mu_l), b0, seqs.pi2)
+
+
+def _mu_l_is_pi2(iq, bl, b0, pi2):
+    """check_mu_l_pi2 on bl, the B-matrix mu_l made from b0."""
+    bp = _relabelled_b(b0, iq, pi2)
     mut = {iq.index[v] for v in iq.mutable}
     m = len(b0)
     return all(bl[u][v] == bp[u][v] for u in range(m) for v in range(m)
@@ -261,16 +272,13 @@ def tv_subreps_via_fpoly(iq, i):
     zero vector and the full dimension vector.  Raises RuntimeError if the
     precondition mu_l(Delta) = pi^2(Delta) fails.
     """
-    if not check_mu_l_pi2(iq):
-        raise RuntimeError("mu_l(Delta) != pi^2(Delta); fall back to brute force")
     cat = iq.cat
     seqs = mu_sequences(iq)
     star = cat.star
-    out = {}
-    neg = cat.by_label["O%d-" % i]
-    out[neg] = set(_base_state(iq, i).fpoly)
     state = _base_state(iq, i)
-    b = [list(r) for r in iq.bmat_full]
+    out = {cat.by_label["O%d-" % i]: set(state.fpoly)}
+    b0 = [list(r) for r in iq.bmat_full]
+    b = b0
     pi2 = seqs.pi2
     pi2inv = {w: v for v, w in pi2.items()}
     for steps, target, relabel in (
@@ -280,6 +288,10 @@ def tv_subreps_via_fpoly(iq, i):
         for v in steps:
             state = mutate_dual_state(state, b, iq.index[v])
             b = mutate_b(b, iq.index[v])
+        # the first pass ends at mu_l(Delta), where the precondition is read
+        if relabel is pi2 and not _mu_l_is_pi2(iq, b, b0, pi2):
+            raise RuntimeError("mu_l(Delta) != pi^2(Delta); fall back to "
+                               "brute force")
         relabelled = set()
         for e in state.fpoly:
             e2 = [0] * len(e)
@@ -287,8 +299,9 @@ def tv_subreps_via_fpoly(iq, i):
                 e2[iq.index[w]] = e[iq.index[relabel[w]]]
             relabelled.add(tuple(e2))
         full = iq.tv_dim(target)
-        assert full in relabelled, "full dimension vector missing for %s" % target.label
-        assert max(relabelled, key=sum) == full
+        if max(relabelled, key=sum) != full:
+            raise RuntimeError("full dimension vector of T_%s is not the "
+                               "largest subrep" % target.label)
         out[target] = relabelled
     zero = (0,) * len(iq.vertices)
     for v in list(out):

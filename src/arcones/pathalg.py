@@ -13,7 +13,7 @@ quiver representations T_v attached to the frozen vertices of the ice quiver.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import clear_denominators, nullspace, rank
+from .exact import clear_denominators, mat_inv, mat_mul, nullspace, rank
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,6 @@ class PathAlg:
         self.iq = iq
         self.cat = cat
         self.Q = Q
-        self.hom_table = _hom_table(cat.ar)
         self._reach = _reachability(Q)
         self.real = {}
         for p in cat.objects:
@@ -205,7 +204,7 @@ class PathAlg:
         M = self._cokernel(f)
         N = self._cokernel(g)
         corr = sum(self._hom_proj(m, q) for m in Fm for q in Gp)
-        return self.hom_table[M][N] + corr
+        return self.cat.hom[M][N] + corr
 
     def _cokernel(self, p):
         if p.kind == "negative":
@@ -286,14 +285,17 @@ class PathAlg:
                 mats.append(tuple((0,) * ds for _ in range(dd)))
                 continue
             reps = self.irreducible_morphisms(src, dst)
-            assert len(reps) == 1, "Irr(%s,%s) not one-dimensional" % (
-                src.label, dst.label)
+            if len(reps) != 1:
+                raise RuntimeError("Irr(%s,%s) not one-dimensional"
+                                   % (src.label, dst.label))
             phi = reps[0][part]
             s_sum = self.real[src].plus if part == 0 else self.real[src].minus
             d_sum = self.real[dst].plus if part == 0 else self.real[dst].minus
             srows = [k for k, q in enumerate(d_sum) if q == i]
             scols = [k for k, q in enumerate(s_sum) if q == i]
-            assert len(srows) == dd and len(scols) == ds
+            if len(srows) != dd or len(scols) != ds:
+                raise RuntimeError("summands at %d do not match T_%s"
+                                   % (i, v.label))
             mats.append(tuple(tuple(phi[r][c] for c in scols) for r in srows))
         return RepZ(iq, dims, tuple(mats))
 
@@ -304,11 +306,14 @@ class PathAlg:
         support = {p for p in iq.vertices
                    if p.kind != "neutral" and cat.orbit[p][0] == i_star}
         dims = iq.tv_dim(v)
-        assert dims == tuple(int(p in support) for p in iq.vertices)
+        if dims != tuple(int(p in support) for p in iq.vertices):
+            raise RuntimeError("T_%s is not the orbit chain" % v.label)
         mats = []
         for (src, dst, _val, _typ) in iq.arrows:
             if src in support and dst in support:
-                assert cat.orbit[dst][1] == cat.orbit[src][1] + 1
+                if cat.orbit[dst][1] != cat.orbit[src][1] + 1:
+                    raise RuntimeError("arrow %s -> %s is not one tau step"
+                                       % (src.label, dst.label))
                 mats.append(((1,),))
             else:
                 mats.append(None)
@@ -377,14 +382,15 @@ def reduce_for_counting(rep):
                     _add_line(lines, cand)
         h = [[Fraction(lines[0][0]), Fraction(lines[1][0])],
              [Fraction(lines[0][1]), Fraction(lines[1][1])]]
-        hinv = _inv2(h)
+        hinv = mat_inv(h)
         if len(lines) == 3:
             a = hinv[0][0] * lines[2][0] + hinv[0][1] * lines[2][1]
             b = hinv[1][0] * lines[2][0] + hinv[1][1] * lines[2][1]
-            assert a and b, "degenerate third line"
+            if not a or not b:
+                raise RuntimeError("degenerate third line")
             h = [[h[0][0] * a, h[0][1] * b], [h[1][0] * a, h[1][1] * b]]
         ginv[k] = h
-        g[k] = _inv2(h)
+        g[k] = mat_inv(h)
     mats = []
     for (s, d, _v, _t), m in zip(iq.arrows, rep.mats):
         if m is None:
@@ -406,8 +412,9 @@ def reduce_for_counting(rep):
                 lead = next(x for x in flat if x)
                 mm = [[x / lead for x in row] for row in mm]
                 flat = [x for row in mm for x in row]
-                assert all(x.denominator == 1 and abs(x) <= 1 for x in flat), \
-                    "entries not in {-1,0,1} after reduction: %s" % (mm,)
+                if any(x.denominator != 1 or abs(x) > 1 for x in flat):
+                    raise RuntimeError("entries not in {-1,0,1} after "
+                                       "reduction: %s" % (mm,))
         mats.append(tuple(tuple(int(x) for x in row) for row in mm))
     return RepZ(iq, dims, tuple(mats))
 
@@ -426,20 +433,7 @@ def _add_line(lines, vec):
         lines.append((a, b))
 
 
-def _inv2(h):
-    det = h[0][0] * h[1][1] - h[0][1] * h[1][0]
-    assert det != 0
-    return [[h[1][1] / det, -h[0][1] / det],
-            [-h[1][0] / det, h[0][0] / det]]
-
-
 # -- small helpers ---------------------------------------------------------
-
-def _hom_table(ar):
-    from .arpresent import hom_dim_table
-
-    return hom_dim_table(ar)
-
 
 def _reachability(Q):
     out = {i: [] for i in range(1, Q.n + 1)}
@@ -459,17 +453,10 @@ def _reachability(Q):
     return reach
 
 
-def _matmul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 def _compose(psi, phi):
     """psi after phi, componentwise on (phi_plus, phi_minus)."""
-    return (tuple(tuple(r) for r in _matmul(psi[0], phi[0])),
-            tuple(tuple(r) for r in _matmul(psi[1], phi[1])))
+    return (tuple(tuple(r) for r in mat_mul(psi[0], phi[0])),
+            tuple(tuple(r) for r in mat_mul(psi[1], phi[1])))
 
 
 def _flatten(phi):

@@ -282,7 +282,11 @@ class WeylGroup:
     cartan: list = field(repr=False, default=None)
 
 
-def weyl_group(cd, cap=10 ** 6):
+# largest Weyl group weyl_group generates before giving up
+WEYL_CAP = 10 ** 6
+
+
+def weyl_group(cd):
     """Generate the full Weyl group by BFS over simple reflections."""
     cart = cd.cartan
     n = len(cart)
@@ -300,7 +304,7 @@ def weyl_group(cd, cap=10 ** 6):
                     seen[m] = seen[w] + 1
                     order.append(m)
                     new.append(m)
-                    if len(order) > cap:
+                    if len(order) > WEYL_CAP:
                         raise ValueError("Weyl group cap exceeded")
         frontier = new
     expected = WEYL_ORDERS[cd.Q.letter](n)

@@ -131,10 +131,9 @@ def test_e_mutation_identities(systems, key):
 
 @pytest.mark.parametrize("key", ["A2", "A3", "D4"])
 def test_f_fpoly_equals_bruteforce(systems, key):
-    # source="both" raises if the mutation route and the GF(2)/GF(3)
-    # enumerations disagree on any frozen vertex
     iq = systems[key].ice()
-    sets = cone.tv_strict_sets(iq, source="both")
+    sets = systems[key].tv_bruteforce
+    assert sets == cone.tv_strict_sets(iq, "fpoly")
     assert all(sets[v] for v in iq.vertices if iq.frozen[v])
 
 

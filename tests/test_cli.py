@@ -1,10 +1,12 @@
+import itertools
 import json
 import os
 
 import pytest
 from click.testing import CliRunner
 
-from arcones import cli, cone
+from arcones import cli, cone, count, lieoracle
+from arcones.system import System
 
 
 def run(*args):
@@ -100,6 +102,21 @@ def test_count_grid_check_a3():
     assert all(line.endswith(",yes") for line in lines[1:])
 
 
+def test_count_u_grid_sorted_sumset():
+    # the grid is every sum h . sigma with 0 <= h_v <= 2, listed sorted
+    sigma = System("A", 3).sigma("u").sigma
+    want = sorted({tuple(sum(hk * row[j] for hk, row in zip(h, sigma))
+                         for j in range(3))
+                   for h in itertools.product(range(3), repeat=len(sigma))})
+    res = run("count", "--type", "A3", "--variant", "u", "--grid", "2")
+    assert res.exit_code == 0, res.output
+    lines = res.output.strip().splitlines()
+    assert lines[0] == "gamma,count"
+    got = [tuple(int(x) for x in line.split(",")[0].split())
+           for line in lines[1:]]
+    assert got == want
+
+
 def test_count_sharp_target():
     res = run("count", "--type", "A2", "--variant", "sharp", "--target",
               "1,1/0,0", "--check")
@@ -125,6 +142,41 @@ def test_verify_mutation_d4():
 def test_verify_kostant_a2_max4():
     res = run("verify", "kostant", "--type", "A2", "--max", "4")
     assert res.exit_code == 0
+
+
+def test_verify_kostant_planted_oracle_exit_1(monkeypatch, tmp_path):
+    real = count.kostant_partition
+
+    def planted(cd, gamma):
+        return real(cd, gamma) + (tuple(gamma) == (1, 1))
+
+    monkeypatch.setattr(count, "kostant_partition", planted)
+    out = tmp_path / "report.json"
+    res = run("verify", "kostant", "--type", "A2", "--max", "1",
+              "--out", str(out))
+    assert res.exit_code == 1
+    assert "FAIL" in res.output
+    assert json.load(open(out))["suites"]["kostant"]["mismatches"] == \
+        [[[1, 1]]]
+
+
+def test_verify_weights_planted_oracle_exit_1(monkeypatch, tmp_path):
+    real = lieoracle.freudenthal
+
+    def planted(cd, mu):
+        mult = dict(real(cd, mu))
+        if tuple(mu) == (1, 1):
+            mult[(0, 0)] += 1
+        return mult
+
+    monkeypatch.setattr(lieoracle, "freudenthal", planted)
+    out = tmp_path / "report.json"
+    res = run("verify", "weights", "--type", "A2", "--max", "1",
+              "--out", str(out))
+    assert res.exit_code == 1
+    assert "FAIL" in res.output
+    assert json.load(open(out))["suites"]["weights"]["mismatches"] == \
+        [[[1, 1], [0, 0]]]
 
 
 def test_verify_fpoly_d5_refused_exit_2():

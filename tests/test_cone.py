@@ -37,15 +37,30 @@ def test_bruteforce_cap():
 
 def test_d4_strict_counts():
     # this orientation reproduces the known D4 strict-subrep counts per index
-    iq = System("D", 4, [(2, 1), (3, 2), (4, 2)]).ice()
-    sets = cone.tv_strict_sets(iq, source="both")
-    cat = iq.cat
+    s = System("D", 4, [(2, 1), (3, 2), (4, 2)])
+    sets = s.tv_bruteforce
+    assert sets == cone.tv_strict_sets(s.ice(), "fpoly")
+    cat = s.catalog
     assert [len(sets[cat.by_label["O%d-" % i]]) for i in range(1, 5)] == \
         [3, 3, 3, 3]
     assert [len(sets[cat.by_label["O%d+" % i]]) for i in range(1, 5)] == \
         [7, 6, 1, 1]
     assert [len(sets[cat.by_label["Id%d" % i]]) for i in range(1, 5)] == \
         [1, 2, 7, 7]
+
+
+@pytest.mark.parametrize("letter,n,orient", [
+    ("A", 2, None), ("A", 3, None), ("A", 4, None), ("D", 4, None),
+    ("D", 4, [(2, 1), (3, 2), (4, 2)])])
+def test_pi_inv_is_maximal_vertex(letter, n, orient):
+    # only the full module T_v is nonzero at pi^{-1}(v), which is why the
+    # restricted cones add dim T_v when pi^{-1}(v) is deleted
+    s = System(letter, n, orient)
+    iq = s.ice()
+    for v, subs in s.tv_sets.items():
+        k = iq.index[iq.cat.pi_inv(v)]
+        assert iq.tv_dim(v)[k], v.label
+        assert all(dv[k] == 0 for dv in subs), v.label
 
 
 def test_d4_cone_44_and_prune():

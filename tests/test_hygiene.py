@@ -1,0 +1,55 @@
+"""Static checks on the package source, using only the stdlib ast module.
+
+- no assert statements: they vanish under python -O, so invariants raise;
+- no imported name that the module never uses;
+- no module-level _private function that its own module never references.
+"""
+
+import ast
+import os
+
+import pytest
+
+import arcones
+
+SRC = os.path.dirname(os.path.abspath(arcones.__file__))
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+
+
+def _tree(name):
+    with open(os.path.join(SRC, name)) as fh:
+        return ast.parse(fh.read(), name)
+
+
+def _used_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_assert_statements(name):
+    found = [node.lineno for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Assert)]
+    assert not found, "%s: assert on lines %s" % (name, found)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    tree = _tree(name)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    unused = sorted(imported - _used_names(tree))
+    assert not unused, "%s: unused imports %s" % (name, unused)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unreferenced_private_functions(name):
+    tree = _tree(name)
+    private = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    dead = sorted(private - _used_names(tree))
+    assert not dead, "%s: unreferenced %s" % (name, dead)

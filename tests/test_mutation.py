@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arcones
 from arcones import mutation
 from arcones.system import System
 
@@ -59,6 +65,30 @@ def test_mutate_dual_a2_chain():
     b1 = mutation.mutate_b(b, 0)
     back = mutation.mutate_dual_state(out, b1, 0)
     assert back.gdual == state.gdual and back.fpoly == state.fpoly
+
+
+def test_mutate_dual_check_survives_python_O():
+    # F = y_0 has no constant term, so the mutated polynomial gets a
+    # negative exponent; the check must still fire with asserts stripped
+    script = textwrap.dedent("""
+        import sys
+        from arcones import mutation
+        if __debug__:
+            sys.exit("not running under -O")
+        state = mutation.DualTracked([0], {(1,): 1})
+        try:
+            mutation.mutate_dual_state(state, [[0]], 0)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("invalid F-polynomial accepted")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arcones.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "negative exponent" in res.stdout
 
 
 def test_mu_sequences_a2():
