@@ -142,7 +142,10 @@ def tv_strict_sets(iq, source="bruteforce"):
     source "bruteforce" enumerates over GF(2) and GF(3) and requires the two
     to agree; "fpoly" runs the mutation algorithm.  The brute force raises
     NotImplementedError where it does not apply (see subreps_bruteforce).
+    Any other source raises ValueError.
     """
+    if source not in ("bruteforce", "fpoly"):
+        raise ValueError("unknown T_v source %r" % (source,))
     out = {}
     if source == "fpoly":
         for i in range(1, iq.n + 1):

@@ -4,15 +4,18 @@ partition brute force.
 A slice is {g : g . h >= 0 for every cone column h, g . sigma = target}.
 Counting reduces the affine integer slice to integer coordinates on the left
 kernel lattice of sigma and enumerates by a pruned depth-first search.  All
-arithmetic is exact (ints and Fractions); no floating point anywhere.
+arithmetic is exact and no floating point is used anywhere.  The LPs that
+set up a SliceFamily work over Fractions; everything that does not depend on
+the target is precomputed there, so counting one slice (strategy
+"propagate") uses ints only.
 """
 
 from fractions import Fraction
 from math import ceil, floor
 
 from . import arpresent, rootdata
-from .exact import (dot, integer_row_solution, left_kernel_lattice, lp_min,
-                    mat_inv, vec_mat)
+from .exact import (dot, integer_row_solution, lcm, left_kernel_lattice,
+                    lp_min, mat_inv, row_hnf, vec_mat)
 
 
 def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
@@ -75,13 +78,18 @@ def _ceil_div(n, d):
 class SliceFamily:
     """Shared counting machinery for all weight slices of one cone.
 
-    Precomputes, independently of the target: a saturated integer basis of
-    the left kernel of sigma (so slice lattice points become integer vectors
-    c with g = g0 + c . kernel), the inequality vectors in c-coordinates,
-    and per-coordinate bounding functionals expressing each +-c_i as a
-    nonnegative combination of the inequality vectors.  The functionals turn
-    into finite enumeration boxes for every individual target.  sigma is a
-    WeightConfig or its list of rows.
+    Precomputes, independently of the target: the row Hermite normal form of
+    sigma (so each target's particular solution g0 is one back-substitution),
+    a saturated integer basis of the left kernel of sigma (so slice lattice
+    points become integer vectors c with g = g0 + c . kernel), the
+    inequality vectors in c-coordinates, and per-coordinate bounding
+    functionals expressing each +-c_i as a nonnegative combination of the
+    inequality vectors.  The functionals turn into finite enumeration boxes
+    for every individual target.  Everything a count reads is kept as ints:
+    the functionals as sparse integer forms over one common denominator and
+    each active inequality as its nonzero indices and coefficients, so the
+    per-target path does integer arithmetic only.  sigma is a WeightConfig
+    or its list of rows.
     """
 
     def __init__(self, cone, sigma):
@@ -96,14 +104,26 @@ class SliceFamily:
             raise ValueError("sigma has %d rows for a %d-dimensional cone"
                              % (len(self.sigma), self.d))
         self.width = len(self.sigma[0])
+        self.hnf = row_hnf(self.sigma)
         self.hcols = [list(c) for _v, c in cone.columns]
-        self.kernel = left_kernel_lattice(self.sigma)
+        # g-coordinate k -> the nonzero (column, entry) pairs of its row of H
+        self.hrows = [[(i, c[k]) for i, c in enumerate(self.hcols) if c[k]]
+                      for k in range(self.d)]
+        self.kernel = left_kernel_lattice(self.hnf)
         self.m = len(self.kernel)
         avecs = [tuple(dot(k, h) for k in self.kernel) for h in self.hcols]
         # inequalities whose c-part vanishes reduce to a sign test on the
         # particular solution; keep them apart
         self.constant = [i for i, a in enumerate(avecs) if not any(a)]
         self.active = [(a, i) for i, a in enumerate(avecs) if any(a)]
+        # active inequality a . c >= b as parallel lists of the indices and
+        # coefficients of its positive entries, then of the indices and
+        # absolute values of its negative entries
+        self.rows = [
+            (tuple(k for k, x in enumerate(a) if x > 0),
+             tuple(x for x in a if x > 0),
+             tuple(k for k, x in enumerate(a) if x < 0),
+             tuple(-x for x in a if x < 0)) for a, _i in self.active]
         # most-constrained-first enumeration order
         touch = [sum(1 for a, _i in self.active if a[k])
                  for k in range(self.m)]
@@ -116,6 +136,23 @@ class SliceFamily:
             self.upper_mult.append(self._bounding_functional(i, -1))
             if self.unbounded_ray is not None:
                 break
+        # the functionals as sparse integer forms over one denominator:
+        # D * lower_mult[i] is the (active index, numerator) pairs
+        # lower_form[i], so c_i >= ceil(sum n * b / D), likewise c_i <=
+        # floor(-sum n * b / D) with upper_form[i]
+        self.box_den = 1
+        self.lower_form = []
+        self.upper_form = []
+        if self.unbounded_ray is None:
+            for lam in self.lower_mult + self.upper_mult:
+                for x in lam:
+                    self.box_den = lcm(self.box_den, x.denominator)
+            self.lower_form = [self._integer_form(l) for l in self.lower_mult]
+            self.upper_form = [self._integer_form(l) for l in self.upper_mult]
+
+    def _integer_form(self, lam):
+        den = self.box_den
+        return [(h, int(x * den)) for h, x in enumerate(lam) if x]
 
     def _bounding_functional(self, i, sign):
         """Nonnegative lambda with sum_h lambda_h a_h = sign * e_i, or None
@@ -148,7 +185,13 @@ class SliceFamily:
         self.unbounded_ray = ray
 
     def count(self, target, strategy="propagate"):
-        """Number of integer points of the slice at the given target."""
+        """Number of integer points of the slice at the given target.
+
+        strategy "propagate" is the counting route; "lp" brackets every
+        coordinate by exact LPs and serves as the reference in the tests.
+        """
+        if strategy not in ("propagate", "lp"):
+            raise ValueError("unknown strategy %r" % (strategy,))
         target = list(target)
         if len(target) != self.width:
             raise ValueError("target has width %d, expected %d"
@@ -161,60 +204,63 @@ class SliceFamily:
             raise UnboundedSliceError(
                 "slice is unbounded along the ray %s" % (self.unbounded_ray,),
                 self.unbounded_ray)
-        g0 = integer_row_solution(self.sigma, target)
+        g0 = integer_row_solution(self.hnf, target)
         if g0 is None:
             return 0
-        rhs = [-dot(g0, h) for h in self.hcols]
+        # rhs[i] = -g0 . h_i, summed over the nonzero entries of g0
+        rhs = [0] * len(self.hcols)
+        for k, gk in enumerate(g0):
+            if gk:
+                for i, x in self.hrows[k]:
+                    rhs[i] -= gk * x
         for i in self.constant:
             if rhs[i] > 0:
                 return 0
         if self.m == 0:
             return 1
-        cons = [(a, rhs[i]) for a, i in self.active]
-        box = []
-        for i in range(self.m):
-            lo = ceil(Fraction(
-                sum(l * b for l, (_a, b) in zip(self.lower_mult[i], cons))))
-            hi = floor(-Fraction(
-                sum(l * b for l, (_a, b) in zip(self.upper_mult[i], cons))))
-            if lo > hi:
-                return 0
-            box.append((lo, hi))
-        if strategy == "propagate":
-            return self._count_propagate(cons, box)
+        b = [rhs[i] for _a, i in self.active]
         if strategy == "lp":
-            return self._count_lp(cons, [b for _a, b in cons])
-        raise ValueError("unknown strategy %r" % (strategy,))
+            return self._count_lp(b)
+        den = self.box_den
+        lo, hi = [], []
+        for lower, upper in zip(self.lower_form, self.upper_form):
+            l = _ceil_div(sum(n * b[h] for h, n in lower), den)
+            u = (-sum(n * b[h] for h, n in upper)) // den
+            if l > u:
+                return 0
+            lo.append(l)
+            hi.append(u)
+        return self._count_propagate(b, lo, hi)
 
-    def _count_propagate(self, cons, box):
+    def _count_propagate(self, b, lo, hi):
         m = self.m
         order = self.order
+        cons = [row + (bh,) for row, bh in zip(self.rows, b)]
 
         def propagate(lo, hi):
+            # a . c >= b with slack s = max(a . c) - b >= 0 bounds each c_k
+            # by s // |a_k| from the end of its range that attains the max
             changed = True
             while changed:
                 changed = False
-                for a, b in cons:
-                    best = sum(a[k] * (hi[k] if a[k] > 0 else lo[k])
-                               for k in range(m) if a[k])
-                    if best < b:
+                for kp, cp, kn, cn, bh in cons:
+                    slack = -bh
+                    for k, x in zip(kp, cp):
+                        slack += x * hi[k]
+                    for k, x in zip(kn, cn):
+                        slack -= x * lo[k]
+                    if slack < 0:
                         return False
-                    for k in range(m):
-                        if not a[k]:
-                            continue
-                        rest = best - a[k] * (hi[k] if a[k] > 0 else lo[k])
-                        if a[k] > 0:
-                            nb = _ceil_div(b - rest, a[k])
-                            if nb > lo[k]:
-                                lo[k] = nb
-                                changed = True
-                        else:
-                            nb = (b - rest) // a[k]
-                            if nb < hi[k]:
-                                hi[k] = nb
-                                changed = True
-                        if lo[k] > hi[k]:
-                            return False
+                    for k, x in zip(kp, cp):
+                        nb = hi[k] - slack // x
+                        if nb > lo[k]:
+                            lo[k] = nb
+                            changed = True
+                    for k, x in zip(kn, cn):
+                        nb = lo[k] + slack // x
+                        if nb < hi[k]:
+                            hi[k] = nb
+                            changed = True
             return True
 
         def rec(lo, hi, depth):
@@ -223,9 +269,9 @@ class SliceFamily:
             while depth < m and lo[order[depth]] == hi[order[depth]]:
                 depth += 1
             if depth == m:
-                c = lo
-                for a, b in cons:
-                    if dot(a, c) < b:
+                for kp, cp, kn, cn, bh in cons:
+                    if (sum(x * lo[k] for k, x in zip(kp, cp)) -
+                            sum(x * lo[k] for k, x in zip(kn, cn)) < bh):
                         raise AssertionError("propagation leaf violates "
                                              "a checked constraint")
                 return 1
@@ -237,17 +283,18 @@ class SliceFamily:
                 total += rec(l2, h2, depth + 1)
             return total
 
-        return rec([l for l, _ in box], [h for _, h in box], 0)
+        return rec(lo, hi, 0)
 
-    def _count_lp(self, cons, rhs):
+    def _count_lp(self, rhs):
         m = self.m
         order = self.order
-        rows = [list(a) for a, _b in cons]
+        rows = [list(a) for a, _i in self.active]
 
         def rec(fixed, depth):
             if depth == m:
                 c = [fixed[k] for k in range(m)]
-                return 1 if all(dot(a, c) >= b for a, b in cons) else 0
+                return 1 if all(dot(a, c) >= b
+                                for a, b in zip(rows, rhs)) else 0
             k = order[depth]
             obj = [1 if j == k else 0 for j in range(m)]
             st, _c, vmin = lp_bound(obj, rows, rhs, sense="min", fixed=fixed)
@@ -257,7 +304,7 @@ class SliceFamily:
             if st != "optimal":
                 return 0
             total = 0
-            for v in range(ceil(Fraction(vmin)), floor(Fraction(vmax)) + 1):
+            for v in range(ceil(vmin), floor(vmax) + 1):
                 fixed[k] = v
                 total += rec(fixed, depth + 1)
                 del fixed[k]

@@ -159,38 +159,42 @@ def row_hnf(a):
     return h, u
 
 
-def left_kernel_lattice(a):
-    """Saturated integer basis of {x in Z^m : x a = 0}."""
-    h, u = row_hnf(a)
+def left_kernel_lattice(hnf):
+    """Saturated integer basis of {x in Z^m : x a = 0}, given
+    hnf = row_hnf(a)."""
+    h, u = hnf
     return [u[k] for k in range(len(h)) if all(x == 0 for x in h[k])]
 
 
-def integer_row_solution(a, t):
-    """One integer solution x of x a = t, or None.
+def integer_row_solution(hnf, t):
+    """One integer solution x of x a = t, or None, given hnf = row_hnf(a).
 
-    None means there is no integer solution (there may or may not be a
-    rational one).
+    Taking the Hermite normal form (h, u) of a instead of a itself lets a
+    caller that solves for many right-hand sides t compute it once.  None
+    means there is no integer solution (there may or may not be a rational
+    one).
     """
-    h, u = row_hnf(a)
-    m = len(h)
+    h, u = hnf
     t = list(map(int, t))
-    y = [0] * m
-    res = list(t)
-    for k in range(m):
-        piv = next((j for j in range(len(h[k])) if h[k][j] != 0), None)
+    y = []
+    res = t
+    for row in h:
+        # h is in row echelon form, so the first zero row ends the pivots
+        piv = next((j for j, z in enumerate(row) if z), None)
         if piv is None:
-            continue
-        q, r = divmod(res[piv], h[k][piv])
+            break
+        q, r = divmod(res[piv], row[piv])
         if r != 0:
             return None
-        y[k] = q
-        res = [x - q * z for x, z in zip(res, h[k])]
+        y.append(q)
+        if q:
+            res = [x - q * z for x, z in zip(res, row)]
     if any(res):
         return None
-    x = [0] * m
-    for k in range(m):
-        if y[k]:
-            x = [xi + y[k] * ui for xi, ui in zip(x, u[k])]
+    x = [0] * len(h)
+    for q, ur in zip(y, u):
+        if q:
+            x = [xi + q * ui for xi, ui in zip(x, ur)]
     return x
 
 

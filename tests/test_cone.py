@@ -35,6 +35,14 @@ def test_bruteforce_cap():
         cone.subreps_bruteforce(rep, 2)
 
 
+@pytest.mark.parametrize("source", ["both", "Bruteforce", ""],
+                         ids=["both", "misspelt", "empty"])
+def test_tv_strict_sets_unknown_source(source):
+    # a stale or misspelt route raises instead of returning no T_v sets
+    with pytest.raises(ValueError, match="unknown T_v source"):
+        cone.tv_strict_sets(System("A", 2).ice(), source)
+
+
 def test_d4_strict_counts():
     # this orientation reproduces the known D4 strict-subrep counts per index
     s = System("D", 4, [(2, 1), (3, 2), (4, 2)])

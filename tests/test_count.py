@@ -77,13 +77,103 @@ def test_count_cartan_component_is_one():
             assert fam.count(list(mu) + list(nu) + lam) == 1
 
 
+def _fundamental(rank):
+    """0 and the fundamental weights omega_1..omega_rank."""
+    return [tuple(int(j == i) for j in range(rank)) for i in range(-1, rank)]
+
+
+def _assert_strategies_agree(fam, targets):
+    # the LP route brackets each coordinate by exact LPs: an independent
+    # reference for the integer box and the propagation
+    values = set()
+    for t in targets:
+        got = fam.count(t, "propagate")
+        assert got == fam.count(t, "lp"), t
+        values.add(got)
+    assert 0 in values and len(values) > 1
+
+
 def test_strategies_agree():
     fam = System("A", 2).family()
-    for mu in itertools.product(range(2), repeat=2):
-        for nu in itertools.product(range(2), repeat=2):
-            for lam in itertools.product(range(2), repeat=2):
-                t = list(mu) + list(nu) + list(lam)
-                assert fam.count(t, "propagate") == fam.count(t, "lp")
+    _assert_strategies_agree(
+        fam, [mu + nu + lam for mu, nu, lam in itertools.product(
+            itertools.product(range(2), repeat=2), repeat=3)])
+
+
+def test_strategies_agree_d4():
+    s = System("D", 4, [(2, 1), (3, 2), (4, 2)])
+    # every lambda of the decompositions of the pairs from {0, omega_i},
+    # plus zero-valued lambda on the slice lattice, which the box rejects
+    targets = [mu + nu + tuple(lam)
+               for mu, nu in itertools.product(_fundamental(4), repeat=2)
+               for lam in lieoracle.tensor_decomposition(s.cd, mu, nu)]
+    assert len(targets) == 55
+    targets += [(1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0),
+                (0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 2),
+                (0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0)]
+    _assert_strategies_agree(s.family(), targets)
+
+
+def test_count_unknown_strategy_raises():
+    fam = System("A", 2).family()
+    # (1,0,0,0,0,0) is off the slice lattice, an early return of 0
+    assert fam.count((1, 0, 0, 0, 0, 0)) == 0
+    with pytest.raises(ValueError, match="unknown strategy"):
+        fam.count((1, 0, 0, 0, 0, 0), "bogus")
+    with pytest.raises(ValueError, match="unknown strategy"):
+        fam.count((1, 1, 1, 1, 1, 1), "bogus")
+
+
+def test_count_path_uses_no_fraction(monkeypatch):
+    # the per-target path is integers only: every Fraction is made while
+    # the family is built
+    s = System("D", 4)
+    fam = s.family()
+    targets = [((1, 0, 0, 0), (1, 0, 0, 0)), ((0, 1, 0, 0), (0, 1, 0, 0)),
+               ((1, 0, 1, 1), (0, 1, 0, 1))]
+    want = {mu + nu + lam: lieoracle.tensor_decomposition(s.cd, mu, nu)
+            .get(lam, 0) for mu, nu in targets
+            for lam in itertools.product(range(2), repeat=4)}
+
+    def no_fraction(*_args):
+        raise AssertionError("Fraction on the per-target counting path")
+
+    forms = fam.lower_form + fam.upper_form
+    assert type(fam.box_den) is int
+    assert all(type(n) is int for form in forms for _h, n in form)
+    monkeypatch.setattr(count, "Fraction", no_fraction)
+    assert {t: fam.count(t, "propagate") for t in want} == want
+    assert any(want.values())
+
+
+def _orientations(edges):
+    return [[e if keep else e[::-1] for e, keep in zip(edges, flips)]
+            for flips in itertools.product((True, False), repeat=len(edges))]
+
+
+@pytest.mark.parametrize("letter, n, edges, columns", [
+    ("A", 3, [(1, 2), (2, 3)], None),
+    ("D", 4, [(2, 1), (3, 2), (4, 2)], {44, 64}),
+], ids=["A3", "D4"])
+def test_counts_independent_of_orientation(letter, n, edges, columns):
+    # every orientation of one Dynkin type gives the same count at every
+    # target, with no Lie theory involved: mu, nu in {0, omega_i} and
+    # lambda in {0,1}^n
+    targets = [mu + nu + lam for mu, nu in
+               itertools.product(_fundamental(n), repeat=2)
+               for lam in itertools.product(range(2), repeat=n)]
+    seen, sizes = None, set()
+    for orient in _orientations(edges):
+        s = System(letter, n, orient)
+        sizes.add(len(s.cone().columns))
+        fam = s.family()
+        got = [fam.count(t) for t in targets]
+        if seen is None:
+            seen = got
+            assert any(got) and not all(got)
+        assert got == seen, orient
+    if columns is not None:
+        assert sizes == columns
 
 
 def test_sharp_variant_counts_weight_multiplicities():

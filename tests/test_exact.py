@@ -73,7 +73,7 @@ def _det(a):
 @given(small_mat)
 @settings(max_examples=50)
 def test_left_kernel_lattice(a):
-    for v in exact.left_kernel_lattice(a):
+    for v in exact.left_kernel_lattice(exact.row_hnf(a)):
         assert all(x == 0 for x in exact.vec_mat(v, a))
 
 
@@ -82,14 +82,14 @@ def test_left_kernel_lattice(a):
 def test_integer_row_solution(a, x):
     x = (x + [0] * len(a))[: len(a)]
     t = exact.vec_mat(x, a)
-    sol = exact.integer_row_solution(a, t)
+    sol = exact.integer_row_solution(exact.row_hnf(a), t)
     assert sol is not None
     assert exact.vec_mat(sol, a) == t
 
 
 def test_integer_row_solution_none():
     # x * [[2]] = [1] has no integer solution
-    assert exact.integer_row_solution([[2]], [1]) is None
+    assert exact.integer_row_solution(exact.row_hnf([[2]]), [1]) is None
 
 
 def test_clear_denominators():
