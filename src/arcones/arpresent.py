@@ -8,7 +8,9 @@ configurations.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from . import mutation
 from .exact import mat_inv, mat_mul, rank, vec_mat
 from .rootdata import NUM_POS_ROOTS, cartan_data
 
@@ -358,6 +360,12 @@ class IceQuiver:
     @property
     def n(self):
         return self.cat.n
+
+    @cached_property
+    def walk(self):
+        """The B-matrix walk mu_l . mu_l (mutation.Walk), built on first use;
+        it lives and dies with this quiver."""
+        return mutation.b_walk(self)
 
     def tv_dim(self, v):
         """Dimension vector of T_v for the frozen vertex v, indexed like

@@ -7,20 +7,43 @@ vectors of the cone modules T_v.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
+
+
+@dataclass(frozen=True)
+class Step:
+    """One mutation at index u, with the nonzero off-diagonal entries of
+    row u and of column u of the B-matrix it is applied to.  Only these
+    entries enter the B-matrix, g-vector and F-polynomial mutation rules."""
+
+    u: int
+    row: tuple                   # (v, b[u][v]) with b[u][v] != 0, v != u
+    col: tuple                   # (v, b[v][u]) with b[v][u] != 0, v != u
+
+    @classmethod
+    def at(cls, b, u):
+        return cls(u,
+                   tuple((v, x) for v, x in enumerate(b[u]) if x and v != u),
+                   tuple((v, r[u]) for v, r in enumerate(b) if r[u] and v != u))
 
 
 def mutate_b(b, u):
-    """Fomin-Zelevinsky matrix mutation at index u; returns a new matrix."""
-    m = len(b)
-    out = [[0] * m for _ in range(m)]
-    for v in range(m):
-        for w in range(m):
-            if v == u or w == u:
-                out[v][w] = -b[v][w]
-            else:
-                bvu, buw = b[v][u], b[u][w]
-                s = (bvu > 0) - (bvu < 0)
-                out[v][w] = b[v][w] + s * max(0, bvu * buw)
+    """Fomin-Zelevinsky matrix mutation at index u; returns a new matrix.
+
+    Row u and column u change sign; any other entry b[v][w] changes only if
+    b[v][u] and b[u][w] are nonzero with the same sign.
+    """
+    step = Step.at(b, u)
+    out = [list(r) for r in b]
+    bu = out[u]
+    for w, buw in step.row:
+        bu[w] = -buw
+    for v, bvu in step.col:
+        bv = out[v]
+        bv[u] = -bvu
+        for w, buw in step.row:
+            if (bvu > 0) == (buw > 0):
+                bv[w] += abs(bvu) * buw
     return out
 
 
@@ -48,48 +71,68 @@ class DualTracked:
     fpoly: dict                  # exponent tuple -> positive int coefficient
 
 
-def mutate_dual_state(state, b, u):
-    """Mutation of a dual-tracked representation at u.
+def mutate_dual_state(state, step):
+    """Mutation of a dual-tracked representation at step.u.
 
-    b is the B-matrix of the current seed.  Returns the new DualTracked;
-    the caller is responsible for mutating b itself.
+    step is Step.at(b, u) for the B-matrix b of the current seed; the
+    caller mutates b itself.  Returns the new DualTracked.
     """
+    u = step.u
     g = state.gdual
-    m = len(g)
-    beta = max(-g[u], 0)
-    # dual g-vector
+    gu = g[u]
+    beta = max(-gu, 0)
+    # dual g-vector; it changes at u and where column u of b is nonzero
     g2 = list(g)
-    g2[u] = -g[u]
-    for v in range(m):
-        if v != u:
-            g2[v] = g[v] + max(-b[v][u], 0) * g[u] - b[v][u] * beta
-    beta2 = max(-g2[u], 0)
+    g2[u] = -gu
+    for v, bvu in step.col:
+        g2[v] += max(-bvu, 0) * gu - bvu * beta
+    beta2 = max(gu, 0)
 
     # F-polynomial: F'(y') = sum_e c_e * y'^(e off u)
     #   * y'_u^(beta - e_u + sum_{v!=u} e_v [b_{u,v}]_+)
     #   * (1+y'_u)^(beta' - beta - sum_{v!=u} e_v b_{u,v})
+    # the sums run over the nonzero entries of row u only
+    pos = [(v, x) for v, x in step.row if x > 0]
+    neg = [(v, x) for v, x in step.row if x < 0]
+    dq = beta2 - beta
     groups = {}
+    add = groups.setdefault
     for e, c in state.fpoly.items():
-        off = tuple(x if v != u else 0 for v, x in enumerate(e))
-        p = beta - e[u] + sum(e[v] * max(b[u][v], 0) for v in range(m) if v != u)
-        q = beta2 - beta - sum(e[v] * b[u][v] for v in range(m) if v != u)
-        groups.setdefault(off, []).append((p, q, c))
+        sp = 0
+        for v, x in pos:
+            sp += e[v] * x
+        sn = 0
+        for v, x in neg:
+            sn += e[v] * x
+        add((e[:u], e[u + 1:]), []).append(
+            (beta - e[u] + sp, dq - sp - sn, c))
     newf = {}
-    for off, terms in groups.items():
+    for (head, tail), terms in groups.items():
+        if len(terms) == 1 and terms[0][1] >= 0:
+            # one term, nothing to divide: c * t^p * (1+t)^q
+            p, q, c = terms[0]
+            if c:
+                if p < 0:
+                    raise RuntimeError("negative exponent in mutated "
+                                       "F-polynomial")
+                binom = c
+                for k in range(q + 1):
+                    newf[head + (p + k,) + tail] = binom
+                    binom = binom * (q - k) // (k + 1)
+            continue
         s = max(0, -min(q for _, q, _ in terms))
         # expand sum c * t^p * (1+t)^(q+s), all powers nonneg after the shift
-        coeffs = {}
+        lo = min(p for p, _, _ in terms)
+        arr = [0] * (max(p + q for p, q, _ in terms) + s - lo + 1)
         for p, q, c in terms:
-            if q + s < 0:
+            n = q + s
+            if n < 0:
                 raise RuntimeError("negative binomial exponent in "
                                    "F-polynomial mutation")
-            binom = 1
-            for k in range(q + s + 1):
-                coeffs[p + k] = coeffs.get(p + k, 0) + c * binom
-                binom = binom * (q + s - k) // (k + 1)
-        lo = min(coeffs)
-        hi = max(coeffs)
-        arr = [coeffs.get(k, 0) for k in range(lo, hi + 1)]
+            binom = c
+            for k in range(n + 1):
+                arr[p - lo + k] += binom
+                binom = binom * (n - k) // (k + 1)
         for _ in range(s):
             # synthetic division by (1 + t)
             quot = []
@@ -107,13 +150,9 @@ def mutate_dual_state(state, b, u):
                 if deg < 0:
                     raise RuntimeError("negative exponent in mutated "
                                        "F-polynomial")
-                ee = list(off)
-                ee[u] = deg
-                key = tuple(ee)
-                newf[key] = newf.get(key, 0) + c
-    newf = {e: c for e, c in newf.items() if c}
-    zero = (0,) * m
-    if newf.get(zero) != 1:
+                # groups differ off u, so every key is set once
+                newf[head + (deg,) + tail] = c
+    if newf.get((0,) * len(g)) != 1:
         raise RuntimeError("mutated F-polynomial has no constant term 1")
     if any(c < 0 for c in newf.values()):
         raise RuntimeError("negative F-polynomial coefficient")
@@ -153,10 +192,46 @@ def mu_sequences(iq):
     return MuSequences(sqrt_l, mu_l, mu_r, pi, pi2)
 
 
-def _mutate_b_along(b, iq, seq):
-    for v in seq:
-        b = mutate_b(b, iq.index[v])
-    return b
+@dataclass
+class Walk:
+    """The B-matrix walk mu_l . mu_l of an ice quiver.
+
+    Built once per quiver (IceQuiver.walk) and shared by the F-polynomial
+    route, which mutates every T_v along it, and by the checks.
+    """
+
+    seqs: MuSequences
+    steps: list                  # Step per mutation of mu_l, then of mu_l again
+    b_sqrt_l: list               # mu_sqrt_l(B)
+    b_l: list                    # mu_l(B)
+    b_l2: list                   # mu_l(mu_l(B))
+    mu_l_is_pi2: bool            # mu_l(Delta) = pi^2(Delta), see check_mu_l_pi2
+    pi2: list                    # pi^2 relabelling: e'[k] = e[pi2[k]]
+    pi2_inv: list                # its inverse, the same way
+
+
+def b_walk(iq):
+    """The Walk of iq, from its full B-matrix."""
+    seqs = mu_sequences(iq)
+    index = iq.index
+    b0 = iq.bmat_full
+    b = b0
+    steps = []
+    ends = []
+    # mu_l is mu_sqrt_l followed by its pi-image; the walk is mu_l twice
+    half = len(seqs.mu_sqrt_l)
+    for seq in (seqs.mu_sqrt_l, seqs.mu_l[half:], seqs.mu_l):
+        for v in seq:
+            u = index[v]
+            steps.append(Step.at(b, u))
+            b = mutate_b(b, u)
+        ends.append(b)
+    b_sqrt_l, b_l, b_l2 = ends
+    pi2_inv = {w: v for v, w in seqs.pi2.items()}
+    return Walk(seqs, steps, b_sqrt_l, b_l, b_l2,
+                _mu_l_is_pi2(iq, b_l, b0, seqs.pi2),
+                [index[seqs.pi2[v]] for v in iq.vertices],
+                [index[pi2_inv[v]] for v in iq.vertices])
 
 
 def _relabelled_b(b, iq, perm):
@@ -181,36 +256,40 @@ def _restricted_equal(b1, b2, iq):
 
 def verify_cyclic(iq):
     """Check the cyclic mutation identities; returns a dict report."""
-    seqs = mu_sequences(iq)
-    b0 = [list(r) for r in iq.bmat_full]
+    walk = iq.walk
+    seqs = walk.seqs
+    b0 = iq.bmat_full
     report = {}
 
-    b_sqrt = _mutate_b_along(b0, iq, seqs.mu_sqrt_l)
-    report["sqrt_l_vs_pi"] = _restricted_equal(b_sqrt, _relabelled_b(b0, iq, seqs.pi), iq)
+    report["sqrt_l_vs_pi"] = _restricted_equal(
+        walk.b_sqrt_l, _relabelled_b(b0, iq, seqs.pi), iq)
+    report["l_vs_pi2"] = _restricted_equal(
+        walk.b_l, _relabelled_b(b0, iq, seqs.pi2), iq)
 
-    b_l = _mutate_b_along(b0, iq, seqs.mu_l)
-    report["l_vs_pi2"] = _restricted_equal(b_l, _relabelled_b(b0, iq, seqs.pi2), iq)
-
-    b = b0
-    for _ in range(3):
-        b = _mutate_b_along(b, iq, seqs.mu_l)
+    b = walk.b_l2
+    for v in seqs.mu_l:
+        b = mutate_b(b, iq.index[v])
     report["l_cubed_identity"] = _restricted_equal(b, b0, iq)
 
-    # Lemma: mu_sqrt_l(-e_{i,t_i-t}) = e_{i,t} on the mutable-only quiver
+    # Lemma: mu_sqrt_l(-e_{i,t_i-t}) = e_{i,t} on the mutable-only quiver;
+    # every g-vector is mutated along one walk of its B-matrix
     cat = iq.cat
     mut_index = {v: k for k, v in enumerate(iq.mutable)}
-    bmu = [[iq.bmat_full[iq.index[v]][iq.index[w]] for w in iq.mutable]
-           for v in iq.mutable]
-    ok = True
+    b = [[b0[iq.index[v]][iq.index[w]] for w in iq.mutable]
+         for v in iq.mutable]
+    gs = {}
     for v in iq.mutable:
         i, t = cat.orbit[v]
         src = cat._orbit_member(i, cat.t_star(i) - t)
         g = [0] * len(iq.mutable)
         g[mut_index[src]] = -1
-        b = bmu
-        for w in seqs.mu_sqrt_l:
-            g = mutate_g(g, b, mut_index[w])
-            b = mutate_b(b, mut_index[w])
+        gs[v] = g
+    for w in seqs.mu_sqrt_l:
+        u = mut_index[w]
+        gs = {v: mutate_g(g, b, u) for v, g in gs.items()}
+        b = mutate_b(b, u)
+    ok = True
+    for v, g in gs.items():
         expected = [0] * len(iq.mutable)
         expected[mut_index[v]] = 1
         ok = ok and g == expected
@@ -230,9 +309,7 @@ def check_mu_l_pi2(iq):
     up to arrows between frozen vertices, and such entries never feed into
     mutations at mutable vertices.
     """
-    seqs = mu_sequences(iq)
-    b0 = [list(r) for r in iq.bmat_full]
-    return _mu_l_is_pi2(iq, _mutate_b_along(b0, iq, seqs.mu_l), b0, seqs.pi2)
+    return iq.walk.mu_l_is_pi2
 
 
 def _mu_l_is_pi2(iq, bl, b0, pi2):
@@ -269,35 +346,29 @@ def tv_subreps_via_fpoly(iq, i):
 
     Returns a dict keyed by the three frozen Presentation vertices; values are
     sets of dimension vectors (tuples indexed by iq.vertices), excluding the
-    zero vector and the full dimension vector.  Raises RuntimeError if the
-    precondition mu_l(Delta) = pi^2(Delta) fails.
+    zero vector and the full dimension vector.  The states are mutated along
+    iq.walk, which is built on the first call for iq.  Raises RuntimeError
+    if the precondition mu_l(Delta) = pi^2(Delta) fails: the route computes
+    nothing for such a quiver.
     """
+    walk = iq.walk
+    if not walk.mu_l_is_pi2:
+        raise RuntimeError("mu_l(Delta) != pi^2(Delta): the F-polynomial "
+                           "route does not apply to this ice quiver")
     cat = iq.cat
-    seqs = mu_sequences(iq)
     star = cat.star
     state = _base_state(iq, i)
     out = {cat.by_label["O%d-" % i]: set(state.fpoly)}
-    b0 = [list(r) for r in iq.bmat_full]
-    b = b0
-    pi2 = seqs.pi2
-    pi2inv = {w: v for v, w in pi2.items()}
-    for steps, target, relabel in (
-        (seqs.mu_l, cat.by_label["Id%d" % star[i]], pi2),
-        (seqs.mu_l, cat.by_label["O%d+" % i], pi2inv),
+    half = len(walk.steps) // 2
+    for steps, target, perm in (
+        (walk.steps[:half], cat.by_label["Id%d" % star[i]], walk.pi2),
+        (walk.steps[half:], cat.by_label["O%d+" % i], walk.pi2_inv),
     ):
-        for v in steps:
-            state = mutate_dual_state(state, b, iq.index[v])
-            b = mutate_b(b, iq.index[v])
-        # the first pass ends at mu_l(Delta), where the precondition is read
-        if relabel is pi2 and not _mu_l_is_pi2(iq, b, b0, pi2):
-            raise RuntimeError("mu_l(Delta) != pi^2(Delta); fall back to "
-                               "brute force")
-        relabelled = set()
-        for e in state.fpoly:
-            e2 = [0] * len(e)
-            for w in iq.vertices:
-                e2[iq.index[w]] = e[iq.index[relabel[w]]]
-            relabelled.add(tuple(e2))
+        for step in steps:
+            state = mutate_dual_state(state, step)
+        # a tuple, since ice quivers have 4 or more vertices
+        relabel = itemgetter(*perm)
+        relabelled = {relabel(e) for e in state.fpoly}
         full = iq.tv_dim(target)
         if max(relabelled, key=sum) != full:
             raise RuntimeError("full dimension vector of T_%s is not the "

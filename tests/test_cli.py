@@ -5,7 +5,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from arcones import cli, cone, count, lieoracle
+from arcones import cli, cone, count, lieoracle, mutation
 from arcones.system import System
 
 
@@ -184,6 +184,27 @@ def test_verify_fpoly_d5_refused_exit_2():
     res = run("verify", "fpoly", "--type", "D5")
     assert res.exit_code == 2
     assert "arrow between dim-2 vertices" in res.output
+
+
+def test_build_fpoly_precondition_failure_exit_3(tmp_path, monkeypatch):
+    # D5 takes the F-polynomial route; a failed mu_l = pi^2 precondition is
+    # an internal error there, since no other route handles D5
+    build_walk = mutation.b_walk
+
+    def planted(iq):
+        walk = build_walk(iq)
+        walk.mu_l_is_pi2 = False
+        return walk
+
+    monkeypatch.setattr(mutation, "b_walk", planted)
+    iq = System("A", 3).ice()
+    assert not mutation.check_mu_l_pi2(iq)
+    with pytest.raises(RuntimeError, match=r"mu_l\(Delta\) != pi\^2"):
+        mutation.tv_subreps_via_fpoly(iq, 1)
+    res = run("build", "--type", "D5", "--out", str(tmp_path))
+    assert res.exit_code == 3
+    assert "mu_l(Delta) != pi^2(Delta)" in res.output
+    assert "fall back" not in res.output
 
 
 def test_verify_all_bruteforce_once(monkeypatch):

@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcones
-from arcones import mutation
+from arcones import cone, mutation
 from arcones.system import System
 
 
@@ -47,10 +50,10 @@ def test_mutate_g_examples(g, u):
 def test_mutate_dual_simple():
     # one-vertex quiver, M = S_u: F = 1 + y_u, gdual = -e_u
     state = mutation.DualTracked([-1], {(0,): 1, (1,): 1})
-    out = mutation.mutate_dual_state(state, [[0]], 0)
+    out = mutation.mutate_dual_state(state, mutation.Step.at([[0]], 0))
     assert out.gdual == [1]
     assert out.fpoly == {(0,): 1}
-    back = mutation.mutate_dual_state(out, [[0]], 0)
+    back = mutation.mutate_dual_state(out, mutation.Step.at([[0]], 0))
     assert back.gdual == [-1] and back.fpoly == state.fpoly
 
 
@@ -58,13 +61,67 @@ def test_mutate_dual_a2_chain():
     # A2 quiver 1 -> 2, M the projective P1 (subreps: 0, S2, P1)
     b = [[0, 1], [-1, 0]]
     state = mutation.DualTracked([1, -1], {(0, 0): 1, (0, 1): 1, (1, 1): 1})
-    out = mutation.mutate_dual_state(state, b, 0)
+    out = mutation.mutate_dual_state(state, mutation.Step.at(b, 0))
     assert all(c in (0, 1) for c in out.fpoly.values())
     assert out.fpoly[(0, 0)] == 1
     # double mutation returns the original
     b1 = mutation.mutate_b(b, 0)
-    back = mutation.mutate_dual_state(out, b1, 0)
+    back = mutation.mutate_dual_state(out, mutation.Step.at(b1, 0))
     assert back.gdual == state.gdual and back.fpoly == state.fpoly
+
+
+@functools.lru_cache(maxsize=None)
+def _ice(key):
+    """The full2 ice quiver of 'D4' or 'D4:2>1,3>2,4>2'."""
+    name, _, orient = key.partition(":")
+    arrows = [tuple(int(x) for x in a.split(">"))
+              for a in orient.split(",")] if orient else None
+    return System(name[0], int(name[1:]), arrows).ice()
+
+
+INVOLUTION_KEYS = ["A3", "A4", "D4", "D4:2>1,3>2,4>2"]
+
+# The full2 ice quivers above never reach a mutable row u without a positive
+# entry (none among the B-matrices within 4 mutable steps of their initial
+# seeds), so the A2 quiver 0 -> 1 without frozen vertices adds such steps:
+# every row of it has a single nonzero entry.  Its state F = 1 + y_1 +
+# y_0 y_1, g^vee = (0, -1) mutates without a failed check along each of
+# the 254 walks of 1 to 7 steps.
+A2_PATH = (mutation.DualTracked([0, -1], {(0, 0): 1, (0, 1): 1, (1, 1): 1}),
+           [[0, 1], [-1, 0]])
+
+
+@pytest.mark.parametrize("key", INVOLUTION_KEYS + ["A2 path"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mutate_dual_involutive(key, data):
+    # mu_u . mu_u is the identity on every dual state along a random walk
+    if key == "A2 path":
+        state, b = A2_PATH
+        vertices = [0, 1]
+    else:
+        iq = _ice(key)
+        state = mutation._base_state(iq, data.draw(st.integers(1, iq.n)))
+        b = iq.bmat_full
+        vertices = [iq.index[v] for v in iq.mutable]
+    walk = data.draw(st.lists(st.sampled_from(vertices), min_size=1,
+                              max_size=7))
+    for u in walk:
+        step = mutation.Step.at(b, u)
+        b_u = mutation.mutate_b(b, u)
+        mutated = mutation.mutate_dual_state(state, step)
+        back = mutation.mutate_dual_state(mutated, mutation.Step.at(b_u, u))
+        assert back == state
+        state, b = mutated, b_u
+
+
+def test_a2_path_rows_without_positive_entry():
+    # the steps the involution test adds to those of the ice quivers
+    state, b = A2_PATH
+    for u in (0, 1):
+        rows = [mutation.Step.at(b, u).row,
+                mutation.Step.at(mutation.mutate_b(b, u), u).row]
+        assert any(all(x < 0 for _, x in row) for row in rows)
 
 
 def test_mutate_dual_check_survives_python_O():
@@ -77,7 +134,7 @@ def test_mutate_dual_check_survives_python_O():
             sys.exit("not running under -O")
         state = mutation.DualTracked([0], {(1,): 1})
         try:
-            mutation.mutate_dual_state(state, [[0]], 0)
+            mutation.mutate_dual_state(state, mutation.Step.at([[0]], 0))
         except RuntimeError as exc:
             print(exc)
         else:
@@ -152,3 +209,41 @@ def test_tv_fpoly_d4_default_runs():
     total = sum(len(s) for i in range(1, 5)
                 for s in mutation.tv_subreps_via_fpoly(iq, i).values())
     assert total == 64
+
+
+def test_walk_built_once_per_quiver(monkeypatch):
+    calls = []
+    build_walk = mutation.b_walk
+
+    def counted(iq):
+        calls.append(iq)
+        return build_walk(iq)
+
+    monkeypatch.setattr(mutation, "b_walk", counted)
+    iq = System("D", 4).ice()
+    for i in range(1, iq.n + 1):
+        mutation.tv_subreps_via_fpoly(iq, i)
+    assert mutation.check_mu_l_pi2(iq)
+    mutation.verify_cyclic(iq)
+    assert len(calls) == 1 and calls[0] is iq
+
+
+def _tv_digest(sets):
+    """sha256 of the T_v sets keyed by frozen vertex label, as
+    perfbench/workloads.py tv_digest computes it."""
+    data = sorted([v.label, sorted(map(list, s))] for v, s in sets.items())
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+# brute force refuses D5 and D6, so these digests (the tv_sha256 values of
+# perfbench/references.json) are what fixes the F-polynomial output there
+@pytest.mark.parametrize("letter,n,subreps,digest", [
+    ("D", 5, 192,
+     "5c61079c373e3f2d694c4d0831cf773ed9f95113049b1aa7e9956e490164aa2c"),
+    ("D", 6, 625,
+     "36989372f69c248d32f4f00484f31c22041adc6f1d40e434c194c93220d73be4"),
+], ids=["D5", "D6"])
+def test_tv_fpoly_pinned(letter, n, subreps, digest):
+    sets = cone.tv_strict_sets(System(letter, n).ice(), "fpoly")
+    assert sum(len(s) for s in sets.values()) == subreps
+    assert _tv_digest(sets) == digest
