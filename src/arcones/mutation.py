@@ -26,25 +26,30 @@ class Step:
                    tuple((v, x) for v, x in enumerate(b[u]) if x and v != u),
                    tuple((v, r[u]) for v, r in enumerate(b) if r[u] and v != u))
 
+    def apply(self, b):
+        """Fomin-Zelevinsky mutation of b, the matrix this step was taken
+        from; returns a new matrix.
+
+        Row u and column u change sign; any other entry b[v][w] changes only
+        if b[v][u] and b[u][w] are nonzero with the same sign.
+        """
+        u = self.u
+        out = [list(r) for r in b]
+        bu = out[u]
+        for w, buw in self.row:
+            bu[w] = -buw
+        for v, bvu in self.col:
+            bv = out[v]
+            bv[u] = -bvu
+            for w, buw in self.row:
+                if (bvu > 0) == (buw > 0):
+                    bv[w] += abs(bvu) * buw
+        return out
+
 
 def mutate_b(b, u):
-    """Fomin-Zelevinsky matrix mutation at index u; returns a new matrix.
-
-    Row u and column u change sign; any other entry b[v][w] changes only if
-    b[v][u] and b[u][w] are nonzero with the same sign.
-    """
-    step = Step.at(b, u)
-    out = [list(r) for r in b]
-    bu = out[u]
-    for w, buw in step.row:
-        bu[w] = -buw
-    for v, bvu in step.col:
-        bv = out[v]
-        bv[u] = -bvu
-        for w, buw in step.row:
-            if (bvu > 0) == (buw > 0):
-                bv[w] += abs(bvu) * buw
-    return out
+    """Fomin-Zelevinsky matrix mutation at index u; returns a new matrix."""
+    return Step.at(b, u).apply(b)
 
 
 def mutate_g(g, b, u):
@@ -91,7 +96,9 @@ def mutate_dual_state(state, step):
     # F-polynomial: F'(y') = sum_e c_e * y'^(e off u)
     #   * y'_u^(beta - e_u + sum_{v!=u} e_v [b_{u,v}]_+)
     #   * (1+y'_u)^(beta' - beta - sum_{v!=u} e_v b_{u,v})
-    # the sums run over the nonzero entries of row u only
+    # the sums run over the nonzero entries of row u only.  The exponent q
+    # of (1+y'_u) does not involve e_u, so the terms that agree off u share
+    # it: each group is (1+t)^q * sum c * t^p in t = y'_u.
     pos = [(v, x) for v, x in step.row if x > 0]
     neg = [(v, x) for v, x in step.row if x < 0]
     dq = beta2 - beta
@@ -104,34 +111,27 @@ def mutate_dual_state(state, step):
         sn = 0
         for v, x in neg:
             sn += e[v] * x
-        add((e[:u], e[u + 1:]), []).append(
-            (beta - e[u] + sp, dq - sp - sn, c))
+        add((e[:u], e[u + 1:], dq - sp - sn), []).append((beta - e[u] + sp, c))
     newf = {}
-    for (head, tail), terms in groups.items():
-        if len(terms) == 1 and terms[0][1] >= 0:
-            # one term, nothing to divide: c * t^p * (1+t)^q
-            p, q, c = terms[0]
-            if c:
-                if p < 0:
-                    raise RuntimeError("negative exponent in mutated "
-                                       "F-polynomial")
-                binom = c
-                for k in range(q + 1):
-                    newf[head + (p + k,) + tail] = binom
-                    binom = binom * (q - k) // (k + 1)
-            continue
-        s = max(0, -min(q for _, q, _ in terms))
+    for (head, tail, q), terms in groups.items():
+        lo = hi = terms[0][0]
+        for p, _ in terms:
+            if p < lo:
+                lo = p
+            elif p > hi:
+                hi = p
         # expand sum c * t^p * (1+t)^(q+s), all powers nonneg after the shift
-        lo = min(p for p, _, _ in terms)
-        arr = [0] * (max(p + q for p, q, _ in terms) + s - lo + 1)
-        for p, q, c in terms:
-            n = q + s
-            if n < 0:
-                raise RuntimeError("negative binomial exponent in "
-                                   "F-polynomial mutation")
+        s = -q if q < 0 else 0
+        n = q + s
+        if n < 0:
+            raise RuntimeError("negative binomial exponent in "
+                               "F-polynomial mutation")
+        arr = [0] * (hi - lo + n + 1)
+        for p, c in terms:
             binom = c
+            k0 = p - lo
             for k in range(n + 1):
-                arr[p - lo + k] += binom
+                arr[k0 + k] += binom
                 binom = binom * (n - k) // (k + 1)
         for _ in range(s):
             # synthetic division by (1 + t)
@@ -144,9 +144,8 @@ def mutate_dual_state(state, step):
             if quot[-1] != 0:
                 raise RuntimeError("F-polynomial mutation left a remainder")
             arr = quot[:-1]
-        for k, c in enumerate(arr):
+        for deg, c in enumerate(arr, lo):
             if c:
-                deg = lo + k
                 if deg < 0:
                     raise RuntimeError("negative exponent in mutated "
                                        "F-polynomial")
@@ -222,9 +221,9 @@ def b_walk(iq):
     half = len(seqs.mu_sqrt_l)
     for seq in (seqs.mu_sqrt_l, seqs.mu_l[half:], seqs.mu_l):
         for v in seq:
-            u = index[v]
-            steps.append(Step.at(b, u))
-            b = mutate_b(b, u)
+            step = Step.at(b, index[v])
+            steps.append(step)
+            b = step.apply(b)
         ends.append(b)
     b_sqrt_l, b_l, b_l2 = ends
     pi2_inv = {w: v for v, w in seqs.pi2.items()}
