@@ -15,6 +15,7 @@ import os
 import random
 import shutil
 import sys
+import time
 
 import click
 
@@ -403,7 +404,9 @@ def verify(suite, type_, rank, orient, bound, out):
     report = {"format": FORMAT_VERSION, "type": "%s%d" % (letter, rank),
               "suites": {}}
     for name in names:
+        start = time.perf_counter()
         result = _SUITE_FUNCS[name](system, bound)
+        result["seconds"] = time.perf_counter() - start
         report["suites"][name] = result
         click.echo("%-12s %s" % (name, "pass" if result["passed"]
                                  else "FAIL"))

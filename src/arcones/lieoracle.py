@@ -4,54 +4,69 @@ Freudenthal weight multiplicities, Brauer-Klimyk tensor decomposition, and
 the type-A Littlewood-Richardson tableau rule.  These are deliberately
 separate from the quiver machinery so they can serve as cross-checks.
 
-All weights are integer tuples in fundamental-weight coordinates.
+All weights are integer tuples in fundamental-weight coordinates.  Every
+call computes in ints: the forms of each Cartan datum are scaled to integers
+once (`_forms`), and each formula ends in one exact `divmod`.
 """
 
-from fractions import Fraction
+from collections import namedtuple
+from functools import reduce
 
-from .exact import mat_inv
+from .exact import dot, lcm, mat_inv, vec_mat
+from .rootdata import positive_roots
 
 _memo = {}
 
+_Forms = namedtuple("_Forms", "den gram roots height")
 
-def _inv_cartan(cd):
-    key = ("inv", cd.Q.letter, cd.Q.n)
+
+def _forms(cd):
+    """The integer forms of the Cartan datum C of cd, built once.
+
+    den is the lcm of the denominators of C^-1, and gram[i][j] =
+    den (C^-1)_ij d_j, so den (lam, mu) = mu . gram . lam.  roots pairs
+    each positive root alpha (fundamental-weight coordinates) with r_alpha
+    = alpha . gram, so den (lam, alpha) = r_alpha . lam.  height . w, with
+    height[i] = den sum_j (C^-1)_ij, is den times the height of w.
+    """
+    key = ("forms", cd.Q.letter, cd.Q.n)
     if key not in _memo:
-        _memo[key] = mat_inv(cd.cartan)
+        inv = mat_inv(cd.cartan)
+        den = reduce(lcm, (x.denominator for row in inv for x in row), 1)
+        gram = tuple(tuple(int(x * den) * d for x, d in zip(row, cd.Q.d))
+                     for row in inv)
+        roots = tuple((alpha, tuple(vec_mat(alpha, gram)))
+                      for _, alpha in positive_roots(cd))
+        height = tuple(int(sum(row) * den) for row in inv)
+        _memo[key] = _Forms(den, gram, roots, height)
     return _memo[key]
 
 
-def _pairing(cd, lam, mu):
-    """Weyl-invariant bilinear form (lam, mu), exact Fraction."""
-    inv = _inv_cartan(cd)
-    n = cd.Q.n
-    # coordinates of mu on the fundamental coweights: k = mu . C^{-1}
-    k = [sum(mu[i] * inv[i][j] for i in range(n)) for j in range(n)]
-    return sum(Fraction(lam[j]) * cd.Q.d[j] * k[j] for j in range(n))
+def _norm(forms, v):
+    """den (v, v)."""
+    return dot(vec_mat(v, forms.gram), v)
 
 
-def _height(cd, mu, lam):
-    """Sum of the simple-root coordinates of mu - lam."""
-    inv = _inv_cartan(cd)
-    n = cd.Q.n
-    diff = [mu[j] - lam[j] for j in range(n)]
-    return sum(sum(diff[i] * inv[i][j] for i in range(n)) for j in range(n))
+def _check_dominant(what, *weights):
+    if any(x < 0 for w in weights for x in w):
+        raise ValueError("%s must be dominant" % what)
 
 
 def weyl_dimension(cd, mu):
-    """dim L(mu) by the Weyl dimension formula, exact."""
-    from .rootdata import positive_roots
-
-    rho = (1,) * cd.Q.n
-    lam_rho = tuple(m + 1 for m in mu)
-    num, den = Fraction(1), Fraction(1)
-    for _, alpha in positive_roots(cd):
-        num *= _pairing(cd, lam_rho, alpha)
-        den *= _pairing(cd, rho, alpha)
-    dim = num / den
-    if dim.denominator != 1:
-        raise RuntimeError("dim L(%s) = %s is not an integer" % (mu, dim))
-    return int(dim)
+    """dim L(mu) by the Weyl dimension formula: the product of the
+    den (mu + rho, alpha) over the positive roots, over that of
+    den (rho, alpha)."""
+    _check_dominant("mu", mu)
+    lam_rho = [m + 1 for m in mu]
+    num = den = 1
+    for _, r in _forms(cd).roots:
+        num *= dot(r, lam_rho)
+        den *= sum(r)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise RuntimeError("dim L(%s) = %d/%d is not an integer"
+                           % (mu, num, den))
+    return dim
 
 
 def _weight_saturation(cd, mu):
@@ -75,44 +90,38 @@ def freudenthal(cd, mu):
     """Weight multiplicities of the irreducible L(mu).
 
     Returns a dict {weight tuple: multiplicity} covering every weight of
-    L(mu) (the full Weyl-invariant set, not just the dominant ones).  The
-    total is asserted to equal the Weyl dimension formula value.
+    L(mu) (the full Weyl-invariant set, not just the dominant ones), in
+    order of depth below mu.  Both sides of Freudenthal's recursion are
+    scaled by den, so each multiplicity is one exact division.  The total
+    is checked to equal the Weyl dimension formula value.
     """
     mu = tuple(int(x) for x in mu)
-    if any(x < 0 for x in mu):
-        raise ValueError("mu must be dominant")
+    _check_dominant("mu", mu)
     key = ("fr", cd.Q.letter, cd.Q.n, mu)
     if key in _memo:
         return _memo[key]
-    from .rootdata import positive_roots
-
-    n = cd.Q.n
-    rho = (1,) * n
-    weights = sorted(_weight_saturation(cd, mu), key=lambda w: _height(cd, mu, w))
-    pos = [fw for _, fw in positive_roots(cd)]
+    forms = _forms(cd)
+    # -height . w is den times the depth of w below mu, less a constant
+    weights = sorted(_weight_saturation(cd, mu),
+                     key=lambda w: -dot(forms.height, w))
     wset = set(weights)
-    mult = {tuple(mu): 1}
-    c_mu = _pairing(cd, tuple(a + b for a, b in zip(mu, rho)),
-                    tuple(a + b for a, b in zip(mu, rho)))
+    mult = {mu: 1}
+    c_mu = _norm(forms, [m + 1 for m in mu])
     for lam in weights:
         if lam == mu:
             continue
-        acc = Fraction(0)
-        for alpha in pos:
-            k = 1
-            while True:
-                up = tuple(l + k * a for l, a in zip(lam, alpha))
-                if up not in wset:
-                    break
-                acc += mult[up] * _pairing(cd, up, alpha)
-                k += 1
-        lam_rho = tuple(a + b for a, b in zip(lam, rho))
-        denom = c_mu - _pairing(cd, lam_rho, lam_rho)
-        m = 2 * acc / denom
-        if m.denominator != 1 or m <= 0:
-            raise RuntimeError("multiplicity %s of %s in L(%s)"
-                               % (m, lam, mu))
-        mult[lam] = int(m)
+        acc = 0
+        for alpha, r in forms.roots:
+            up = tuple(l + a for l, a in zip(lam, alpha))
+            while up in wset:
+                acc += mult[up] * dot(r, up)
+                up = tuple(u + a for u, a in zip(up, alpha))
+        denom = c_mu - _norm(forms, [l + 1 for l in lam])
+        m, rem = divmod(2 * acc, denom)
+        if rem or m <= 0:
+            raise RuntimeError("multiplicity %d/%d of %s in L(%s)"
+                               % (2 * acc, denom, lam, mu))
+        mult[lam] = m
     if sum(mult.values()) != weyl_dimension(cd, mu):
         raise RuntimeError("weight multiplicities of L(%s) do not add up to "
                            "its dimension" % (mu,))
@@ -144,27 +153,17 @@ def _straighten(cd, v):
 
 
 def tensor_multiplicity(cd, mu, nu, lam):
-    """c^lam_{mu,nu} by the Brauer-Klimyk signed-orbit algorithm."""
+    """c^lam_{mu,nu}: the lam entry of `tensor_decomposition`."""
     mu, nu, lam = tuple(mu), tuple(nu), tuple(lam)
-    if any(x < 0 for w in (mu, nu, lam) for x in w):
-        raise ValueError("all three weights must be dominant")
-    n = cd.Q.n
-    target = tuple(lam[j] + 1 for j in range(n))
-    total = 0
-    for xi, m in freudenthal(cd, nu).items():
-        v = tuple(mu[j] + xi[j] + 1 for j in range(n))
-        sign, dom = _straighten(cd, v)
-        if sign and dom == target:
-            total += sign * m
-    if total < 0:
-        raise RuntimeError("negative multiplicity of %s in %s x %s"
-                           % (lam, mu, nu))
-    return total
+    _check_dominant("all three weights", mu, nu, lam)
+    return tensor_decomposition(cd, mu, nu).get(lam, 0)
 
 
 def tensor_decomposition(cd, mu, nu):
-    """Full decomposition of L(mu) (x) L(nu) as {lam: multiplicity}."""
+    """Full decomposition of L(mu) (x) L(nu) as {lam: multiplicity}, by the
+    Brauer-Klimyk signed-orbit sum over the weights of L(nu)."""
     mu, nu = tuple(mu), tuple(nu)
+    _check_dominant("mu and nu", mu, nu)
     n = cd.Q.n
     out = {}
     for xi, m in freudenthal(cd, nu).items():

@@ -251,3 +251,13 @@ def test_verify_all_a2():
     res = run("verify", "all", "--type", "A2", "--max", "1")
     assert res.exit_code == 0
     assert res.output.count("pass") == 6
+
+
+def test_verify_report_times_each_suite(tmp_path):
+    out = tmp_path / "report.json"
+    res = run("verify", "all", "--type", "A2", "--max", "1", "--out", str(out))
+    assert res.exit_code == 0
+    suites = json.load(open(out))["suites"]
+    assert len(suites) == 6
+    for result in suites.values():
+        assert result["seconds"] >= 0

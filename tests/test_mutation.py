@@ -60,7 +60,7 @@ def test_mutate_dual_simple():
 def test_mutate_dual_a2_chain():
     # A2 quiver 1 -> 2, M the projective P1 (subreps: 0, S2, P1)
     b = [[0, 1], [-1, 0]]
-    state = mutation.DualTracked([1, -1], {(0, 0): 1, (0, 1): 1, (1, 1): 1})
+    state = mutation.DualTracked([0, -1], {(0, 0): 1, (0, 1): 1, (1, 1): 1})
     out = mutation.mutate_dual_state(state, mutation.Step.at(b, 0))
     assert all(c in (0, 1) for c in out.fpoly.values())
     assert out.fpoly[(0, 0)] == 1
