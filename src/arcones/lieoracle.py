@@ -58,14 +58,14 @@ def weyl_dimension(cd, mu):
     den (rho, alpha)."""
     _check_dominant("mu", mu)
     lam_rho = [m + 1 for m in mu]
-    num = den = 1
+    num = denom = 1
     for _, r in _forms(cd).roots:
         num *= dot(r, lam_rho)
-        den *= sum(r)
-    dim, rem = divmod(num, den)
+        denom *= sum(r)           # r . rho, as rho = (1, ..., 1)
+    dim, rem = divmod(num, denom)
     if rem:
         raise RuntimeError("dim L(%s) = %d/%d is not an integer"
-                           % (mu, num, den))
+                           % (mu, num, denom))
     return dim
 
 
