@@ -111,7 +111,7 @@ def knit_rep_ar(Q):
         if not progressed:
             raise RuntimeError("knitting deadlocked; input not Dynkin?")
     if len(modules) != expected:
-        raise AssertionError("knitted %d modules, expected %d" % (len(modules), expected))
+        raise RuntimeError("knitted %d modules, expected %d" % (len(modules), expected))
     simples = {}
     for i in range(1, n + 1):
         sdim = tuple(int(k == i) for k in range(1, n + 1))
@@ -487,8 +487,8 @@ def weight_configuration(iq):
             rows.append(list(e) + [fp[k] - fm[k] for k in range(n)])
     prod = mat_mul(iq.bmat, rows)
     if any(any(x != 0 for x in r) for r in prod):
-        raise AssertionError("B . sigma != 0 for variant %s" % iq.variant)
+        raise RuntimeError("B . sigma != 0 for variant %s" % iq.variant)
     if iq.variant == "full2":
         if rank(rows) != 3 * n:
-            raise AssertionError("sigma^2 is not full rank 3n")
+            raise RuntimeError("sigma^2 is not full rank 3n")
     return WeightConfig(iq, rows)

@@ -171,7 +171,15 @@ def _count_one(fam, target):
         return "unbounded"
 
 
-def _grid_targets(cd, variant, sig, bound, rng):
+def _decomposition(cd, mu, nu, decompositions):
+    """The Brauer-Klimyk decomposition of mu (x) nu, kept in decompositions
+    so that each pair is decomposed once."""
+    if (mu, nu) not in decompositions:
+        decompositions[mu, nu] = lieoracle.tensor_decomposition(cd, mu, nu)
+    return decompositions[mu, nu]
+
+
+def _grid_targets(cd, variant, sig, bound, rng, decompositions):
     """Targets (as tuples of weights) for a --grid run."""
     n = len(cd.cartan)
     doms = list(itertools.product(range(bound + 1), repeat=n))
@@ -179,7 +187,7 @@ def _grid_targets(cd, variant, sig, bound, rng):
     if variant == "full2":
         for mu in doms:
             for nu in doms:
-                for lam in lieoracle.tensor_decomposition(cd, mu, nu):
+                for lam in _decomposition(cd, mu, nu, decompositions):
                     rows.append((mu, nu, lam))
                 rows.append((mu, nu,
                              tuple(rng.randrange(2 * bound + 2)
@@ -197,10 +205,12 @@ def _grid_targets(cd, variant, sig, bound, rng):
     return rows
 
 
-def _oracle_value(cd, variant, weights):
+def _oracle_value(cd, variant, weights, decompositions):
     if variant == "full2":
+        if any(x < 0 for w in weights for x in w):
+            raise ValueError("all three weights must be dominant")
         mu, nu, lam = weights
-        return lieoracle.tensor_multiplicity(cd, mu, nu, lam)
+        return _decomposition(cd, mu, nu, decompositions).get(lam, 0)
     if variant == "sharp":
         mu, lam = weights
         return lieoracle.freudenthal(cd, mu).get(lam, 0)
@@ -235,6 +245,7 @@ def cmd_count(type_, rank, orient, variant, triple, targets_opt, grid, check,
     sig = system.sigma(variant)
     cd = system.cd
     rows = []
+    decompositions = {}
     for t in triple:
         if variant != "full2":
             raise ValueError("--triple applies to the full2 variant")
@@ -242,7 +253,8 @@ def cmd_count(type_, rank, orient, variant, triple, targets_opt, grid, check,
     for t in targets_opt:
         rows.append(tuple(_parse_weight(x) for x in t.split("/")))
     if grid is not None:
-        rows.extend(_grid_targets(cd, variant, sig, grid, random.Random(0)))
+        rows.extend(_grid_targets(cd, variant, sig, grid, random.Random(0),
+                                  decompositions))
     if not rows:
         raise ValueError("nothing to count: give --triple, --target "
                          "or --grid")
@@ -266,7 +278,7 @@ def cmd_count(type_, rank, orient, variant, triple, targets_opt, grid, check,
     for weights, c in zip(rows, counts):
         line = [" ".join(str(x) for x in w) for w in weights] + [c]
         if check:
-            oracle = _oracle_value(cd, variant, weights)
+            oracle = _oracle_value(cd, variant, weights, decompositions)
             ok = c == oracle
             mismatch = mismatch or not ok
             line += [oracle, "yes" if ok else "NO"]
@@ -320,12 +332,13 @@ def _suite_structural(system, _bound):
 def _suite_grid(system, variant, bound):
     """The targets and oracle of `count --variant V --grid B --check`."""
     cd = system.cd
+    decompositions = {}
     rows = _grid_targets(cd, variant, system.sigma(variant), bound,
-                         random.Random(0))
+                         random.Random(0), decompositions)
     fam = system.family(variant)
     bad = [[list(w) for w in weights] for weights in rows
            if _count_one(fam, [x for w in weights for x in w])
-           != _oracle_value(cd, variant, weights)]
+           != _oracle_value(cd, variant, weights, decompositions)]
     return {"passed": not bad, "targets": len(rows), "mismatches": bad}
 
 

@@ -10,6 +10,7 @@ the target is precomputed there, so counting one slice (strategy
 "propagate") uses ints only.
 """
 
+from collections import deque
 from fractions import Fraction
 from math import ceil, floor
 
@@ -48,13 +49,13 @@ def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
         return status, None, None
     for r, b in zip(ineq_rows, ineq_rhs):
         if dot(x, r) < b:
-            raise AssertionError("lp_bound certificate violates inequality")
+            raise RuntimeError("lp_bound certificate violates inequality")
     for r, b in zip(a_eq, b_eq):
         if dot(r, x) != b:
-            raise AssertionError("lp_bound certificate violates equality")
+            raise RuntimeError("lp_bound certificate violates equality")
     got = dot(objective, x)
     if got != (value if sense == "min" else -value):
-        raise AssertionError("lp_bound objective value mismatch")
+        raise RuntimeError("lp_bound objective value mismatch")
     return "optimal", x, got
 
 
@@ -90,6 +91,12 @@ class SliceFamily:
     each active inequality as its nonzero indices and coefficients, so the
     per-target path does integer arithmetic only.  sigma is a WeightConfig
     or its list of rows.
+
+    The count is a depth-first search over the box that narrows the bounds
+    by propagation at every node.  A row's slack reads hi[k] where its entry
+    at k is positive and lo[k] where it is negative; the watch lists
+    reads_hi[k] and reads_lo[k] name those rows, so a moved bound re-queues
+    only the rows that read it (queue-based AC-3, Mackworth 1977).
     """
 
     def __init__(self, cone, sigma):
@@ -124,6 +131,15 @@ class SliceFamily:
              tuple(x for x in a if x > 0),
              tuple(k for k, x in enumerate(a) if x < 0),
              tuple(-x for x in a if x < 0)) for a, _i in self.active]
+        # the rows whose slack reads each bound: a positive entry at k
+        # reads hi[k], a negative one lo[k]
+        self.reads_hi = [[] for _k in range(self.m)]
+        self.reads_lo = [[] for _k in range(self.m)]
+        for j, (kp, _cp, kn, _cn) in enumerate(self.rows):
+            for k in kp:
+                self.reads_hi[k].append(j)
+            for k in kn:
+                self.reads_lo[k].append(j)
         # most-constrained-first enumeration order
         touch = [sum(1 for a, _i in self.active if a[k])
                  for k in range(self.m)]
@@ -178,8 +194,8 @@ class SliceFamily:
         status, c, _v = lp_min([0] * self.m, a_ub, [0] * len(a_ub), a_eq,
                                [-sign])
         if status != "optimal":
-            raise AssertionError("no bounding functional and no ray for "
-                                 "coordinate %d" % i)
+            raise RuntimeError("no bounding functional and no ray for "
+                               "coordinate %d" % i)
         ray = [sum(c[k] * self.kernel[k][j] for k in range(self.m))
                for j in range(self.d)]
         self.unbounded_ray = ray
@@ -235,55 +251,80 @@ class SliceFamily:
     def _count_propagate(self, b, lo, hi):
         m = self.m
         order = self.order
-        cons = [row + (bh,) for row, bh in zip(self.rows, b)]
+        rows = self.rows
+        reads_hi, reads_lo = self.reads_hi, self.reads_lo
+        # pending[j]: row j is on the worklist; the root queues every row
+        pending = [True] * len(rows)
 
-        def propagate(lo, hi):
+        def propagate(lo, hi, work):
             # a . c >= b with slack s = max(a . c) - b >= 0 bounds each c_k
-            # by s // |a_k| from the end of its range that attains the max
-            changed = True
-            while changed:
-                changed = False
-                for kp, cp, kn, cn, bh in cons:
-                    slack = -bh
-                    for k, x in zip(kp, cp):
-                        slack += x * hi[k]
-                    for k, x in zip(kn, cn):
-                        slack -= x * lo[k]
-                    if slack < 0:
-                        return False
-                    for k, x in zip(kp, cp):
-                        nb = hi[k] - slack // x
-                        if nb > lo[k]:
-                            lo[k] = nb
-                            changed = True
-                    for k, x in zip(kn, cn):
-                        nb = lo[k] + slack // x
-                        if nb < hi[k]:
-                            hi[k] = nb
-                            changed = True
+            # by s // |a_k| from the end of its range that attains the max;
+            # a moved bound queues only the rows whose slack reads it
+            while work:
+                j = work.popleft()
+                pending[j] = False
+                kp, cp, kn, cn = rows[j]
+                slack = -b[j]
+                for k, x in zip(kp, cp):
+                    slack += x * hi[k]
+                for k, x in zip(kn, cn):
+                    slack -= x * lo[k]
+                if slack < 0:
+                    for r in work:
+                        pending[r] = False
+                    return False
+                for k, x in zip(kp, cp):
+                    nb = hi[k] - slack // x
+                    if nb > lo[k]:
+                        lo[k] = nb
+                        for r in reads_lo[k]:
+                            if not pending[r]:
+                                pending[r] = True
+                                work.append(r)
+                for k, x in zip(kn, cn):
+                    nb = lo[k] + slack // x
+                    if nb < hi[k]:
+                        hi[k] = nb
+                        for r in reads_hi[k]:
+                            if not pending[r]:
+                                pending[r] = True
+                                work.append(r)
             return True
 
-        def rec(lo, hi, depth):
-            if not propagate(lo, hi):
+        def rec(lo, hi, depth, work):
+            if not propagate(lo, hi, work):
                 return 0
             while depth < m and lo[order[depth]] == hi[order[depth]]:
                 depth += 1
             if depth == m:
-                for kp, cp, kn, cn, bh in cons:
-                    if (sum(x * lo[k] for k, x in zip(kp, cp)) -
-                            sum(x * lo[k] for k, x in zip(kn, cn)) < bh):
-                        raise AssertionError("propagation leaf violates "
-                                             "a checked constraint")
+                for (kp, cp, kn, cn), bh in zip(rows, b):
+                    value = -bh
+                    for k, x in zip(kp, cp):
+                        value += x * lo[k]
+                    for k, x in zip(kn, cn):
+                        value -= x * lo[k]
+                    if value < 0:
+                        raise RuntimeError("propagation leaf violates "
+                                           "a checked constraint")
                 return 1
             k = order[depth]
             total = 0
             for v in range(lo[k], hi[k] + 1):
+                # fixing c_k = v raises lo[k] unless v is its lowest value
+                # and lowers hi[k] unless v is its highest
+                work = deque()
+                if v > lo[k]:
+                    work += reads_lo[k]
+                if v < hi[k]:
+                    work += reads_hi[k]
+                for j in work:
+                    pending[j] = True
                 l2, h2 = list(lo), list(hi)
                 l2[k] = h2[k] = v
-                total += rec(l2, h2, depth + 1)
+                total += rec(l2, h2, depth + 1, work)
             return total
 
-        return rec(lo, hi, 0)
+        return rec(lo, hi, 0, deque(range(len(rows))))
 
     def _count_lp(self, rhs):
         m = self.m

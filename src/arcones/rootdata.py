@@ -252,10 +252,10 @@ def cartan_data(Q):
     dmat = [[Q.d[i] if i == j else 0 for j in range(n)] for i in range(n)]
     euler = mat_mul(el, dmat)
     if euler != mat_mul(dmat, er):
-        raise AssertionError("E_l D != D E_r")
+        raise RuntimeError("E_l D != D E_r")
     cart = [[el[i][j] + er[j][i] for j in range(n)] for i in range(n)]
     if cart != cartan_matrix(Q.letter, n):
-        raise AssertionError("Cartan matrix mismatch")
+        raise RuntimeError("Cartan matrix mismatch")
     return CartanData(Q, el, er, dmat, euler, cart)
 
 
@@ -309,11 +309,11 @@ def weyl_group(cd):
         frontier = new
     expected = WEYL_ORDERS[cd.Q.letter](n)
     if len(order) != expected:
-        raise AssertionError("Weyl group order %d != %d" % (len(order), expected))
+        raise RuntimeError("Weyl group order %d != %d" % (len(order), expected))
     maxlen = max(seen.values())
     longest = [w for w, l in seen.items() if l == maxlen]
     if len(longest) != 1:
-        raise AssertionError("longest element is not unique")
+        raise RuntimeError("longest element is not unique")
     w0 = order.index(longest[0])
     w0mat = [list(r) for r in longest[0]]
     star = {}
@@ -325,7 +325,7 @@ def weyl_group(cd):
                 star[i] = j
                 break
         else:
-            raise AssertionError("w0 does not permute simple roots up to sign")
+            raise RuntimeError("w0 does not permute simple roots up to sign")
     elements = [[list(r) for r in w] for w in order]
     lengths = {k: seen[tuple(tuple(r) for r in w)] for k, w in enumerate(elements)}
     return WeylGroup(elements, lengths, w0, star, cart)
@@ -370,7 +370,7 @@ def positive_roots(cd):
     pos = sorted(k for k in seen if all(x >= 0 for x in k) and any(k))
     expected = NUM_POS_ROOTS[cd.Q.letter](n)
     if len(pos) != expected:
-        raise AssertionError("positive root count %d != %d" % (len(pos), expected))
+        raise RuntimeError("positive root count %d != %d" % (len(pos), expected))
     out = []
     for k in pos:
         fw = tuple(sum(k[j] * cart[j][i] for j in range(n)) for i in range(n))

@@ -94,6 +94,24 @@ def test_count_d5_triple_check():
         "1 0 0 0 0,1 0 0 0 0,0 1 0 0 0,1,1,yes"
 
 
+def test_count_check_decomposes_each_pair_once(monkeypatch):
+    calls = []
+    decompose = lieoracle.tensor_decomposition
+
+    def counted(cd, mu, nu):
+        calls.append((tuple(mu), tuple(nu)))
+        return decompose(cd, mu, nu)
+
+    monkeypatch.setattr(lieoracle, "tensor_decomposition", counted)
+    res = run("count", "--type", "A2", "--grid", "1", "--check")
+    assert res.exit_code == 0, res.output
+    doms = list(itertools.product(range(2), repeat=2))
+    assert sorted(calls) == sorted(itertools.product(doms, doms))
+    rows = res.output.strip().splitlines()[1:]
+    assert len(rows) > len(calls)
+    assert all(row.endswith(",yes") for row in rows)
+
+
 def test_count_grid_check_a3():
     res = run("count", "--type", "A3", "--grid", "1", "--check")
     assert res.exit_code == 0

@@ -114,6 +114,38 @@ def test_strategies_agree_d4():
     _assert_strategies_agree(s.family(), targets)
 
 
+def test_d5_counts_match_brauer_klimyk():
+    s = System("D", 5)
+    # every lambda of the decompositions of the pairs from {0, omega_i},
+    # plus zero-valued lambda on the slice lattice that only the DFS rejects
+    want = {mu + nu + lam: c
+            for mu, nu in itertools.product(_fundamental(5), repeat=2)
+            for lam, c in lieoracle.tensor_decomposition(s.cd, mu, nu).items()}
+    assert len(want) == 104
+    zeros = [(0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+             (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0),
+             (0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 2, 0),
+             (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0)]
+    want.update((t, 0) for t in zeros)
+    fam = s.family()
+    assert {t: fam.count(t) for t in want} == want
+
+
+@pytest.mark.parametrize("letter, n, orient", [
+    ("A", 3, None), ("D", 4, None), ("D", 4, [(2, 1), (3, 2), (4, 2)]),
+], ids=["A3", "D4", "D4:2>1,3>2,4>2"])
+def test_watch_lists_match_row_signs(letter, n, orient):
+    # row j's slack reads hi[k] where its entry at k is positive and lo[k]
+    # where it is negative; the watch lists say exactly that
+    fam = System(letter, n, orient).family()
+    assert fam.m > 0
+    for k in range(fam.m):
+        assert fam.reads_hi[k] == [j for j, (a, _i) in enumerate(fam.active)
+                                   if a[k] > 0]
+        assert fam.reads_lo[k] == [j for j, (a, _i) in enumerate(fam.active)
+                                   if a[k] < 0]
+
+
 def test_count_unknown_strategy_raises():
     fam = System("A", 2).family()
     # (1,0,0,0,0,0) is off the slice lattice, an early return of 0

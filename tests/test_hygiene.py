@@ -1,6 +1,7 @@
 """Static checks on the package source, using only the stdlib ast module.
 
 - no assert statements: they vanish under python -O, so invariants raise;
+- no raise of AssertionError: invariant checks raise RuntimeError;
 - no imported name that the module never uses;
 - no module-level _private function that its own module never references.
 """
@@ -30,6 +31,19 @@ def test_no_assert_statements(name):
     found = [node.lineno for node in ast.walk(_tree(name))
              if isinstance(node, ast.Assert)]
     assert not found, "%s: assert on lines %s" % (name, found)
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_assertion_error_raised(name):
+    found = [node.lineno for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and _raised_name(node) == "AssertionError"]
+    assert not found, "%s: raise AssertionError on lines %s" % (name, found)
 
 
 @pytest.mark.parametrize("name", MODULES)
