@@ -83,7 +83,7 @@ def main():
 # ---------------------------------------------------------------------------
 
 def _write_build_artifacts(system, variant, outdir):
-    iq = system.ice()
+    iq = system.ice(variant)
     Q = system.quiver
     files = {
         "quiver.json": json.dumps({"format": FORMAT_VERSION,
@@ -359,7 +359,7 @@ def _suite_mutation(system, _bound):
 
 def _suite_fpoly(system, _bound):
     brute = system.tv_bruteforce
-    sets = cone.tv_strict_sets(system.ice(), source="fpoly")
+    sets = system.tv_sets
     bad = sorted(v.label for v in brute.keys() | sets.keys()
                  if brute.get(v) != sets.get(v))
     return {"passed": not bad, "mismatches": bad,

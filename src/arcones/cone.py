@@ -9,7 +9,7 @@ group "u" for negative, "l" for neutral, "r" for positive vertices.
 import itertools
 from dataclasses import dataclass, field
 
-from . import arpresent, mutation, pathalg
+from . import mutation, pathalg
 from .exact import lp_min
 
 _GROUP_OF_KIND = {"negative": "u", "neutral": "l", "positive": "r"}
@@ -167,35 +167,28 @@ def tv_strict_sets(iq, source="bruteforce"):
     return out
 
 
-def assemble_cone(iq, variant="full2", *, strict_sets):
-    """Build the ConeSpec of the given variant from the full2 ice quiver
-    and its T_v sets (as returned by tv_strict_sets).
+def assemble_cone(amb, *, strict_sets):
+    """Build the ConeSpec of the variant of the ice quiver amb from the T_v
+    sets of the full2 ice quiver (as returned by tv_strict_sets; full2
+    coordinates follow amb.cat.objects).
 
-    Restricted variants keep the groups listed for them, restrict every
-    vector to the surviving coordinates, and additionally include the full
-    dimension vector of any T_v whose maximal frozen vertex was deleted.
+    The frozen vertices of amb are the T_v the variant keeps.  Every vector
+    is restricted to the vertices of amb, and the full dimension vector of
+    T_v is added wherever amb lacks its maximal frozen vertex.
     """
-    if iq.variant != "full2":
-        raise ValueError("assemble_cone starts from the full2 ice quiver")
-    groups_of = {"full2": ("u", "l", "r"), "u": ("u",), "sharp": ("u", "r"),
-                 "l": ("l",), "r": ("r",)}[variant]
-    amb = iq if variant == "full2" else \
-        arpresent.build_ice_quiver(iq.cat, variant)
-    keep = [iq.index[v] for v in amb.vertices]
+    full2 = {p: k for k, p in enumerate(amb.cat.objects)}
+    keep = [full2[v] for v in amb.vertices]
     entries = []
-    for v in iq.vertices:
-        if not iq.frozen[v]:
+    for v in amb.vertices:
+        if not amb.frozen[v]:
             continue
         g = _GROUP_OF_KIND[v.kind]
-        if g not in groups_of:
-            continue
-        vecs = set(strict_sets[v])
+        vecs = {tuple(vec[k] for k in keep) for vec in strict_sets[v]}
         # pi^{-1}(v) is the maximal frozen vertex of T_v, the spot only the
         # full module occupies
-        if variant != "full2" and iq.cat.pi_inv(v) not in amb.vertices:
-            vecs.add(iq.tv_dim(v))
-        for vec in vecs:
-            r = tuple(vec[k] for k in keep)
+        if amb.cat.pi_inv(v) not in amb.index:
+            vecs.add(amb.tv_dim(v))
+        for r in vecs:
             if any(r):
                 entries.append((g, v, r))
     entries.sort(key=lambda e: (_GROUP_ORDER[e[0]], e[1].index, e[2]))
@@ -206,7 +199,7 @@ def assemble_cone(iq, variant="full2", *, strict_sets):
         seen.add((g, r))
         groups.setdefault(g, []).append(len(columns))
         columns.append((v, r))
-    return ConeSpec(variant, list(amb.vertices), columns, groups)
+    return ConeSpec(amb.variant, list(amb.vertices), columns, groups)
 
 
 def prune_redundant(spec):

@@ -20,11 +20,10 @@ from .exact import (dot, integer_row_solution, lcm, left_kernel_lattice,
 
 
 def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
-             target=None, sense="min", fixed=None):
+             target=None, sense="min"):
     """Exact optimum of objective . g over the rational polyhedron
 
-        {g : g . row >= rhs for each inequality, g . sigma = target,
-             g[k] = value for each fixed coordinate}.
+        {g : g . row >= rhs for each inequality, g . sigma = target}.
 
     Returns (status, g, value) with status "optimal", "infeasible" or
     "unbounded"; the reported optimum is re-verified by substitution.
@@ -40,9 +39,6 @@ def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
         for j in range(len(target)):
             a_eq.append([sigma[k][j] for k in range(d)])
             b_eq.append(target[j])
-    for k, val in sorted((fixed or {}).items()):
-        a_eq.append([1 if i == k else 0 for i in range(d)])
-        b_eq.append(val)
     c = list(objective) if sense == "min" else [-x for x in objective]
     status, x, value = lp_min(c, a_ub, b_ub, a_eq, b_eq)
     if status != "optimal":
@@ -330,28 +326,31 @@ class SliceFamily:
         m = self.m
         order = self.order
         rows = [list(a) for a, _i in self.active]
+        c = [0] * m
 
-        def rec(fixed, depth):
+        def rec(depth, free, rest):
+            # free: each row on the coordinates order[depth:], and rest: its
+            # right-hand side less the terms of the coordinates fixed so far
             if depth == m:
-                c = [fixed[k] for k in range(m)]
                 return 1 if all(dot(a, c) >= b
                                 for a, b in zip(rows, rhs)) else 0
+            obj = [1] + [0] * (m - depth - 1)
+            st, _x, vmin = lp_bound(obj, free, rest, sense="min")
+            if st != "optimal":
+                return 0
+            st, _x, vmax = lp_bound(obj, free, rest, sense="max")
+            if st != "optimal":
+                return 0
             k = order[depth]
-            obj = [1 if j == k else 0 for j in range(m)]
-            st, _c, vmin = lp_bound(obj, rows, rhs, sense="min", fixed=fixed)
-            if st != "optimal":
-                return 0
-            st, _c, vmax = lp_bound(obj, rows, rhs, sense="max", fixed=fixed)
-            if st != "optimal":
-                return 0
+            tails = [a[1:] for a in free]
             total = 0
             for v in range(ceil(vmin), floor(vmax) + 1):
-                fixed[k] = v
-                total += rec(fixed, depth + 1)
-                del fixed[k]
+                c[k] = v
+                total += rec(depth + 1, tails,
+                             [b - a[0] * v for a, b in zip(free, rest)])
             return total
 
-        return rec({}, 0)
+        return rec(0, [[a[k] for k in order] for a in rows], rhs)
 
 
 def kostant_partition(Q, gamma):

@@ -1,7 +1,7 @@
 """Skew-symmetrizable mutation engine.
 
 B-matrix, g-vector and dual-(g, F) mutation; the mutation sequences
-mu_sqrt_l, mu_l, mu_r with the permutation pi; the cyclic identities report;
+mu_sqrt_l, mu_l with the permutation pi; the cyclic identities report;
 and the F-polynomial algorithm that computes all subrepresentation dimension
 vectors of the cone modules T_v.
 """
@@ -166,13 +166,12 @@ def mutate_dual_state(state, step):
 class MuSequences:
     mu_sqrt_l: list              # vertex lists (Presentation), applied left to right
     mu_l: list
-    mu_r: list
     pi: dict                     # Presentation -> Presentation
     pi2: dict
 
 
 def mu_sequences(iq):
-    """The sequences mu_sqrt_l, mu_l, mu_r and the permutations pi, pi^2."""
+    """The sequences mu_sqrt_l, mu_l and the permutations pi, pi^2."""
     cat = iq.cat
     Q = cat.ar.Q
     pos = {i: k for k, i in enumerate(Q.topological_order())}
@@ -187,8 +186,7 @@ def mu_sequences(iq):
     pi2 = {v: pi[pi[v]] for v in iq.vertices}
     sqrt_l_pi = [pi[v] for v in sqrt_l]
     mu_l = sqrt_l + sqrt_l_pi
-    mu_r = mu_l + mu_l
-    return MuSequences(sqrt_l, mu_l, mu_r, pi, pi2)
+    return MuSequences(sqrt_l, mu_l, pi, pi2)
 
 
 @dataclass

@@ -26,14 +26,12 @@ class System:
 
     orient is a list of arrows (i, j), meaning i -> j, or None for the
     default orientation.  Per-variant stages take the variant name ("full2",
-    "u", "sharp", "l", "r"); the cone of every variant is assembled from the
-    T_v sets of the full2 ice quiver.
+    "u", "sharp", "l", "r"); the cone of a variant is read off that
+    variant's ice quiver and the T_v sets of the full2 ice quiver.
 
-    Route rule for the T_v sets: the GF(2)/GF(3) brute force wherever it
-    accepts the input, since it is the faster route there and the reference
-    the tests compare against; F-polynomial mutation where the brute force
-    refuses with NotImplementedError (from D5 on: vertex spaces it cannot
-    reduce, or a T_v above cone.DEFAULT_CAP).
+    The T_v sets come from F-polynomial mutation.  The GF(2)/GF(3) brute
+    force (tv_bruteforce) is the independent check on them; no other stage
+    builds a pathalg.PathAlg.
     """
 
     letter: str
@@ -68,21 +66,20 @@ class System:
 
     @cached_property
     def tv_bruteforce(self):
-        """The T_v sets by the GF(2)/GF(3) brute force; raises
-        NotImplementedError where the brute force refuses the input."""
+        """The T_v sets by the GF(2)/GF(3) brute force, the check on
+        tv_sets; raises NotImplementedError where the brute force refuses
+        the input."""
         return tv_strict_sets(self.ice(), "bruteforce")
 
     @cached_property
     def tv_sets(self):
-        """Strict subrep dimension vectors of every T_v, by the route rule."""
-        try:
-            return self.tv_bruteforce
-        except NotImplementedError:
-            return tv_strict_sets(self.ice(), "fpoly")
+        """Strict subrep dimension vectors of every T_v of the full2 ice
+        quiver, by F-polynomial mutation."""
+        return tv_strict_sets(self.ice(), "fpoly")
 
     def cone(self, variant="full2"):
         return _memo(self._cone, variant,
-                     lambda: assemble_cone(self.ice(), variant,
+                     lambda: assemble_cone(self.ice(variant),
                                            strict_sets=self.tv_sets))
 
     def sigma(self, variant="full2"):

@@ -31,7 +31,6 @@ def test_build_d4_44_columns(tmp_path):
 
 
 def test_build_d5_via_fpoly(tmp_path):
-    # brute force refuses D5, so the T_v sets come from F-polynomials
     res = run("build", "--type", "D5", "--out", str(tmp_path))
     assert res.exit_code == 0, res.output
     summary = json.load(open(tmp_path / "summary.json"))
@@ -51,6 +50,22 @@ def test_build_a2_ungraded_variant(tmp_path, variant):
     assert summary["cone"]["supported"]
     assert os.path.exists(tmp_path / "hmatrix.csv")
     assert not os.path.exists(tmp_path / "sigma.json")
+
+
+@pytest.mark.parametrize("variant", ["u", "sharp", "l", "r"])
+def test_build_variant_writes_its_ice_quiver(tmp_path, variant):
+    # icequiver.*, the H matrix and sigma all describe the variant's quiver
+    res = run("build", "--type", "A2", "--variant", variant,
+              "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    quiver = json.load(open(tmp_path / "icequiver.json"))
+    assert quiver["variant"] == variant
+    ids = [v["id"] for v in quiver["vertices"]]
+    assert json.load(open(tmp_path / "hmatrix.json"))["ambient"] == ids
+    assert json.load(open(tmp_path / "summary.json"))["vertices"] == len(ids)
+    if variant in ("u", "sharp"):
+        rows = json.load(open(tmp_path / "sigma.json"))["rows"]
+        assert list(rows) == ids
 
 
 def test_build_g2_cone_unsupported(tmp_path):
@@ -242,15 +257,16 @@ def test_verify_all_bruteforce_once(monkeypatch):
 
 
 def test_verify_fpoly_mismatch_exit_1(monkeypatch):
-    real = cone.tv_strict_sets
+    real = mutation.tv_subreps_via_fpoly
 
-    def planted(iq, source):
-        sets = real(iq, source)
-        v = min(sets, key=lambda v: v.label)
-        sets[v] = set(list(sets[v])[1:])
+    def planted(iq, i):
+        sets = real(iq, i)
+        if i == 1:
+            v = min(sets, key=lambda v: v.label)
+            sets[v] = set(list(sets[v])[1:])
         return sets
 
-    monkeypatch.setattr(cone, "tv_strict_sets", planted)
+    monkeypatch.setattr(mutation, "tv_subreps_via_fpoly", planted)
     res = run("verify", "fpoly", "--type", "A2")
     assert res.exit_code == 1
     assert "FAIL" in res.output

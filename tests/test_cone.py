@@ -1,6 +1,6 @@
 import pytest
 
-from arcones import cone, pathalg
+from arcones import cone, lieoracle, pathalg
 from arcones.system import System
 
 
@@ -93,7 +93,8 @@ def test_a2_u_variant_columns():
 def test_restricted_columns_are_restrictions(letter, n, variant):
     s = System(letter, n)
     iq, full2, sub = s.ice(), s.cone(), s.cone(variant)
-    keep = [iq.index[v] for v in sub.vertices]
+    # the cone is read off the variant's own ice quiver
+    assert sub.variant == variant and sub.vertices == s.ice(variant).vertices
     groups = {"u": ("negative",), "sharp": ("negative", "positive"),
               "l": ("neutral",), "r": ("positive",)}[variant]
     expected = set()
@@ -103,6 +104,25 @@ def test_restricted_columns_are_restrictions(letter, n, variant):
             if any(r):
                 expected.add(r)
     assert {c for _v, c in sub.columns} == expected
+
+
+@pytest.mark.parametrize("letter,n,orient", [
+    ("A", 2, None), ("A", 3, None), ("A", 4, None), ("A", 5, None),
+    ("A", 6, None), ("D", 4, None), ("D", 4, [(2, 1), (3, 2), (4, 2)])],
+    ids=["A2", "A3", "A4", "A5", "A6", "D4", "D4:2>1,3>2,4>2"])
+def test_count_builds_no_pathalg(monkeypatch, letter, n, orient):
+    # F-polynomials build every T_v: the brute force's path algebra is
+    # for the check only
+    def refuse(iq):
+        raise AssertionError("PathAlg built outside tv_bruteforce")
+
+    monkeypatch.setattr(pathalg, "PathAlg", refuse)
+    s = System(letter, n, orient)
+    mu = tuple(int(k == 0) for k in range(n))
+    lam = tuple(2 * x for x in mu)
+    want = lieoracle.tensor_decomposition(s.cd, mu, mu)[lam]
+    assert want == 1
+    assert s.family().count(mu + mu + lam) == want
 
 
 def test_prune_drops_redundant():
