@@ -7,13 +7,11 @@ Exit codes: 0 success, 1 verification failure (or --check mismatch),
 
 import csv
 import functools
-import hashlib
 import io
 import itertools
 import json
 import os
 import random
-import shutil
 import sys
 import time
 
@@ -28,17 +26,12 @@ SUITES = ("structural", "kostant", "weights", "mutation", "fpoly", "oracle",
           "all")
 
 
-def _parse_type(type_, rank):
-    """Accept --type D4 or --type D --rank 4."""
-    letter = type_[0].upper()
-    rest = type_[1:]
-    if rest:
-        if rank is not None and rank != int(rest):
-            raise ValueError("--rank contradicts --type %s" % type_)
-        rank = int(rest)
-    if rank is None:
-        raise ValueError("no rank given (use --type D4 or --rank)")
-    return letter, rank
+def _parse_type(type_):
+    """Split --type D4 into ("D", 4)."""
+    letter, digits = type_[:1].upper(), type_[1:]
+    if not digits:
+        raise ValueError("no rank in --type %r (use e.g. --type D4)" % type_)
+    return letter, int(digits)
 
 
 def _parse_orient(orient):
@@ -124,40 +117,20 @@ def _write_build_artifacts(system, variant, outdir):
     return summary
 
 
-def _cache_key(letter, rank, orient, variant):
-    h = hashlib.sha256(repr((orient or "", variant)).encode()).hexdigest()[:12]
-    return "%s%d-%s" % (letter, rank, h)
-
-
 @main.command()
 @click.option("--type", "type_", required=True, help="Dynkin type, e.g. D4.")
-@click.option("--rank", type=int, default=None)
 @click.option("--orient", default=None,
               help="Arrow list like '2>1,3>2,4>2'; default orientation "
                    "if omitted.")
 @click.option("--variant", default="full2",
               type=click.Choice(sorted(arpresent.VARIANTS)))
-@click.option("--cache-dir", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=".")
 @_guard
-def build(type_, rank, orient, variant, cache_dir, out):
+def build(type_, orient, variant, out):
     """Write quiver, ice quiver, H matrix and weight configuration files."""
-    letter, rank = _parse_type(type_, rank)
-    system = System(letter, rank, _parse_orient(orient))
-    if cache_dir:
-        slot = os.path.join(cache_dir, _cache_key(letter, rank, orient,
-                                                  variant))
-        if not os.path.exists(os.path.join(slot, "summary.json")):
-            _write_build_artifacts(system, variant, slot)
-        os.makedirs(out, exist_ok=True)
-        for name in os.listdir(slot):
-            shutil.copyfile(os.path.join(slot, name),
-                            os.path.join(out, name))
-        with open(os.path.join(out, "summary.json")) as fh:
-            summary = json.load(fh)
-    else:
-        summary = _write_build_artifacts(system, variant, out)
-    click.echo(json.dumps(summary, indent=1))
+    system = System(*_parse_type(type_), _parse_orient(orient))
+    click.echo(json.dumps(_write_build_artifacts(system, variant, out),
+                          indent=1))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +192,6 @@ def _oracle_value(cd, variant, weights, decompositions):
 
 @main.command("count")
 @click.option("--type", "type_", required=True)
-@click.option("--rank", type=int, default=None)
 @click.option("--orient", default=None)
 @click.option("--variant", default="full2",
               type=click.Choice(["full2", "sharp", "u"]))
@@ -234,10 +206,9 @@ def _oracle_value(cd, variant, weights, decompositions):
 @click.option("--out", type=click.Path(), default=None,
               help="Write the CSV here instead of stdout.")
 @_guard
-def cmd_count(type_, rank, orient, variant, triple, targets_opt, grid, check,
-              out):
+def cmd_count(type_, orient, variant, triple, targets_opt, grid, check, out):
     """Count lattice points of weight slices; CSV output."""
-    letter, rank = _parse_type(type_, rank)
+    letter, rank = _parse_type(type_)
     system = System(letter, rank, _parse_orient(orient))
     if not system.quiver.trivially_valued:
         raise ValueError("counting is unsupported for valued type %s%d"
@@ -402,16 +373,15 @@ _SUITE_FUNCS = {
 @main.command()
 @click.argument("suite", type=click.Choice(SUITES))
 @click.option("--type", "type_", required=True)
-@click.option("--rank", type=int, default=None)
 @click.option("--orient", default=None)
 @click.option("--max", "bound", type=int, default=2,
               help="Grid bound for the kostant/weights/oracle suites.")
 @click.option("--out", type=click.Path(), default=None,
               help="Write the JSON report here.")
 @_guard
-def verify(suite, type_, rank, orient, bound, out):
+def verify(suite, type_, orient, bound, out):
     """Run a verification suite; exit 0 iff every check passes."""
-    letter, rank = _parse_type(type_, rank)
+    letter, rank = _parse_type(type_)
     system = System(letter, rank, _parse_orient(orient))
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     report = {"format": FORMAT_VERSION, "type": "%s%d" % (letter, rank),

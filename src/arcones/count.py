@@ -1,17 +1,19 @@
-"""Exact lattice-point counting of weight slices of cones, plus the Kostant
-partition brute force.
+"""Exact lattice-point counting of weight slices of cones, plus Kostant's
+partition function as a memoized recursion over the positive roots.
 
 A slice is {g : g . h >= 0 for every cone column h, g . sigma = target}.
 Counting reduces the affine integer slice to integer coordinates on the left
 kernel lattice of sigma and enumerates by a pruned depth-first search.  All
 arithmetic is exact and no floating point is used anywhere.  The LPs that
 set up a SliceFamily work over Fractions; everything that does not depend on
-the target is precomputed there, so counting one slice (strategy
-"propagate") uses ints only.
+the target is precomputed there, so SliceFamily.count uses ints only.
+SliceFamily.count_lp, which brackets every coordinate by exact LPs, is the
+reference the tests compare it against.
 """
 
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from math import ceil, floor
 
 from . import arpresent, rootdata
@@ -88,11 +90,14 @@ class SliceFamily:
     per-target path does integer arithmetic only.  sigma is a WeightConfig
     or its list of rows.
 
-    The count is a depth-first search over the box that narrows the bounds
-    by propagation at every node.  A row's slack reads hi[k] where its entry
+    count is a depth-first search over the box that narrows the bounds by
+    propagation at every node.  A row's slack reads hi[k] where its entry
     at k is positive and lo[k] where it is negative; the watch lists
     reads_hi[k] and reads_lo[k] name those rows, so a moved bound re-queues
     only the rows that read it (queue-based AC-3, Mackworth 1977).
+    count_lp, the reference the tests compare count against, brackets each
+    coordinate by exact LPs instead; both read the target through one
+    prefix, _slice_rhs.
     """
 
     def __init__(self, cone, sigma):
@@ -196,14 +201,12 @@ class SliceFamily:
                for j in range(self.d)]
         self.unbounded_ray = ray
 
-    def count(self, target, strategy="propagate"):
-        """Number of integer points of the slice at the given target.
-
-        strategy "propagate" is the counting route; "lp" brackets every
-        coordinate by exact LPs and serves as the reference in the tests.
+    def _slice_rhs(self, target):
+        """The right-hand sides b of the active rows a . c >= b of the slice
+        at target, or None when the target alone empties the slice (off the
+        slice lattice, or a constant row fails).  Shared by count and
+        count_lp; raises on a bad width and on an unbounded nonempty slice.
         """
-        if strategy not in ("propagate", "lp"):
-            raise ValueError("unknown strategy %r" % (strategy,))
         target = list(target)
         if len(target) != self.width:
             raise ValueError("target has width %d, expected %d"
@@ -212,13 +215,13 @@ class SliceFamily:
             status, _g, _v = lp_bound([0] * self.d, self.hcols, None,
                                       self.sigma, target)
             if status == "infeasible":
-                return 0
+                return None
             raise UnboundedSliceError(
                 "slice is unbounded along the ray %s" % (self.unbounded_ray,),
                 self.unbounded_ray)
         g0 = integer_row_solution(self.hnf, target)
         if g0 is None:
-            return 0
+            return None
         # rhs[i] = -g0 . h_i, summed over the nonzero entries of g0
         rhs = [0] * len(self.hcols)
         for k, gk in enumerate(g0):
@@ -227,12 +230,14 @@ class SliceFamily:
                     rhs[i] -= gk * x
         for i in self.constant:
             if rhs[i] > 0:
-                return 0
-        if self.m == 0:
-            return 1
-        b = [rhs[i] for _a, i in self.active]
-        if strategy == "lp":
-            return self._count_lp(b)
+                return None
+        return [rhs[i] for _a, i in self.active]
+
+    def count(self, target):
+        """Number of integer points of the slice at the given target."""
+        b = self._slice_rhs(target)
+        if b is None:
+            return 0
         den = self.box_den
         lo, hi = [], []
         for lower, upper in zip(self.lower_form, self.upper_form):
@@ -322,7 +327,12 @@ class SliceFamily:
 
         return rec(lo, hi, 0, deque(range(len(rows))))
 
-    def _count_lp(self, rhs):
+    def count_lp(self, target):
+        """count by exact LP brackets of every coordinate, with no box and
+        no propagation: the reference the tests compare count against."""
+        rhs = self._slice_rhs(target)
+        if rhs is None:
+            return 0
         m = self.m
         order = self.order
         rows = [list(a) for a, _i in self.active]
@@ -353,31 +363,30 @@ class SliceFamily:
         return rec(0, [[a[k] for k in order] for a in rows], rhs)
 
 
-def kostant_partition(Q, gamma):
+def kostant_partition(cd, gamma):
     """Kostant's partition function: the number of ways to write gamma
     (a weight in fundamental-weight coordinates) as a nonnegative integer
-    combination of positive roots.  Returns 0 outside the root cone."""
-    cd = Q if isinstance(Q, rootdata.CartanData) else rootdata.cartan_data(Q)
-    n = len(cd.cartan)
-    k = vec_mat([Fraction(x) for x in gamma], mat_inv(cd.cartan))
-    rem = []
-    for x in k:
-        if x.denominator != 1 or x < 0:
-            return 0
-        rem.append(int(x))
-    roots = [a for a, _fw in rootdata.positive_roots(cd)]
+    combination of the positive roots of the CartanData cd.  Returns 0
+    outside the root cone.
 
+    Only the non-simple roots are enumerated, memoized on (root index,
+    remainder): the simple roots then fill any nonnegative remainder in
+    exactly one way.
+    """
+    k = vec_mat([Fraction(x) for x in gamma], mat_inv(cd.cartan))
+    if any(x.denominator != 1 or x < 0 for x in k):
+        return 0
+    roots = [a for a, _fw in rootdata.positive_roots(cd) if sum(a) > 1]
+
+    @cache
     def rec(idx, rem):
-        if not any(rem):
-            return 1
         if idx == len(roots):
-            return 0
+            return 1
         a = roots[idx]
         total = 0
-        cur = list(rem)
-        while all(x >= 0 for x in cur):
-            total += rec(idx + 1, cur)
-            cur = [cur[j] - a[j] for j in range(n)]
+        while all(x >= 0 for x in rem):
+            total += rec(idx + 1, rem)
+            rem = tuple(x - y for x, y in zip(rem, a))
         return total
 
-    return rec(0, rem)
+    return rec(0, tuple(int(x) for x in k))

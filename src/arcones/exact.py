@@ -14,14 +14,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]

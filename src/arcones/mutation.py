@@ -202,7 +202,7 @@ class Walk:
     b_sqrt_l: list               # mu_sqrt_l(B)
     b_l: list                    # mu_l(B)
     b_l2: list                   # mu_l(mu_l(B))
-    mu_l_is_pi2: bool            # mu_l(Delta) = pi^2(Delta), see check_mu_l_pi2
+    mu_l_is_pi2: bool            # mu_l(Delta) = pi^2(Delta), see _mu_l_is_pi2
     pi2: list                    # pi^2 relabelling: e'[k] = e[pi2[k]]
     pi2_inv: list                # its inverse, the same way
 
@@ -299,18 +299,14 @@ def verify_cyclic(iq):
 # subrepresentations of T_v via F-polynomials
 # ---------------------------------------------------------------------------
 
-def check_mu_l_pi2(iq):
-    """Whether mu_l(Delta) = pi^2(Delta) as ice quivers.
+def _mu_l_is_pi2(iq, bl, b0, pi2):
+    """Whether mu_l(Delta) = pi^2(Delta) as ice quivers, for bl, the
+    B-matrix mu_l made from b0.
 
     Entries between two frozen vertices are ignored: ice quivers are defined
     up to arrows between frozen vertices, and such entries never feed into
     mutations at mutable vertices.
     """
-    return iq.walk.mu_l_is_pi2
-
-
-def _mu_l_is_pi2(iq, bl, b0, pi2):
-    """check_mu_l_pi2 on bl, the B-matrix mu_l made from b0."""
     bp = _relabelled_b(b0, iq, pi2)
     mut = {iq.index[v] for v in iq.mutable}
     m = len(b0)

@@ -122,14 +122,6 @@ class ValuedQuiver:
     def trivially_valued(self):
         return all(v == (1, 1) for v in self.valuation.values())
 
-    def sources(self):
-        heads = {j for _, j in self.arrows}
-        return [i for i in range(1, self.n + 1) if i not in heads]
-
-    def sinks(self):
-        tails = {i for i, _ in self.arrows}
-        return [j for j in range(1, self.n + 1) if j not in tails]
-
     def topological_order(self):
         """Vertex order with i before j for every arrow (i, j)."""
         order, seen = [], set()

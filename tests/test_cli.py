@@ -79,12 +79,21 @@ def test_build_g2_cone_unsupported(tmp_path):
     assert not os.path.exists(tmp_path / "hmatrix.csv")
 
 
-def test_build_cache_idempotent(tmp_path):
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "cache"
-    run("build", "--type", "A2", "--cache-dir", str(c), "--out", str(a))
-    run("build", "--type", "A2", "--cache-dir", str(c), "--out", str(b))
-    for name in os.listdir(a):
-        assert open(a / name).read() == open(b / name).read()
+def test_type_carries_the_rank(tmp_path):
+    # the rank is read from --type only; --rank and build --cache-dir are
+    # click usage errors
+    res = run("build", "--type", "D", "--out", str(tmp_path))
+    assert res.exit_code == 2
+    assert "--type D4" in res.output
+    res = run("build", "--type", "A2", "--cache-dir", str(tmp_path),
+              "--out", str(tmp_path))
+    assert res.exit_code == 2
+    assert "No such option" in res.output and "--cache-dir" in res.output
+    res = run("count", "--type", "A2", "--rank", "2", "--triple", "1,0",
+              "0,1", "1,1")
+    assert res.exit_code == 2
+    assert "No such option" in res.output and "--rank" in res.output
+    assert not os.listdir(tmp_path)
 
 
 def test_count_triple_check():
@@ -231,7 +240,7 @@ def test_build_fpoly_precondition_failure_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mutation, "b_walk", planted)
     iq = System("A", 3).ice()
-    assert not mutation.check_mu_l_pi2(iq)
+    assert not iq.walk.mu_l_is_pi2
     with pytest.raises(RuntimeError, match=r"mu_l\(Delta\) != pi\^2"):
         mutation.tv_subreps_via_fpoly(iq, 1)
     res = run("build", "--type", "D5", "--out", str(tmp_path))

@@ -83,18 +83,21 @@ def _fundamental(rank):
 
 
 def _assert_strategies_agree(fam, targets):
-    # the LP route brackets each coordinate by exact LPs: an independent
+    # count_lp brackets each coordinate by exact LPs: an independent
     # reference for the integer box and the propagation
     values = set()
     for t in targets:
-        got = fam.count(t, "propagate")
-        assert got == fam.count(t, "lp"), t
+        got = fam.count(t)
+        assert got == fam.count_lp(t), t
         values.add(got)
     assert 0 in values and len(values) > 1
 
 
 def test_strategies_agree():
     fam = System("A", 2).family()
+    # (1,0,0,0,0,0) is off the slice lattice, an early return of 0
+    assert fam.count((1, 0, 0, 0, 0, 0)) == 0
+    assert fam.count_lp((1, 0, 0, 0, 0, 0)) == 0
     _assert_strategies_agree(
         fam, [mu + nu + lam for mu, nu, lam in itertools.product(
             itertools.product(range(2), repeat=2), repeat=3)])
@@ -146,16 +149,6 @@ def test_watch_lists_match_row_signs(letter, n, orient):
                                    if a[k] < 0]
 
 
-def test_count_unknown_strategy_raises():
-    fam = System("A", 2).family()
-    # (1,0,0,0,0,0) is off the slice lattice, an early return of 0
-    assert fam.count((1, 0, 0, 0, 0, 0)) == 0
-    with pytest.raises(ValueError, match="unknown strategy"):
-        fam.count((1, 0, 0, 0, 0, 0), "bogus")
-    with pytest.raises(ValueError, match="unknown strategy"):
-        fam.count((1, 1, 1, 1, 1, 1), "bogus")
-
-
 def test_count_path_uses_no_fraction(monkeypatch):
     # the per-target path is integers only: every Fraction is made while
     # the family is built
@@ -174,8 +167,30 @@ def test_count_path_uses_no_fraction(monkeypatch):
     assert type(fam.box_den) is int
     assert all(type(n) is int for form in forms for _h, n in form)
     monkeypatch.setattr(count, "Fraction", no_fraction)
-    assert {t: fam.count(t, "propagate") for t in want} == want
+    assert {t: fam.count(t) for t in want} == want
     assert any(want.values())
+
+
+@pytest.mark.parametrize("letter, n, weights", [
+    ("A", 2, list(itertools.product(range(3), repeat=2))),
+    ("A", 3, list(itertools.product(range(2), repeat=3))),
+    ("D", 5, _fundamental(5)),
+], ids=["A2", "A3", "D5"])
+def test_count_star_symmetry(letter, n, weights):
+    # c^lam_{mu nu} = c^lam_{nu mu} = c^{mu*}_{nu lam*}, where w*_i = w_{i*}
+    # for the involution i -> i* of -w0, nontrivial on all three types
+    s = System(letter, n)
+    star = rootdata.star_involution(s.cd)
+    assert any(i != j for i, j in star.items())
+    dual = lambda w: tuple(w[star[i] - 1] for i in range(1, n + 1))
+    fam = s.family()
+    values = set()
+    for mu, nu, lam in itertools.product(weights, repeat=3):
+        got = fam.count(mu + nu + lam)
+        assert got == fam.count(nu + mu + lam), (mu, nu, lam)
+        assert got == fam.count(nu + dual(lam) + dual(mu)), (mu, nu, lam)
+        values.add(got)
+    assert 0 in values and len(values) > 1
 
 
 def _orientations(edges):
@@ -186,7 +201,8 @@ def _orientations(edges):
 @pytest.mark.parametrize("letter, n, edges, columns", [
     ("A", 3, [(1, 2), (2, 3)], None),
     ("D", 4, [(2, 1), (3, 2), (4, 2)], {44, 64}),
-], ids=["A3", "D4"])
+    ("A", 4, [(1, 2), (2, 3), (3, 4)], {30, 35, 40}),
+], ids=["A3", "D4", "A4"])
 def test_counts_independent_of_orientation(letter, n, edges, columns):
     # every orientation of one Dynkin type gives the same count at every
     # target, with no Lie theory involved: mu, nu in {0, omega_i} and
@@ -238,6 +254,17 @@ def test_kostant_examples():
     # outside the root lattice / root cone
     assert count.kostant_partition(cd, (1, 0)) == 0
     assert count.kostant_partition(cd, [-x for x in a1]) == 0
+
+
+@pytest.mark.parametrize("gamma, value", [
+    ((3, -5, 5, 5), 128), ((2, 0, 4, 4), 16247), ((1, 1, 3, 5), 22972),
+])
+def test_kostant_d4_pinned(gamma, value):
+    # values in the thousands, which the enumeration of every positive root
+    # took seconds to minutes over; the u cone counts them independently
+    s = System("D", 4)
+    assert count.kostant_partition(s.cd, gamma) == value
+    assert s.family("u").count(gamma) == value
 
 
 def test_non_integral_slice_is_empty():

@@ -167,7 +167,7 @@ def test_verify_cyclic_g2_runs():
 
 @pytest.mark.parametrize("letter,n", [("A", 2), ("A", 3), ("D", 4)])
 def test_mu_l_pi2_precondition(letter, n):
-    assert mutation.check_mu_l_pi2(System(letter, n).ice())
+    assert System(letter, n).ice().walk.mu_l_is_pi2
 
 
 def test_tv_fpoly_a2():
@@ -216,7 +216,7 @@ def test_walk_built_once_per_quiver(monkeypatch):
     iq = System("D", 4).ice()
     for i in range(1, iq.n + 1):
         mutation.tv_subreps_via_fpoly(iq, i)
-    assert mutation.check_mu_l_pi2(iq)
+    assert iq.walk.mu_l_is_pi2
     mutation.verify_cyclic(iq)
     assert len(calls) == 1 and calls[0] is iq
 

@@ -1,7 +1,7 @@
 import pytest
 
 from arcones import rootdata
-from arcones.exact import mat_mul, transpose
+from arcones.exact import mat_mul
 
 
 ALL_TYPES = [
@@ -35,7 +35,7 @@ def test_cartan_symmetrizable(letter, rank):
     Q = rootdata.build_dynkin(letter, rank)
     cd = rootdata.cartan_data(Q)
     cd_sym = mat_mul(cd.cartan, cd.D)
-    assert cd_sym == transpose(cd_sym)
+    assert cd_sym == [list(col) for col in zip(*cd_sym)]
     # Euler identity E(Q) = E_l D = D E_r is asserted inside cartan_data.
 
 
@@ -109,9 +109,3 @@ def test_topological_order():
     order = Q.topological_order()
     assert order.index(2) < order.index(1)
     assert order.index(2) < order.index(3)
-
-
-def test_sources_sinks():
-    Q = rootdata.build_dynkin("A", 3)
-    assert Q.sources() == [1]
-    assert Q.sinks() == [3]
