@@ -2,11 +2,12 @@
 partition function as a memoized recursion over the positive roots.
 
 A slice is {g : g . h >= 0 for every cone column h, g . sigma = target}.
-Counting reduces the affine integer slice to integer coordinates on the left
-kernel lattice of sigma and enumerates by a pruned depth-first search.  All
-arithmetic is exact and no floating point is used anywhere.  The LPs that
-set up a SliceFamily work over Fractions; everything that does not depend on
-the target is precomputed there, so SliceFamily.count uses ints only.
+Counting reduces the affine integer slice to integer coordinates on an
+LLL-reduced basis of the left kernel lattice of sigma and enumerates by a
+pruned depth-first search.  All arithmetic is exact and no floating point is
+used anywhere.  The LPs that set up a SliceFamily work over Fractions;
+everything that does not depend on the target is precomputed there, so
+SliceFamily.count uses ints only.
 SliceFamily.count_lp, which brackets every coordinate by exact LPs, is the
 reference the tests compare it against.
 """
@@ -79,8 +80,11 @@ class SliceFamily:
 
     Precomputes, independently of the target: the row Hermite normal form of
     sigma (so each target's particular solution g0 is one back-substitution),
-    a saturated integer basis of the left kernel of sigma (so slice lattice
-    points become integer vectors c with g = g0 + c . kernel), the
+    an LLL-reduced integer basis of the left kernel lattice of sigma (so
+    slice lattice points become integer vectors c with g = g0 + c . kernel;
+    a short, nearly orthogonal basis gives sparse rows and a box close to
+    the slice, where the saturated basis read off the HNF transform is
+    skewed and the search meets far more dead ends), the
     inequality vectors in c-coordinates, and per-coordinate bounding
     functionals expressing each +-c_i as a nonnegative combination of the
     inequality vectors.  The functionals turn into finite enumeration boxes

@@ -2,8 +2,9 @@
 
 Everything here works on plain lists of lists holding ints or Fractions.
 The linear programs of lp_min are solved by a fraction-free integer simplex:
-its tableau holds only ints over one common denominator.  No floating point
-is used anywhere.
+its tableau holds only ints over one common denominator.  Lattice bases are
+reduced by lll_reduce, Cohen's integral LLL, which keeps its Gram-Schmidt
+data as ints with exact divisions.  No floating point is used anywhere.
 """
 
 from fractions import Fraction
@@ -151,11 +152,86 @@ def row_hnf(a):
     return h, u
 
 
+def lll_reduce(basis):
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the rows of
+    basis, which must be linearly independent.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number Theory,
+    1993, Alg. 2.6.7; Lenstra, Lenstra and Lovasz 1982): the Gram-Schmidt
+    data are kept as the integers d[j] = det of the Gram matrix of the first
+    j vectors and lam[k][j] = d[j+1] * mu_kj, so every division is exact.
+    The result is size-reduced (|2 lam[k][j]| <= d[j+1]) and meets the
+    Lovasz condition 4 d[k+1] d[k-1] >= 3 d[k]**2 - 4 lam[k][k-1]**2; it
+    spans the same lattice.  Raises RuntimeError on dependent rows.
+    """
+    b = [list(map(int, row)) for row in basis]
+    n = len(b)
+    # vectors count from 0: Cohen's d_j is d[j] (d_0 = 1) and his
+    # lambda_{k,j} is lam[k - 1][j - 1]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _k in range(n)]
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise RuntimeError("lll_reduce: the rows are dependent")
+            else:
+                d[k + 1] = u
+
+    def reduce(k, l):
+        # subtract the nearest integer multiple of b[l] from b[k]
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        x = lam[k][k - 1]
+        bb = (d[k - 1] * d[k + 1] + x * x) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - x * t) // d[k]
+            lam[i][k - 1] = (bb * t + x * lam[i][k]) // d[k + 1]
+        d[k] = bb
+
+    if n == 0:
+        return b
+    gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+            continue
+        for l in range(k - 2, -1, -1):
+            reduce(k, l)
+        k += 1
+    return b
+
+
 def left_kernel_lattice(hnf):
-    """Saturated integer basis of {x in Z^m : x a = 0}, given
-    hnf = row_hnf(a)."""
+    """LLL-reduced integer basis of {x in Z^m : x a = 0}, given
+    hnf = row_hnf(a).  The zero rows of h pick a saturated basis out of the
+    transform u; lll_reduce turns it into a short, nearly orthogonal basis
+    of the same lattice."""
     h, u = hnf
-    return [u[k] for k in range(len(h)) if all(x == 0 for x in h[k])]
+    return lll_reduce([u[k] for k in range(len(h))
+                       if all(x == 0 for x in h[k])])
 
 
 def integer_row_solution(hnf, t):

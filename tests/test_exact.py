@@ -5,7 +5,8 @@ import sys
 import textwrap
 from fractions import Fraction
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import arcones
@@ -75,6 +76,99 @@ def _det(a):
 def test_left_kernel_lattice(a):
     for v in exact.left_kernel_lattice(exact.row_hnf(a)):
         assert all(x == 0 for x in exact.vec_mat(v, a))
+
+
+@st.composite
+def small_basis(draw):
+    """m <= 4 integer vectors of one length n, m <= n <= m + 2, entries in
+    [-9, 9]; independent unless hypothesis says otherwise."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(max(m, 1), max(m, 1) + 2))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+def _gram_schmidt_ints(b):
+    """(d, lam) of Cohen's integral LLL, by exact Gram-Schmidt over
+    Fraction: d[j] = det of the Gram matrix of b[:j], lam[k][j] =
+    d[j + 1] * mu_kj."""
+    d = [Fraction(1)]
+    stars, lam = [], []
+    for v in b:
+        w = [Fraction(x) for x in v]
+        mus = []
+        for u in stars:
+            mu = exact.dot(v, u) / exact.dot(u, u)
+            mus.append(mu)
+            w = [x - mu * y for x, y in zip(w, u)]
+        stars.append(w)
+        d.append(d[-1] * exact.dot(w, w))
+        lam.append([mu * d[j + 1] for j, mu in enumerate(mus)])
+    return d, lam
+
+
+def _integer_transform(src, dst):
+    """The matrix t with t src = dst, or None if it is not integral."""
+    t = []
+    for v in dst:
+        x = exact.solve([list(col) for col in zip(*src)], v)
+        if x is None or any(xi.denominator != 1 for xi in x):
+            return None
+        t.append([int(xi) for xi in x])
+    return t
+
+
+@given(small_basis())
+@settings(max_examples=100, deadline=None)
+def test_lll_reduce(b):
+    assume(exact.rank(b) == len(b))
+    r = exact.lll_reduce(b)
+    assert all(type(x) is int for row in r for x in row)
+    assert len(r) == len(b) and all(len(x) == len(y) for x, y in zip(r, b))
+    # the same lattice: each basis is an integer combination of the other,
+    # by a transform of determinant +-1
+    if b:
+        t = _integer_transform(b, r)
+        assert t is not None and _integer_transform(r, b) is not None
+        assert _det(t) in (1, -1)
+    # size-reduced, and the Lovasz condition with delta = 3/4
+    d, lam = _gram_schmidt_ints(r)
+    for k, row in enumerate(lam):
+        for j, x in enumerate(row):
+            assert x.denominator == 1
+            assert abs(2 * x) <= d[j + 1], (k, j)
+        if k:
+            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * row[-1] ** 2
+
+
+def test_lll_reduce_small_cases():
+    assert exact.lll_reduce([]) == []
+    assert exact.lll_reduce([[3, -4, 0]]) == [[3, -4, 0]]
+    # the example of the LLL article on Wikipedia
+    assert exact.lll_reduce([[1, 1, 1], [-1, 0, 2], [3, 5, 6]]) == \
+        [[0, 1, 0], [1, 0, 1], [-1, 0, 2]]
+    with pytest.raises(RuntimeError):
+        exact.lll_reduce([[1, 2], [2, 4]])
+    with pytest.raises(RuntimeError):
+        exact.lll_reduce([[0, 0]])
+
+
+@given(small_basis(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_lll_reduce_dependent_raises(b, x):
+    assume(b)
+    combo = [sum(c * row[j] for c, row in zip(x, b)) for j in range(len(b[0]))]
+    with pytest.raises(RuntimeError):
+        exact.lll_reduce(b + [combo])
+
+
+@given(small_mat)
+@settings(max_examples=50, deadline=None)
+def test_left_kernel_lattice_is_reduced(a):
+    kernel = exact.left_kernel_lattice(exact.row_hnf(a))
+    d, lam = _gram_schmidt_ints(kernel)
+    assert all(abs(2 * x) <= d[j + 1]
+               for row in lam for j, x in enumerate(row))
 
 
 @given(small_mat, st.lists(st.integers(-4, 4), min_size=2, max_size=4))

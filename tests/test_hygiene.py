@@ -3,7 +3,9 @@
 - no assert statements: they vanish under python -O, so invariants raise;
 - no raise of AssertionError: invariant checks raise RuntimeError;
 - no imported name that the module never uses;
-- no module-level _private function that its own module never references.
+- no module-level _private function that its own module never references;
+- no floating point outside cli.py (which times suites): no float literal,
+  no use of the name float, and from math only integer functions.
 """
 
 import ast
@@ -67,3 +69,30 @@ def test_no_unreferenced_private_functions(name):
                and not node.name.startswith("__")}
     dead = sorted(private - _used_names(tree))
     assert not dead, "%s: unreferenced %s" % (name, dead)
+
+
+# the integer functions of math; everything else in it works on floats
+INTEGER_MATH = {"ceil", "floor", "gcd", "lcm", "comb", "prod", "isqrt"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cli.py"])
+def test_no_floats(name):
+    tree = _tree(name)
+    # the names `import math` binds, for the math.x attributes below
+    math_names = {a.asname or a.name for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  for a in node.names if a.name == "math"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, "float literal %r" % node.value))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, "math." + a.name) for a in node.names
+                      if a.name not in INTEGER_MATH]
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id in math_names and node.attr not in INTEGER_MATH:
+            found.append((node.lineno, "math." + node.attr))
+    assert not found, "%s: floating point %s" % (name, found)
