@@ -68,19 +68,35 @@ def mutate_g(g, b, u):
     return out
 
 
+def pack_exponents(e):
+    """The exponent vector e packed into one int, e[k] in bits 8k .. 8k+7
+    (byte k, little-endian); raises ValueError if an entry is outside
+    0 .. 255."""
+    return int.from_bytes(bytes(e), "little")
+
+
 @dataclass
 class DualTracked:
-    """A representation tracked through mutation by (g^vee, F^vee) only."""
+    """A representation tracked through mutation by (g^vee, F^vee) only.
+
+    fpoly maps each exponent vector, packed by pack_exponents, to its
+    positive int coefficient: e[k] = e >> 8k & 0xFF, and the terms that
+    agree off u share the key e & ~(0xFF << 8u).
+    """
 
     gdual: list
-    fpoly: dict                  # exponent tuple -> positive int coefficient
+    fpoly: dict                  # packed exponent -> positive int coefficient
 
 
 def mutate_dual_state(state, step):
     """Mutation of a dual-tracked representation at step.u.
 
     step is Step.at(b, u) for the B-matrix b of the current seed; the
-    caller mutates b itself.  Returns the new DualTracked.
+    caller mutates b itself.  Returns the new DualTracked.  Raises
+    RuntimeError if the result is not an F-polynomial (a remainder, a
+    negative exponent or coefficient, no constant term 1), and
+    NotImplementedError if an exponent exceeds 255: an 8-bit field of the
+    packed keys cannot hold it, and it must not carry into the next one.
     """
     u = step.u
     g = state.gdual
@@ -96,26 +112,51 @@ def mutate_dual_state(state, step):
     # F-polynomial: F'(y') = sum_e c_e * y'^(e off u)
     #   * y'_u^(beta - e_u + sum_{v!=u} e_v [b_{u,v}]_+)
     #   * (1+y'_u)^(beta' - beta - sum_{v!=u} e_v b_{u,v})
-    # the sums run over the nonzero entries of row u only.  The exponent q
-    # of (1+y'_u) does not involve e_u, so the terms that agree off u share
-    # it: each group is (1+t)^q * sum c * t^p in t = y'_u.
-    pos = [(v, x) for v, x in step.row if x > 0]
-    neg = [(v, x) for v, x in step.row if x < 0]
+    # the sums run over the nonzero entries of row u only and do not involve
+    # e_u, so the terms that agree off u (one key) share them: each group is
+    # (1+t)^q * sum c * t^(beta + sp - e_u) in t = y'_u.
+    shift = 8 * u
+    clear = ~(0xFF << shift)
+    pos = [(8 * v, x) for v, x in step.row if x > 0]
+    neg = [(8 * v, x) for v, x in step.row if x < 0]
     dq = beta2 - beta
     groups = {}
-    add = groups.setdefault
     for e, c in state.fpoly.items():
-        sp = 0
-        for v, x in pos:
-            sp += e[v] * x
-        sn = 0
-        for v, x in neg:
-            sn += e[v] * x
-        add((e[:u], e[u + 1:], dq - sp - sn), []).append((beta - e[u] + sp, c))
+        key = e & clear
+        terms = groups.get(key)
+        if terms is None:
+            groups[key] = [(e >> shift & 0xFF, c)]
+        else:
+            terms.append((e >> shift & 0xFF, c))
     newf = {}
-    for (head, tail, q), terms in groups.items():
-        lo = hi = terms[0][0]
-        for p, _ in terms:
+    for key, terms in groups.items():
+        sp = 0
+        for sv, x in pos:
+            sp += (key >> sv & 0xFF) * x
+        sn = 0
+        for sv, x in neg:
+            sn += (key >> sv & 0xFF) * x
+        q = dq - sp - sn
+        top = beta + sp
+        if len(terms) == 1 and q >= 0:
+            # c * t^p * (1+t)^q: the binomial row, with no division
+            eu, c = terms[0]
+            p = top - eu
+            if p < 0:
+                raise RuntimeError("negative exponent in mutated "
+                                   "F-polynomial")
+            if p + q > 0xFF:
+                raise _field_overflow(p + q)
+            k = key | p << shift
+            one = 1 << shift
+            for j in range(q + 1):
+                newf[k] = c
+                c = c * (q - j) // (j + 1)
+                k += one
+            continue
+        hi = lo = top - terms[0][0]
+        for eu, _ in terms:
+            p = top - eu
             if p < lo:
                 lo = p
             elif p > hi:
@@ -123,13 +164,10 @@ def mutate_dual_state(state, step):
         # expand sum c * t^p * (1+t)^(q+s), all powers nonneg after the shift
         s = -q if q < 0 else 0
         n = q + s
-        if n < 0:
-            raise RuntimeError("negative binomial exponent in "
-                               "F-polynomial mutation")
         arr = [0] * (hi - lo + n + 1)
-        for p, c in terms:
+        for eu, c in terms:
             binom = c
-            k0 = p - lo
+            k0 = top - eu - lo
             for k in range(n + 1):
                 arr[k0 + k] += binom
                 binom = binom * (n - k) // (k + 1)
@@ -149,13 +187,21 @@ def mutate_dual_state(state, step):
                 if deg < 0:
                     raise RuntimeError("negative exponent in mutated "
                                        "F-polynomial")
+                if deg > 0xFF:
+                    raise _field_overflow(deg)
                 # groups differ off u, so every key is set once
-                newf[head + (deg,) + tail] = c
-    if newf.get((0,) * len(g)) != 1:
+                newf[key | deg << shift] = c
+    if newf.get(0) != 1:
         raise RuntimeError("mutated F-polynomial has no constant term 1")
     if any(c < 0 for c in newf.values()):
         raise RuntimeError("negative F-polynomial coefficient")
     return DualTracked(g2, newf)
+
+
+def _field_overflow(deg):
+    return NotImplementedError(
+        "F-polynomial exponent %d exceeds 255, the largest the F-polynomial "
+        "route packs" % deg)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +371,12 @@ def _base_state(iq, i):
     for (a, j) in cat.ar.Q.arrows:
         if a == i:
             g[iq.index[cat.by_label["O%d-" % j]]] -= 1
-    fpoly = {(0,) * m: 1}
+    fpoly = {0: 1}
     for t in range(1, len(chain) + 1):
         e = [0] * m
         for p in chain[-t:]:
             e[iq.index[p]] = 1
-        fpoly[tuple(e)] = 1
+        fpoly[pack_exponents(e)] = 1
     return DualTracked(g, fpoly)
 
 
@@ -350,8 +396,10 @@ def tv_subreps_via_fpoly(iq, i):
                            "route does not apply to this ice quiver")
     cat = iq.cat
     star = cat.star
+    m = len(iq.vertices)
     state = _base_state(iq, i)
-    out = {cat.by_label["O%d-" % i]: set(state.fpoly)}
+    out = {cat.by_label["O%d-" % i]:
+           {tuple(e.to_bytes(m, "little")) for e in state.fpoly}}
     half = len(walk.steps) // 2
     for steps, target, perm in (
         (walk.steps[:half], cat.by_label["Id%d" % star[i]], walk.pi2),
@@ -359,15 +407,16 @@ def tv_subreps_via_fpoly(iq, i):
     ):
         for step in steps:
             state = mutate_dual_state(state, step)
-        # a tuple, since ice quivers have 4 or more vertices
+        # unpack: byte k of e is e[k]; itemgetter of 4 or more indices
+        # (every ice quiver has them) returns a tuple
         relabel = itemgetter(*perm)
-        relabelled = {relabel(e) for e in state.fpoly}
+        relabelled = {relabel(e.to_bytes(m, "little")) for e in state.fpoly}
         full = iq.tv_dim(target)
         if max(relabelled, key=sum) != full:
             raise RuntimeError("full dimension vector of T_%s is not the "
                                "largest subrep" % target.label)
         out[target] = relabelled
-    zero = (0,) * len(iq.vertices)
+    zero = (0,) * m
     for v in list(out):
         trivial = {zero, iq.tv_dim(v)}
         out[v] = {e for e in out[v] if e not in trivial}

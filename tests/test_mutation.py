@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,12 +48,25 @@ def test_mutate_g_examples(g, u):
     assert g2[u] == -g[u]
 
 
+# exponent vectors as DualTracked keys
+P = mutation.pack_exponents
+
+
+def test_pack_exponents():
+    assert P((0, 0)) == 0
+    assert P((3, 0, 1)) == 3 + (1 << 16)
+    assert P((255,)) == 255
+    for bad in ((256,), (0, -1)):
+        with pytest.raises(ValueError):
+            P(bad)
+
+
 def test_mutate_dual_simple():
     # one-vertex quiver, M = S_u: F = 1 + y_u, gdual = -e_u
-    state = mutation.DualTracked([-1], {(0,): 1, (1,): 1})
+    state = mutation.DualTracked([-1], {P((0,)): 1, P((1,)): 1})
     out = mutation.mutate_dual_state(state, mutation.Step.at([[0]], 0))
     assert out.gdual == [1]
-    assert out.fpoly == {(0,): 1}
+    assert out.fpoly == {P((0,)): 1}
     back = mutation.mutate_dual_state(out, mutation.Step.at([[0]], 0))
     assert back.gdual == [-1] and back.fpoly == state.fpoly
 
@@ -60,10 +74,11 @@ def test_mutate_dual_simple():
 def test_mutate_dual_a2_chain():
     # A2 quiver 1 -> 2, M the projective P1 (subreps: 0, S2, P1)
     b = [[0, 1], [-1, 0]]
-    state = mutation.DualTracked([0, -1], {(0, 0): 1, (0, 1): 1, (1, 1): 1})
+    state = mutation.DualTracked([0, -1],
+                                 {P((0, 0)): 1, P((0, 1)): 1, P((1, 1)): 1})
     out = mutation.mutate_dual_state(state, mutation.Step.at(b, 0))
     assert all(c in (0, 1) for c in out.fpoly.values())
-    assert out.fpoly[(0, 0)] == 1
+    assert out.fpoly[P((0, 0))] == 1
     # double mutation returns the original
     b1 = mutation.mutate_b(b, 0)
     back = mutation.mutate_dual_state(out, mutation.Step.at(b1, 0))
@@ -88,7 +103,8 @@ INVOLUTION_KEYS = ["A3", "A4", "D4", "D4:2>1,3>2,4>2"]
 # nonzero entry, negative in row 1 of the initial seed.  Its state F = 1 + y_1 +
 # y_0 y_1, g^vee = (0, -1) mutates without a failed check along each of
 # the 254 walks of 1 to 7 steps.
-A2_PATH = (mutation.DualTracked([0, -1], {(0, 0): 1, (0, 1): 1, (1, 1): 1}),
+A2_PATH = (mutation.DualTracked([0, -1],
+                                {P((0, 0)): 1, P((0, 1)): 1, P((1, 1)): 1}),
            [[0, 1], [-1, 0]])
 
 
@@ -117,15 +133,27 @@ def test_mutate_dual_involutive(key, data):
         state, b = mutated, b_u
 
 
-def test_mutate_dual_check_survives_python_O():
-    # F = y_0 has no constant term, so the mutated polynomial gets a
-    # negative exponent; the check must still fire with asserts stripped
+def _run_python_O(body):
+    """Run body under python -O with arcones importable; its stdout."""
     script = textwrap.dedent("""
         import sys
         from arcones import mutation
         if __debug__:
             sys.exit("not running under -O")
-        state = mutation.DualTracked([0], {(1,): 1})
+    """) + textwrap.dedent(body)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arcones.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    return res.stdout
+
+
+def test_mutate_dual_check_survives_python_O():
+    # F = y_0 has no constant term, so the mutated polynomial gets a
+    # negative exponent; the check must still fire with asserts stripped
+    out = _run_python_O("""
+        state = mutation.DualTracked([0], {mutation.pack_exponents((1,)): 1})
         try:
             mutation.mutate_dual_state(state, mutation.Step.at([[0]], 0))
         except RuntimeError as exc:
@@ -133,12 +161,60 @@ def test_mutate_dual_check_survives_python_O():
         else:
             sys.exit("invalid F-polynomial accepted")
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(arcones.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stdout + res.stderr
-    assert "negative exponent" in res.stdout
+    assert "negative exponent" in out
+
+
+# Dual states whose mutation at 0 makes an exponent of 256, one past the
+# 8-bit field of a packed key, each on one path only.  One vertex,
+# g^vee = 256 e_0, F = 1: the one term, with q = 256, takes the binomial-row
+# path to (1 + y_0)^256.  b_01 = -2, g^vee = -e_0, F = (1 + y_0)(1 + y_1^128):
+# both groups, 1 + y_0 and its y_1^128 multiple, take the synthetic-division
+# path, to 1 and to y_1^128 (1 + y_0)^256.
+FIELD_OVERFLOW = [
+    (mutation.DualTracked([256], {P((0,)): 1}), [[0]]),
+    (mutation.DualTracked([-1, 0], {P((0, 0)): 1, P((1, 0)): 1,
+                                    P((0, 128)): 1, P((1, 128)): 1}),
+     [[0, -2], [2, 0]]),
+]
+
+
+@pytest.mark.parametrize("state,b", FIELD_OVERFLOW,
+                         ids=["binomial row", "division"])
+def test_mutate_dual_field_guard(state, b):
+    # an exponent past 255 refuses the input instead of wrapping into
+    # the next field
+    with pytest.raises(NotImplementedError, match="exceeds 255"):
+        mutation.mutate_dual_state(state, mutation.Step.at(b, 0))
+
+
+def test_mutate_dual_field_limit_255():
+    # (1 + y_0)^255 still fits, and mutates back to F = 1
+    step = mutation.Step.at([[0]], 0)
+    out = mutation.mutate_dual_state(mutation.DualTracked([255], {0: 1}), step)
+    assert out.gdual == [-255]
+    assert out.fpoly == {P((k,)): math.comb(255, k) for k in range(256)}
+    back = mutation.mutate_dual_state(out, step)
+    assert back == mutation.DualTracked([255], {0: 1})
+
+
+def test_mutate_dual_field_guard_survives_python_O():
+    # the FIELD_OVERFLOW states
+    out = _run_python_O("""
+        P = mutation.pack_exponents
+        for state, b in (
+            (mutation.DualTracked([256], {P((0,)): 1}), [[0]]),
+            (mutation.DualTracked([-1, 0], {P((0, 0)): 1, P((1, 0)): 1,
+                                            P((0, 128)): 1, P((1, 128)): 1}),
+             [[0, -2], [2, 0]]),
+        ):
+            try:
+                mutation.mutate_dual_state(state, mutation.Step.at(b, 0))
+            except NotImplementedError as exc:
+                print(exc)
+            else:
+                sys.exit("exponent 256 accepted")
+    """)
+    assert out.count("exceeds 255") == 2
 
 
 def test_mu_sequences_a2():
@@ -238,5 +314,24 @@ def _tv_digest(sets):
 ], ids=["D5", "D6"])
 def test_tv_fpoly_pinned(letter, n, subreps, digest):
     sets = cone.tv_strict_sets(System(letter, n).ice(), "fpoly")
+    assert sum(len(s) for s in sets.values()) == subreps
+    assert _tv_digest(sets) == digest
+
+
+# brute force refuses E6 (total dimension 43 over a cap of 24), so these
+# digests of tv_subreps_via_fpoly(iq, i) fix the F-polynomial output on the
+# widest ice quiver (48 vertices) the packed exponents meet; the branch
+# vertex i = 4 is left out for its run time
+@pytest.mark.parametrize("i,subreps,digest", [
+    (1, 33, "b2013b2692c1830e79892e46d951ef9cddf04dbf908992787f90f7291803506b"),
+    (2, 84, "44a8e043fdb7946ad912392f3f5c13f58563087cfe98e43c25368313c71e4274"),
+    (3, 33, "f03b37369b0f838732eb8e4cc9881866274d8fac4d7f44088930b8adc0e971ac"),
+    (5, 33, "a9239db0f99d3a27b8a2dc789b8ee662d9044df6f354e49214cfb9eb4a307a5f"),
+    (6, 33, "15688b3ea15af6fc9adb8e4c1fc6046159b4fadb2227e26aea58426c6ea06641"),
+], ids=["1", "2", "3", "5", "6"])
+def test_tv_fpoly_pinned_e6(i, subreps, digest):
+    iq = _ice("E6")
+    assert len(iq.vertices) == 48
+    sets = mutation.tv_subreps_via_fpoly(iq, i)
     assert sum(len(s) for s in sets.values()) == subreps
     assert _tv_digest(sets) == digest
