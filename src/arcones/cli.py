@@ -199,7 +199,7 @@ def _oracle_value(cd, variant, weights, decompositions):
               help="mu nu lambda, each comma-separated (full2 only).")
 @click.option("--target", "targets_opt", multiple=True,
               help="Weights joined by '/', e.g. '1,1/0,0' (sharp/u).")
-@click.option("--grid", type=int, default=None,
+@click.option("--grid", type=click.IntRange(min=0), default=None,
               help="Sweep dominant weights with entries up to the bound.")
 @click.option("--check", is_flag=True, default=False,
               help="Add oracle and match columns; exit 1 on any mismatch.")
@@ -374,7 +374,7 @@ _SUITE_FUNCS = {
 @click.argument("suite", type=click.Choice(SUITES))
 @click.option("--type", "type_", required=True)
 @click.option("--orient", default=None)
-@click.option("--max", "bound", type=int, default=2,
+@click.option("--max", "bound", type=click.IntRange(min=0), default=2,
               help="Grid bound for the kostant/weights/oracle suites.")
 @click.option("--out", type=click.Path(), default=None,
               help="Write the JSON report here.")

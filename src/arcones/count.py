@@ -4,8 +4,10 @@ partition function as a memoized recursion over the positive roots.
 A slice is {g : g . h >= 0 for every cone column h, g . sigma = target}.
 Counting reduces the affine integer slice to integer coordinates on an
 LLL-reduced basis of the left kernel lattice of sigma and enumerates by a
-pruned depth-first search.  All arithmetic is exact and no floating point is
-used anywhere.  The LPs that set up a SliceFamily work over Fractions;
+depth-first search that propagates bounds at every node, keeping each
+inequality's slack and updating it as the bounds move.  All arithmetic is
+exact and no floating point is used anywhere.  The LPs that set up a
+SliceFamily work over Fractions;
 everything that does not depend on the target is precomputed there, so
 SliceFamily.count uses ints only.
 SliceFamily.count_lp, which brackets every coordinate by exact LPs, is the
@@ -16,6 +18,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cache
 from math import ceil, floor
+from operator import mul, sub
 
 from . import arpresent, rootdata
 from .exact import (dot, integer_row_solution, lcm, left_kernel_lattice,
@@ -95,10 +98,17 @@ class SliceFamily:
     or its list of rows.
 
     count is a depth-first search over the box that narrows the bounds by
-    propagation at every node.  A row's slack reads hi[k] where its entry
-    at k is positive and lo[k] where it is negative; the watch lists
-    reads_hi[k] and reads_lo[k] name those rows, so a moved bound re-queues
-    only the rows that read it (queue-based AC-3, Mackworth 1977).
+    propagation at every node (queue-based AC-3, Mackworth 1977).  Each
+    row's slack, the max of a . c over the box less b, is computed once at
+    the root (dot products over the dense positive and negative parts
+    apos/aneg) and then kept: it reads hi[k] where the row's entry at k is
+    positive and lo[k] where it is negative, so the watch lists
+    watch_hi[k] and watch_lo[k], the (row, |entry|) pairs of those rows,
+    say whose slack a moved bound lowers and by how much.  A negative
+    slack ends the node at once, and a row is queued only while its slack
+    is below amax * wmax (its largest |entry| times the widest range of
+    the box), below which it may still tighten a bound.  Every leaf is
+    re-checked against all rows from scratch.
     count_lp, the reference the tests compare count against, brackets each
     coordinate by exact LPs instead; both read the target through one
     prefix, _slice_rhs.
@@ -136,15 +146,22 @@ class SliceFamily:
              tuple(x for x in a if x > 0),
              tuple(k for k, x in enumerate(a) if x < 0),
              tuple(-x for x in a if x < 0)) for a, _i in self.active]
-        # the rows whose slack reads each bound: a positive entry at k
-        # reads hi[k], a negative one lo[k]
-        self.reads_hi = [[] for _k in range(self.m)]
-        self.reads_lo = [[] for _k in range(self.m)]
-        for j, (kp, _cp, kn, _cn) in enumerate(self.rows):
-            for k in kp:
-                self.reads_hi[k].append(j)
-            for k in kn:
-                self.reads_lo[k].append(j)
+        # the same rows dense, split into their positive parts and the
+        # absolute values of their negative parts, for the root slacks
+        self.apos = [tuple(max(x, 0) for x in a) for a, _i in self.active]
+        self.aneg = [tuple(max(-x, 0) for x in a) for a, _i in self.active]
+        # each row's largest |entry|, for the queue filter
+        self.amax = [max(map(abs, a)) for a, _i in self.active]
+        # watch lists: the (row, |entry|) pairs of the rows whose slack
+        # reads each bound; a positive entry at k reads hi[k], a negative
+        # one lo[k]
+        self.watch_hi = [[] for _k in range(self.m)]
+        self.watch_lo = [[] for _k in range(self.m)]
+        for j, (kp, cp, kn, cn) in enumerate(self.rows):
+            for k, x in zip(kp, cp):
+                self.watch_hi[k].append((j, x))
+            for k, x in zip(kn, cn):
+                self.watch_lo[k].append((j, x))
         # most-constrained-first enumeration order
         touch = [sum(1 for a, _i in self.active if a[k])
                  for k in range(self.m)]
@@ -239,97 +256,120 @@ class SliceFamily:
 
     def count(self, target):
         """Number of integer points of the slice at the given target."""
+        root = self._root(target)
+        if root is None:
+            return 0
+        b, lo, hi, slack = root
+        m, order, active = self.m, self.order, self.active
+        watch_lo, watch_hi = self.watch_lo, self.watch_hi
+        propagate = self._propagate
+
+        def rec(lo, hi, slack, depth):
+            # lo, hi, slack: a node at its propagation fixpoint
+            while depth < m and lo[order[depth]] == hi[order[depth]]:
+                depth += 1
+            if depth == m:
+                for (a, _i), bj in zip(active, b):
+                    if sum(map(mul, a, lo)) < bj:
+                        raise RuntimeError("propagation leaf violates "
+                                           "a checked constraint")
+                return 1
+            k = order[depth]
+            lk, hk = lo[k], hi[k]
+            total = 0
+            for v in range(lk, hk + 1):
+                # fixing c_k = v raises lo[k] by v - lk and lowers hi[k]
+                # by hk - v; each row that reads a moved bound loses
+                # |a_k| times the move from its slack
+                l2, h2, s2 = list(lo), list(hi), list(slack)
+                l2[k] = h2[k] = v
+                moved = []
+                for watch, d in ((watch_lo[k], v - lk), (watch_hi[k], hk - v)):
+                    if d:
+                        for j, x in watch:
+                            s2[j] -= x * d
+                            moved.append(j)
+                if propagate(l2, h2, s2, moved):
+                    total += rec(l2, h2, s2, depth + 1)
+            return total
+
+        return rec(lo, hi, slack, 0)
+
+    def _root(self, target):
+        """The slice at target as the search's root: (b, lo, hi, slack),
+        its right-hand sides and its box and row slacks at the propagation
+        fixpoint, or None when the slice is empty by then."""
         b = self._slice_rhs(target)
         if b is None:
-            return 0
+            return None
         den = self.box_den
         lo, hi = [], []
         for lower, upper in zip(self.lower_form, self.upper_form):
             l = _ceil_div(sum(n * b[h] for h, n in lower), den)
             u = (-sum(n * b[h] for h, n in upper)) // den
             if l > u:
-                return 0
+                return None
             lo.append(l)
             hi.append(u)
-        return self._count_propagate(b, lo, hi)
+        slack = [sum(map(mul, p, hi)) - sum(map(mul, n, lo)) - bj
+                 for p, n, bj in zip(self.apos, self.aneg, b)]
+        if not self._propagate(lo, hi, slack, range(len(slack))):
+            return None
+        return b, lo, hi, slack
 
-    def _count_propagate(self, b, lo, hi):
-        m = self.m
-        order = self.order
-        rows = self.rows
-        reads_hi, reads_lo = self.reads_hi, self.reads_lo
-        # pending[j]: row j is on the worklist; the root queues every row
-        pending = [True] * len(rows)
-
-        def propagate(lo, hi, work):
-            # a . c >= b with slack s = max(a . c) - b >= 0 bounds each c_k
-            # by s // |a_k| from the end of its range that attains the max;
-            # a moved bound queues only the rows whose slack reads it
-            while work:
-                j = work.popleft()
-                pending[j] = False
-                kp, cp, kn, cn = rows[j]
-                slack = -b[j]
-                for k, x in zip(kp, cp):
-                    slack += x * hi[k]
-                for k, x in zip(kn, cn):
-                    slack -= x * lo[k]
-                if slack < 0:
-                    for r in work:
-                        pending[r] = False
+    def _propagate(self, lo, hi, slack, rows):
+        """Narrow lo and hi in place to the propagation fixpoint of the
+        active rows a . c >= b, keeping each slack[j], the max of a_j . c
+        over the box less b_j, up to date.  rows are those whose slack may
+        have fallen since the last fixpoint.  Returns False as soon as a
+        slack is negative, that is when the box holds no solution.
+        """
+        sparse, amax = self.rows, self.amax
+        watch_lo, watch_hi = self.watch_lo, self.watch_hi
+        # a row with slack s bounds c_k by s // |a_k| from the end of its
+        # range that attains the max, which moves the other end only if
+        # s < |a_k| * (hi[k] - lo[k]); widths only shrink, so a row whose
+        # slack is at least amax * wmax cannot tighten and is not queued
+        wmax = max(map(sub, hi, lo), default=0)
+        pending = [False] * len(slack)
+        work = deque()
+        for j in rows:
+            s = slack[j]
+            if s < amax[j] * wmax:
+                if s < 0:
                     return False
-                for k, x in zip(kp, cp):
-                    nb = hi[k] - slack // x
-                    if nb > lo[k]:
-                        lo[k] = nb
-                        for r in reads_lo[k]:
+                pending[j] = True
+                work.append(j)
+        while work:
+            j = work.popleft()
+            pending[j] = False
+            s = slack[j]
+            kp, cp, kn, cn = sparse[j]
+            for k, x in zip(kp, cp):
+                d = hi[k] - s // x - lo[k]
+                if d > 0:
+                    lo[k] += d
+                    for r, y in watch_lo[k]:
+                        t = slack[r] = slack[r] - y * d
+                        if t < amax[r] * wmax:
+                            if t < 0:
+                                return False
                             if not pending[r]:
                                 pending[r] = True
                                 work.append(r)
-                for k, x in zip(kn, cn):
-                    nb = lo[k] + slack // x
-                    if nb < hi[k]:
-                        hi[k] = nb
-                        for r in reads_hi[k]:
+            for k, x in zip(kn, cn):
+                d = hi[k] - lo[k] - s // x
+                if d > 0:
+                    hi[k] -= d
+                    for r, y in watch_hi[k]:
+                        t = slack[r] = slack[r] - y * d
+                        if t < amax[r] * wmax:
+                            if t < 0:
+                                return False
                             if not pending[r]:
                                 pending[r] = True
                                 work.append(r)
-            return True
-
-        def rec(lo, hi, depth, work):
-            if not propagate(lo, hi, work):
-                return 0
-            while depth < m and lo[order[depth]] == hi[order[depth]]:
-                depth += 1
-            if depth == m:
-                for (kp, cp, kn, cn), bh in zip(rows, b):
-                    value = -bh
-                    for k, x in zip(kp, cp):
-                        value += x * lo[k]
-                    for k, x in zip(kn, cn):
-                        value -= x * lo[k]
-                    if value < 0:
-                        raise RuntimeError("propagation leaf violates "
-                                           "a checked constraint")
-                return 1
-            k = order[depth]
-            total = 0
-            for v in range(lo[k], hi[k] + 1):
-                # fixing c_k = v raises lo[k] unless v is its lowest value
-                # and lowers hi[k] unless v is its highest
-                work = deque()
-                if v > lo[k]:
-                    work += reads_lo[k]
-                if v < hi[k]:
-                    work += reads_hi[k]
-                for j in work:
-                    pending[j] = True
-                l2, h2 = list(lo), list(hi)
-                l2[k] = h2[k] = v
-                total += rec(l2, h2, depth + 1, work)
-            return total
-
-        return rec(lo, hi, 0, deque(range(len(rows))))
+        return True
 
     def count_lp(self, target):
         """count by exact LP brackets of every coordinate, with no box and

@@ -175,6 +175,20 @@ def test_count_invalid_input_exit_2():
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("count", "--type", "A2", "--grid", "-1"),
+    ("verify", "oracle", "--type", "A2", "--max", "-1"),
+    ("verify", "kostant", "--type", "A2", "--max", "-1"),
+], ids=["count --grid", "verify oracle --max", "verify kostant --max"])
+def test_negative_grid_bound_exit_2(args):
+    # a negative bound is a usage error naming its option, not an empty
+    # grid that passes
+    res = run(*args)
+    assert res.exit_code == 2
+    assert "Invalid value for '%s'" % args[-2] in res.output
+    assert "pass" not in res.output
+
+
 def test_verify_mutation_d4():
     res = run("verify", "mutation", "--type", "D4")
     assert res.exit_code == 0

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from arcones import cone, count, lieoracle, rootdata
+from arcones import cli, cone, count, lieoracle, rootdata
 from arcones.system import System
 
 
@@ -107,6 +108,13 @@ def test_strategies_agree_d4():
     _assert_strategies_agree(s.family(), targets)
 
 
+# zero-valued D5 targets on the slice lattice that only the search rejects
+_D5_ZEROS = [(0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+             (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0),
+             (0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 2, 0),
+             (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0)]
+
+
 def test_d5_counts_match_brauer_klimyk():
     s = System("D", 5)
     # every lambda of the decompositions of the pairs from {0, omega_i},
@@ -115,11 +123,7 @@ def test_d5_counts_match_brauer_klimyk():
             for mu, nu in itertools.product(_fundamental(5), repeat=2)
             for lam, c in lieoracle.tensor_decomposition(s.cd, mu, nu).items()}
     assert len(want) == 104
-    zeros = [(0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
-             (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0),
-             (0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 2, 0),
-             (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0)]
-    want.update((t, 0) for t in zeros)
+    want.update((t, 0) for t in _D5_ZEROS)
     fam = s.family()
     assert {t: fam.count(t) for t in want} == want
 
@@ -142,14 +146,88 @@ def test_d5_deep_counts_match_brauer_klimyk():
 ], ids=["A3", "D4", "D4:2>1,3>2,4>2"])
 def test_watch_lists_match_row_signs(letter, n, orient):
     # row j's slack reads hi[k] where its entry at k is positive and lo[k]
-    # where it is negative; the watch lists say exactly that
+    # where it is negative; the watch lists say exactly that, with |a_jk|
     fam = System(letter, n, orient).family()
     assert fam.m > 0
     for k in range(fam.m):
-        assert fam.reads_hi[k] == [j for j, (a, _i) in enumerate(fam.active)
-                                   if a[k] > 0]
-        assert fam.reads_lo[k] == [j for j, (a, _i) in enumerate(fam.active)
-                                   if a[k] < 0]
+        assert fam.watch_hi[k] == [(j, a[k]) for j, (a, _i)
+                                   in enumerate(fam.active) if a[k] > 0]
+        assert fam.watch_lo[k] == [(j, -a[k]) for j, (a, _i)
+                                   in enumerate(fam.active) if a[k] < 0]
+
+
+def _swept_root(fam, target):
+    """The root box of the slice at target narrowed by sweeping every row
+    until no bound moves, with the row slacks there; None when the slice
+    is empty by then.  The reference for the worklist propagation."""
+    b = fam._slice_rhs(target)
+    if b is None:
+        return None
+    den = fam.box_den
+    lo = [-(-sum(n * b[h] for h, n in form) // den)
+          for form in fam.lower_form]
+    hi = [-sum(n * b[h] for h, n in form) // den for form in fam.upper_form]
+    if any(l > u for l, u in zip(lo, hi)):
+        return None
+    # each row as its nonzero (index, entry) pairs
+    rows = [[(k, x) for k, x in enumerate(a) if x] for a, _i in fam.active]
+
+    def slack(row, bj):
+        return sum(x * (hi[k] if x > 0 else lo[k]) for k, x in row) - bj
+
+    moved = True
+    while moved:
+        moved = False
+        for row, bj in zip(rows, b):
+            s = slack(row, bj)
+            if s < 0:
+                return None
+            for k, x in row:
+                if x > 0 and hi[k] - s // x > lo[k]:
+                    lo[k], moved = hi[k] - s // x, True
+                elif x < 0 and lo[k] + s // -x < hi[k]:
+                    hi[k], moved = lo[k] + s // -x, True
+    return lo, hi, [slack(row, bj) for row, bj in zip(rows, b)]
+
+
+@pytest.mark.parametrize("letter, n, orient", [
+    ("D", 4, None), ("D", 4, [(2, 1), (3, 2), (4, 2)]), ("D", 5, None),
+], ids=["D4", "D4:2>1,3>2,4>2", "D5"])
+def test_root_fixpoint_matches_full_sweeps(letter, n, orient):
+    # the root that count searches from is the fixpoint of the plain
+    # sweep, bound for bound, and its kept slacks are the fresh ones; on
+    # D4 over the targets of `count --grid 1`, on D5 over every lambda of
+    # the pairs from {0, omega_i} and the zero-valued targets
+    s = System(letter, n, orient)
+    if n == 4:
+        targets = [mu + nu + lam for mu, nu, lam in cli._grid_targets(
+            s.cd, "full2", None, 1, random.Random(0), {})]
+    else:
+        targets = [mu + nu + lam
+                   for mu, nu in itertools.product(_fundamental(n), repeat=2)
+                   for lam in lieoracle.tensor_decomposition(s.cd, mu, nu)]
+        targets += _D5_ZEROS
+    fam = s.family()
+    empty = 0
+    for t in targets:
+        root = fam._root(t)
+        assert (None if root is None else root[1:]) == _swept_root(fam, t), t
+        empty += root is None
+    assert 0 < empty < len(targets)
+
+
+def test_negative_slack_ends_propagation_at_once():
+    # a row handed to propagation with a negative slack empties the box
+    # before any bound moves
+    fam = System("D", 4).family()
+    # c^rho_{rho rho} = 32, whose root box is still wide
+    _b, lo, hi, slack = fam._root((1,) * 12)
+    assert any(l < h for l, h in zip(lo, hi))
+    for j in range(len(slack)):
+        l2, h2, s2 = list(lo), list(hi), list(slack)
+        s2[j] = -1
+        assert not fam._propagate(l2, h2, s2, [j])
+        assert (l2, h2) == (lo, hi), j
 
 
 def test_count_path_uses_no_fraction(monkeypatch):
