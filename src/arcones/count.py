@@ -6,10 +6,13 @@ Counting reduces the affine integer slice to integer coordinates on an
 LLL-reduced basis of the left kernel lattice of sigma and enumerates by a
 depth-first search that propagates bounds at every node, keeping each
 inequality's slack and updating it as the bounds move.  All arithmetic is
-exact and no floating point is used anywhere.  The LPs that set up a
-SliceFamily work over Fractions;
-everything that does not depend on the target is precomputed there, so
-SliceFamily.count uses ints only.
+exact and no floating point is used anywhere.  The 2m LPs that set up a
+SliceFamily, one per coordinate bound, are solved by lp_min's fraction-free
+integer simplex, which builds the columns of these wide tableaux (one per
+inequality, m rows) only as far as Bland's rule reaches; their Fraction
+solutions become integer forms over one denominator.  Everything that does
+not depend on the target is precomputed there, so SliceFamily.count uses
+ints only.
 SliceFamily.count_lp, which brackets every coordinate by exact LPs, is the
 reference the tests compare it against.
 """
@@ -169,9 +172,11 @@ class SliceFamily:
         self.lower_mult = []        # lambda >= 0 with sum lambda_h a_h = e_i
         self.upper_mult = []        # lambda >= 0 with sum lambda_h a_h = -e_i
         self.unbounded_ray = None   # recession ray in g-coordinates, if any
+        # the active rows as the columns of every functional's LP
+        a_eq = [list(col) for col in zip(*(a for a, _i in self.active))]
         for i in range(self.m):
-            self.lower_mult.append(self._bounding_functional(i, 1))
-            self.upper_mult.append(self._bounding_functional(i, -1))
+            self.lower_mult.append(self._bounding_functional(a_eq, i, 1))
+            self.upper_mult.append(self._bounding_functional(a_eq, i, -1))
             if self.unbounded_ray is not None:
                 break
         # the functionals as sparse integer forms over one denominator:
@@ -192,17 +197,16 @@ class SliceFamily:
         den = self.box_den
         return [(h, int(x * den)) for h, x in enumerate(lam) if x]
 
-    def _bounding_functional(self, i, sign):
+    def _bounding_functional(self, a_eq, i, sign):
         """Nonnegative lambda with sum_h lambda_h a_h = sign * e_i, or None
-        (in which case a recession ray with c_i != 0 is recorded)."""
-        rows = [a for a, _i in self.active]
-        if not rows:
+        (in which case a recession ray with c_i != 0 is recorded).  a_eq
+        holds the active rows a_h as its columns."""
+        if not self.active:
             self._record_ray(i, sign)
             return None
-        a_eq = [[a[k] for a in rows] for k in range(self.m)]
         b_eq = [sign if k == i else 0 for k in range(self.m)]
-        status, lam, _v = lp_min([0] * len(rows), a_eq=a_eq, b_eq=b_eq,
-                                 nonneg=True)
+        status, lam, _v = lp_min([0] * len(self.active), a_eq=a_eq,
+                                 b_eq=b_eq, nonneg=True)
         if status == "optimal":
             return lam
         self._record_ray(i, sign)

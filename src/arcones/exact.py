@@ -2,9 +2,11 @@
 
 Everything here works on plain lists of lists holding ints or Fractions.
 The linear programs of lp_min are solved by a fraction-free integer simplex:
-its tableau holds only ints over one common denominator.  Lattice bases are
-reduced by lll_reduce, Cohen's integral LLL, which keeps its Gram-Schmidt
-data as ints with exact divisions.  No floating point is used anywhere.
+its tableau holds only ints over one common denominator, and the columns
+of a wide tableau are built only as far as Bland's rule scans them.  Lattice
+bases are reduced by lll_reduce, Cohen's integral LLL, which keeps its
+Gram-Schmidt data as ints with exact divisions.  No floating point is used
+anywhere.
 """
 
 from fractions import Fraction
@@ -89,20 +91,6 @@ def nullspace(a):
             v[p] = -r[i][f]
         basis.append(v)
     return basis
-
-
-def solve(a, b):
-    """One solution x of a x = b over Fraction, or None if inconsistent."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    r, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        x[p] = r[i][n]
-    return x
 
 
 def row_hnf(a):
@@ -286,6 +274,8 @@ def clear_denominators(v):
 
 def _integer_row(v):
     """Scale a rational vector by the lcm of its denominators."""
+    if set(map(type, v)) <= {int}:
+        return list(v)
     den = 1
     for x in v:
         if not isinstance(x, int):
@@ -301,6 +291,11 @@ def _eliminate(row, pr, col, p, d):
     return [(p * x - f * y) // d for x, y in zip(row, pr)]
 
 
+# lp_min builds the columns of its tableau on demand only when it has more
+# than this many columns per row; a narrower tableau is built whole at once
+LAZY_WIDTH = 8
+
+
 def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
     """Exact linear program: minimize c.x subject to a_ub.x <= b_ub and
     a_eq.x == b_eq, over free variables x (or x >= 0 when nonneg is True).
@@ -313,6 +308,21 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
     tuple (status, x, value) with status one of "optimal", "infeasible",
     "unbounded"; x (Fractions) and value are None unless status is
     "optimal", and an optimal x is re-checked against every constraint.
+
+    Columns are built on demand (partial pricing).  Beside its right-hand
+    side each row keeps its part of the block M = D * B^-1, the artificial
+    columns, so column j of the tableau is M . T0[:, j] for the starting
+    tableau T0, and the objective row keeps its own part w, so that it
+    reads w . T0[:, j] + D * cost_j there.  Bland's rule enters the first
+    column of negative reduced cost, so the columns past the last one the
+    scan has reached are not built; when the scan reaches them it builds
+    the next max(built, m) of them.  w is 0 exactly when every basic
+    variable costs 0 (M is nonsingular), and then an unbuilt column of
+    nonnegative cost cannot enter: the phase ends without building it.
+    Once every column is built the block is dropped.  A tableau with at
+    most LAZY_WIDTH columns per row, where the block would cost more than
+    the columns it spares, is built whole at once.  The pivots, and so the
+    results, are those of the whole tableau.
     """
     a_ub = a_ub or []
     b_ub = b_ub or []
@@ -326,69 +336,121 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
             [(a, b, True) for a, b in zip(a_eq, b_eq)])
     nslack = sum(1 for _a, _b, is_eq in rows if not is_eq)
     m = len(rows)
-    # Columns: variables, then slacks, then the right-hand side.  Every row
-    # starts with an artificial basic variable, numbered ncol + i; phase 1
-    # never lets one enter, so their columns are not stored.
+    # T0's columns: variables, then slacks.  Every row starts with an
+    # artificial basic variable, numbered ncol + i; phase 1 never lets one
+    # enter, so their columns are not built.
     ncol = nv + nslack
-    tab = []
+    t0, b0 = [], []
     for i, (a, b, is_eq) in enumerate(rows):
-        *a, b = _integer_row(list(a) + [b])
-        r = a + ([] if nonneg else [-x for x in a]) + [0] * nslack + [b]
+        a = _integer_row(list(a) + [b])
+        b = a.pop()
+        r = a + ([] if nonneg else [-x for x in a]) + [0] * nslack
         if not is_eq:
             r[nv + i] = 1
         if b < 0:
             r = [-x for x in r]
-        tab.append(r)
+            b = -b
+        t0.append(r)
+        b0.append(b)
+    # a row is [rhs, its part of the block, the built columns]; column j
+    # sits at base + j
+    if ncol > LAZY_WIDTH * m:
+        tab = [[b] + [int(k == i) for k in range(m)]
+               for i, b in enumerate(b0)]
+        base, built = 1 + m, 0
+    else:
+        tab = [[b] + r for r, b in zip(t0, b0)]
+        base, built = 1, ncol
     basis = [ncol + i for i in range(m)]
     d = 1
 
     def pivot(col, rowi, obj):
         nonlocal d
         pr = tab[rowi]
-        p = pr[col]
+        p = pr[base + col]
         for k, row in enumerate(tab):
             if k != rowi:
-                tab[k] = _eliminate(row, pr, col, p, d)
+                tab[k] = _eliminate(row, pr, base + col, p, d)
         if obj is not None:
-            obj[:] = _eliminate(obj, pr, col, p, d)
+            obj[:] = _eliminate(obj, pr, base + col, p, d)
         basis[rowi] = col
         d = p
 
-    def solve_phase(obj):
+    def extend(obj, cost):
+        # build the next max(built, m) columns, so that a scan to the end
+        # extends only O(log ncol) times: each row gains M[i] . T0 over
+        # them, summed over the nonzero entries of its block, and the
+        # objective w . T0 + D * cost
+        nonlocal built, base
+        upto = min(ncol, built + max(built, m, 1))
+        part = [r[built:upto] for r in t0]
+        for row in tab + [obj]:
+            new = [0] * (upto - built)
+            for x, t in zip(row[1:base], part):
+                if x:
+                    new = [y + x * z for y, z in zip(new, t)]
+            row.extend(new)
+        for j in range(built, upto):
+            if cost[j]:
+                obj[base + j] += d * cost[j]
+        built = upto
+        if built == ncol:
+            for row in tab + [obj]:
+                del row[1:base]
+            base = 1
+
+    def entering(obj, cost, last_neg):
+        # Bland: the first column with a negative reduced cost, or -1
+        scanned = 0
         while True:
-            col = next((j for j in range(ncol) if obj[j] < 0), -1)
+            for j in range(base + scanned, len(obj)):
+                if obj[j] < 0:
+                    return j - base
+            scanned = built
+            if built == ncol or (last_neg < built and not any(obj[1:base])):
+                return -1
+            extend(obj, cost)
+
+    def solve_phase(obj, cost):
+        last_neg = max((j for j, x in enumerate(cost) if x < 0), default=-1)
+        while True:
+            col = entering(obj, cost, last_neg)
             if col < 0:
                 return "optimal"
+            k = base + col
             # Bland's ratio test: least b_i / t_i over t_i > 0, ties to the
             # least basis index; the common denominator D cancels
             rowi = -1
             for i, row in enumerate(tab):
-                t = row[col]
+                t = row[k]
                 if t > 0:
                     if rowi < 0:
                         rowi = i
                         continue
-                    lhs = row[-1] * tab[rowi][col]
-                    rhs = tab[rowi][-1] * t
+                    lhs = row[0] * tab[rowi][k]
+                    rhs = tab[rowi][0] * t
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[rowi]):
                         rowi = i
             if rowi < 0:
                 return "unbounded"
             pivot(col, rowi, obj)
 
-    # phase 1: minimize the sum of artificials
-    obj1 = [-sum(col) for col in zip(*tab)] if tab else [0] * (ncol + 1)
-    solve_phase(obj1)
-    if obj1[-1] != 0:
+    # phase 1: minimize the sum of artificials; the objective's block part
+    # w starts at -1 in every row, pricing column j at -sum(T0[:, j])
+    obj1 = ([-sum(b0)] + [-1] * (base - 1) +
+            ([-sum(col) for col in zip(*t0)] if built else []))
+    solve_phase(obj1, [0] * ncol)
+    if obj1[0] != 0:
         return ("infeasible", None, None)
     # drive remaining artificials out of the basis where possible; their
     # value is 0, so negating the row to make the pivot positive keeps the
-    # right-hand side and D > 0
+    # right-hand side and D > 0.  A basic artificial made the last scan of
+    # phase 1 build every column, so base is 1 here.
     for i in range(m):
         if basis[i] >= ncol:
-            j = next((j for j in range(ncol) if tab[i][j]), None)
+            j = next((j for j in range(ncol) if tab[i][1 + j]), None)
             if j is not None:
-                if tab[i][j] < 0:
+                if tab[i][1 + j] < 0:
                     tab[i] = [-x for x in tab[i]]
                 pivot(j, i, None)
     # an artificial still basic sits on a zero row (a redundant equality)
@@ -398,25 +460,30 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
     # phase 2: D * (reduced costs of c)
     cost = _integer_row(c)
     cost = cost + ([] if nonneg else [-x for x in cost]) + [0] * nslack
-    obj2 = [d * x for x in cost] + [0]
+    obj2 = [0] * base + [d * x for x in cost[:built]]
     for row, bi in zip(tab, basis):
         if cost[bi]:
             f = cost[bi]
             obj2 = [o - f * t for o, t in zip(obj2, row)]
-    if solve_phase(obj2) != "optimal":
+    if solve_phase(obj2, cost) != "optimal":
         return ("unbounded", None, None)
     xs = [Fraction(0)] * nv
     for row, bi in zip(tab, basis):
         if bi < nv:
-            xs[bi] = Fraction(row[-1], d)
+            xs[bi] = Fraction(row[0], d)
     x = xs if nonneg else [xs[j] - xs[n + j] for j in range(n)]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    # exact feasibility certificate, by substituting x (its nonzero entries)
-    support = [(j, xj) for j, xj in enumerate(x) if xj]
+    # the value and an exact feasibility certificate, over the nonzero
+    # entries of the returned x as integers over their common denominator
+    den = 1
+    for xj in x:
+        if xj:
+            den = lcm(den, xj.denominator)
+    support = [(j, xj.numerator * (den // xj.denominator))
+               for j, xj in enumerate(x) if xj]
     for a, b in zip(a_ub, b_ub):
-        if sum(a[j] * xj for j, xj in support) > b:
+        if sum(a[j] * v for j, v in support) > b * den:
             raise RuntimeError("lp_min solution violates an inequality")
     for a, b in zip(a_eq, b_eq):
-        if sum(a[j] * xj for j, xj in support) != b:
+        if sum(a[j] * v for j, v in support) != b * den:
             raise RuntimeError("lp_min solution violates an equality")
-    return ("optimal", x, value)
+    return ("optimal", x, Fraction(sum(c[j] * v for j, v in support), den))

@@ -118,6 +118,20 @@ def test_count_d5_triple_check():
         "1 0 0 0 0,1 0 0 0 0,0 1 0 0 0,1,1,yes"
 
 
+def test_count_d6_triple_check():
+    # omega_1 (x) omega_1 = 2 omega_1 + omega_2 + 0 on D6, each once
+    w1 = "1,0,0,0,0,0"
+    lams = ["2,0,0,0,0,0", "0,1,0,0,0,0", "0,0,0,0,0,0"]
+    args = ["count", "--type", "D6", "--check"]
+    for lam in lams:
+        args += ["--triple", w1, w1, lam]
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[1:] == [
+        "1 0 0 0 0 0,1 0 0 0 0 0,%s,1,1,yes" % lam.replace(",", " ")
+        for lam in lams]
+
+
 def test_count_check_decomposes_each_pair_once(monkeypatch):
     calls = []
     decompose = lieoracle.tensor_decomposition

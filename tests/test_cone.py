@@ -79,6 +79,19 @@ def test_d4_cone_44_and_prune():
     assert len(pruned.columns) == 44
 
 
+@pytest.mark.parametrize("letter, n, ncols, dropped", [
+    ("D", 4, 64, [46]),
+    ("D", 5, 192, [88, 89, 96, 98, 115, 129, 137, 153, 154, 157]),
+], ids=["D4", "D5"])
+def test_prune_kept_columns_pinned(letter, n, ncols, dropped):
+    # prune tests the columns in order against the ones still kept, so the
+    # columns it keeps depend on every earlier LP's status
+    spec = System(letter, n).cone()
+    assert len(spec.columns) == ncols
+    kept = [c for i, c in enumerate(spec.columns) if i not in dropped]
+    assert cone.prune_redundant(spec).columns == kept
+
+
 def test_a2_u_variant_columns():
     spec = System("A", 2).cone("u")
     per = {}

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -106,6 +107,23 @@ def test_strategies_agree_d4():
                 (0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 2),
                 (0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0)]
     _assert_strategies_agree(s.family(), targets)
+
+
+@pytest.mark.parametrize("letter, n, orient, digest", [
+    ("D", 4, None,
+     "7ea71e09f6face19c3cb9bf24a6e431bcae69b1c41be19312dd4ee971a8cac8a"),
+    ("D", 4, [(2, 1), (3, 2), (4, 2)],
+     "64fa5761cd769886f8f7ca472f565c19d1bcb3df4b9416701f608c4a090308cd"),
+    ("D", 5, None,
+     "bf7999f82fcf1d70159fda1d39a97afc789d12f26d393ea9d25b33742b4cac59"),
+], ids=["D4", "D4:2>1,3>2,4>2", "D5"])
+def test_bounding_functionals_pinned(letter, n, orient, digest):
+    # the lambda of every coordinate bound, as SliceFamily keeps them: a
+    # simplex that pivots differently finds other optimal lambda and other
+    # boxes (and so other search trees) with the same counts
+    fam = System(letter, n, orient).family()
+    got = repr((fam.lower_form, fam.upper_form, fam.box_den))
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 # zero-valued D5 targets on the slice lattice that only the search rejects

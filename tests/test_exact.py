@@ -31,8 +31,21 @@ def test_mat_inv():
     assert exact.mat_mul(a, inv) == [[1, 0], [0, 1]]
 
 
+def _solve(a, b):
+    """One solution x of a x = b over Fraction, or None if inconsistent."""
+    n = len(a[0]) if a else 0
+    r, pivots = exact.rref([list(row) + [y] for row, y in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, p in enumerate(pivots):
+        x[p] = r[i][n]
+    return x
+
+
 def test_solve_inconsistent():
-    assert exact.solve([[1, 1], [1, 1]], [1, 2]) is None
+    assert _solve([[1, 1], [1, 1]], [1, 2]) is None
+    assert _solve([[2, 1], [1, 1]], [3, 2]) == [1, 1]
 
 
 @given(small_mat)
@@ -111,7 +124,7 @@ def _integer_transform(src, dst):
     """The matrix t with t src = dst, or None if it is not integral."""
     t = []
     for v in dst:
-        x = exact.solve([list(col) for col in zip(*src)], v)
+        x = _solve([list(col) for col in zip(*src)], v)
         if x is None or any(xi.denominator != 1 for xi in x):
             return None
         t.append([int(xi) for xi in x])
@@ -229,7 +242,7 @@ def _lp_by_vertices(c, a_ub, b_ub, a_eq, b_eq, nonneg):
             rows = [a for a, _b in sub]
             if exact.rank(rows) < n:
                 continue
-            x = exact.solve(rows, [b for _a, b in sub])
+            x = _solve(rows, [b for _a, b in sub])
             if all(exact.dot(a, x) <= b for a, b in ub + box) and \
                     all(exact.dot(a, x) == b for a, b in eq):
                 v = exact.dot(c, x)
@@ -304,3 +317,152 @@ def test_lp_min_certificate_survives_python_O():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "violates an equality" in res.stdout
+
+
+def _lp_min_eager(c, a_ub, b_ub, a_eq, b_eq, nonneg):
+    """The reference for lp_min: the same two-phase Bland simplex with the
+    same fraction-free pivot, on the whole tableau from the start."""
+    def integer_row(v):
+        den = 1
+        for x in v:
+            den = exact.lcm(den, Fraction(x).denominator)
+        return [int(x * den) for x in v]
+
+    def eliminate(row, pr, col, p, d):
+        f = row[col]
+        return [(p * x - f * y) // d for x, y in zip(row, pr)]
+
+    n = len(c)
+    nv = n if nonneg else 2 * n
+    rows = ([(a, b, False) for a, b in zip(a_ub, b_ub)] +
+            [(a, b, True) for a, b in zip(a_eq, b_eq)])
+    nslack = len(a_ub)
+    m = len(rows)
+    ncol = nv + nslack
+    tab = []
+    for i, (a, b, is_eq) in enumerate(rows):
+        *a, b = integer_row(list(a) + [b])
+        r = a + ([] if nonneg else [-x for x in a]) + [0] * nslack + [b]
+        if not is_eq:
+            r[nv + i] = 1
+        tab.append([-x for x in r] if b < 0 else r)
+    basis = [ncol + i for i in range(m)]
+    d = 1
+
+    def pivot(col, rowi, obj):
+        nonlocal d
+        pr = tab[rowi]
+        p = pr[col]
+        for k in range(len(tab)):
+            if k != rowi:
+                tab[k] = eliminate(tab[k], pr, col, p, d)
+        if obj is not None:
+            obj[:] = eliminate(obj, pr, col, p, d)
+        basis[rowi] = col
+        d = p
+
+    def solve_phase(obj):
+        while True:
+            col = next((j for j in range(ncol) if obj[j] < 0), -1)
+            if col < 0:
+                return "optimal"
+            rowi = -1
+            for i, row in enumerate(tab):
+                if row[col] > 0:
+                    if rowi < 0:
+                        rowi = i
+                        continue
+                    lhs = row[-1] * tab[rowi][col]
+                    rhs = tab[rowi][-1] * row[col]
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[rowi]):
+                        rowi = i
+            if rowi < 0:
+                return "unbounded"
+            pivot(col, rowi, obj)
+
+    obj1 = [-sum(col) for col in zip(*tab)] if tab else [0] * (ncol + 1)
+    solve_phase(obj1)
+    if obj1[-1] != 0:
+        return ("infeasible", None, None)
+    for i in range(m):
+        if basis[i] >= ncol:
+            j = next((j for j in range(ncol) if tab[i][j]), None)
+            if j is not None:
+                if tab[i][j] < 0:
+                    tab[i] = [-x for x in tab[i]]
+                pivot(j, i, None)
+    keep = [i for i in range(m) if basis[i] < ncol]
+    tab[:] = [tab[i] for i in keep]
+    basis[:] = [basis[i] for i in keep]
+    cost = integer_row(c)
+    cost = cost + ([] if nonneg else [-x for x in cost]) + [0] * nslack
+    obj2 = [d * x for x in cost] + [0]
+    for row, bi in zip(tab, basis):
+        obj2 = [o - cost[bi] * t for o, t in zip(obj2, row)]
+    if solve_phase(obj2) != "optimal":
+        return ("unbounded", None, None)
+    xs = [Fraction(0)] * nv
+    for row, bi in zip(tab, basis):
+        if bi < nv:
+            xs[bi] = Fraction(row[-1], d)
+    x = xs if nonneg else [xs[j] - xs[n + j] for j in range(n)]
+    return ("optimal", x, sum(ci * xi for ci, xi in zip(c, x)))
+
+
+@st.composite
+def wide_lp(draw):
+    """(c, a_ub, b_ub, a_eq, b_eq, nonneg) with up to 7 rows and up to 40
+    tableau columns, so that lp_min builds columns late:
+    - "functional": x >= 0, equalities only and zero cost, with b = +-e_i
+      or any small vector, like the LPs of SliceFamily and prune_redundant;
+    - "free": free variables under inequalities and maybe equalities, with
+      a cost;
+    and in either kind maybe one row repeated as a multiple of itself: a
+    redundant row, or an inconsistent equality when its right-hand side is
+    off by one."""
+    ints = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["functional", "free"]))
+    k = draw(st.integers(1, 6))
+    if kind == "functional":
+        n = draw(st.integers(k, 40))
+        n_eq = k
+    else:
+        n = draw(st.integers(1, min(k + 2, 8)))
+        n_eq = draw(st.integers(0, min(k, 2)))
+    row = st.lists(ints, min_size=n, max_size=n)
+    a = draw(st.lists(row, min_size=k, max_size=k))
+    if kind == "functional" and draw(st.booleans()):
+        i = draw(st.integers(0, k - 1))
+        b = [draw(st.sampled_from([1, -1])) * int(j == i) for j in range(k)]
+    else:
+        b = draw(st.lists(ints, min_size=k, max_size=k))
+    c = draw(row) if kind == "free" else [0] * n
+    eq = list(zip(a[:n_eq], b[:n_eq]))
+    ub = list(zip(a[n_eq:], b[n_eq:]))
+    if draw(st.booleans()):
+        group = eq if eq and (not ub or draw(st.booleans())) else ub
+        ra, rb = group[draw(st.integers(0, len(group) - 1))]
+        f = draw(st.sampled_from([1, 2] if group is ub else [1, 2, -1]))
+        group.append(([f * x for x in ra],
+                      f * rb + draw(st.sampled_from([0, 0, 1]))))
+    return (c, [r for r, _b in ub], [b for _r, b in ub],
+            [r for r, _b in eq], [b for _r, b in eq], kind == "functional")
+
+
+@pytest.mark.parametrize("width", [0, exact.LAZY_WIDTH])
+@given(lp=wide_lp())
+@example(lp=([0] * 12, [], [], [[1] * 12, [2] * 12], [1, 2], True))
+@example(lp=([0] * 12, [], [], [[1] * 12, [1] * 12], [1, 2], True))
+@example(lp=([-1, 0, 0], [[1, 1, 1]], [3], [], [], False))
+@settings(max_examples=150, deadline=None)
+def test_lp_min_matches_eager_tableau(width, lp):
+    # width 0 builds every tableau column by column, the default only the
+    # wide ones; the pivots, and so (status, x, value), must be those of
+    # the whole tableau
+    saved = exact.LAZY_WIDTH
+    exact.LAZY_WIDTH = width
+    try:
+        got = exact.lp_min(*lp[:5], nonneg=lp[5])
+    finally:
+        exact.LAZY_WIDTH = saved
+    assert got == _lp_min_eager(*lp)
