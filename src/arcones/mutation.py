@@ -3,7 +3,10 @@
 B-matrix, g-vector and dual-(g, F) mutation; the mutation sequences
 mu_sqrt_l, mu_l with the permutation pi; the cyclic identities report;
 and the F-polynomial algorithm that computes all subrepresentation dimension
-vectors of the cone modules T_v.
+vectors of the cone modules T_v.  That algorithm mutates each T_v along the
+walk mu_l . mu_l, whose last quarter repeats its first relabelled by pi^3;
+where the state entering the last quarter is the pi^3-image of the base
+state, exactly, the state it reaches is read off the first quarter's.
 """
 
 from dataclasses import dataclass
@@ -240,7 +243,12 @@ class Walk:
     """The B-matrix walk mu_l . mu_l of an ice quiver.
 
     Built once per quiver (IceQuiver.walk) and shared by the F-polynomial
-    route, which mutates every T_v along it, and by the checks.
+    route, which mutates every T_v along it, and by the checks.  The walk
+    has four quarters of equal length, mu_sqrt_l, pi(mu_sqrt_l), then both
+    again; on the mutable vertices pi is an involution, so the last quarter
+    walks the vertices of the first relabelled by pi^3, and
+    quarter3_is_pi3 records whether its steps (u, row and column entries)
+    are exactly those relabelled ones.
     """
 
     seqs: MuSequences
@@ -251,6 +259,8 @@ class Walk:
     mu_l_is_pi2: bool            # mu_l(Delta) = pi^2(Delta), see _mu_l_is_pi2
     pi2: list                    # pi^2 relabelling: e'[k] = e[pi2[k]]
     pi2_inv: list                # its inverse, the same way
+    pi3: list                    # pi^3 renames vertex k as vertex pi3[k]
+    quarter3_is_pi3: bool        # steps of quarter 3 = pi^3(steps of quarter 0)
 
 
 def b_walk(iq):
@@ -261,9 +271,10 @@ def b_walk(iq):
     b = b0
     steps = []
     ends = []
-    # mu_l is mu_sqrt_l followed by its pi-image; the walk is mu_l twice
-    half = len(seqs.mu_sqrt_l)
-    for seq in (seqs.mu_sqrt_l, seqs.mu_l[half:], seqs.mu_l):
+    # mu_l is mu_sqrt_l followed by its pi-image; the walk is mu_l twice,
+    # four quarters of this length
+    quarter = len(seqs.mu_sqrt_l)
+    for seq in (seqs.mu_sqrt_l, seqs.mu_l[quarter:], seqs.mu_l):
         for v in seq:
             step = Step.at(b, index[v])
             steps.append(step)
@@ -271,10 +282,43 @@ def b_walk(iq):
         ends.append(b)
     b_sqrt_l, b_l, b_l2 = ends
     pi2_inv = {w: v for v, w in seqs.pi2.items()}
+    pi = seqs.pi
+    pi3 = [index[pi[pi[pi[v]]]] for v in iq.vertices]
     return Walk(seqs, steps, b_sqrt_l, b_l, b_l2,
                 _mu_l_is_pi2(iq, b_l, b0, seqs.pi2),
                 [index[seqs.pi2[v]] for v in iq.vertices],
-                [index[pi2_inv[v]] for v in iq.vertices])
+                [index[pi2_inv[v]] for v in iq.vertices],
+                pi3,
+                [relabel_step(s, pi3) for s in steps[:quarter]]
+                == steps[3 * quarter:])
+
+
+def relabel_step(step, perm):
+    """step with vertex k renamed perm[k]: as taken from the B-matrix
+    relabelled the same way."""
+    return Step(perm[step.u],
+                tuple(sorted((perm[v], x) for v, x in step.row)),
+                tuple(sorted((perm[v], x) for v, x in step.col)))
+
+
+def relabel_dual_state(state, perm):
+    """state with vertex k renamed perm[k], in gdual and in every exponent.
+
+    mutate_dual_state reads vertices only through step.u, step.row,
+    step.col and byte positions, so mutating the relabelled state along the
+    relabelled step gives the relabelled result, checks included.
+    """
+    m = len(perm)
+    inv = [0] * m
+    for k, j in enumerate(perm):
+        inv[j] = k
+    # itemgetter of 4 or more indices (every ice quiver has them) returns a
+    # tuple: e'[j] = e[inv[j]]
+    relabel = itemgetter(*inv)
+    return DualTracked(
+        list(relabel(state.gdual)),
+        {int.from_bytes(bytes(relabel(e.to_bytes(m, "little"))), "little"): c
+         for e, c in state.fpoly.items()})
 
 
 def _relabelled_b(b, iq, perm):
@@ -337,6 +381,7 @@ def verify_cyclic(iq):
         expected[mut_index[v]] = 1
         ok = ok and g == expected
     report["g_vector_lemma"] = ok
+    report["quarter3_is_pi3"] = walk.quarter3_is_pi3
     report["all"] = all(report.values())
     return report
 
@@ -385,10 +430,15 @@ def tv_subreps_via_fpoly(iq, i):
 
     Returns a dict keyed by the three frozen Presentation vertices; values are
     sets of dimension vectors (tuples indexed by iq.vertices), excluding the
-    zero vector and the full dimension vector.  The states are mutated along
-    iq.walk, which is built on the first call for iq.  Raises RuntimeError
-    if the precondition mu_l(Delta) = pi^2(Delta) fails: the route computes
-    nothing for such a quiver.
+    zero vector and the full dimension vector.  The base state S_0 of
+    T_{O_i^-} is mutated along the four quarters of iq.walk, which is built
+    on the first call for iq: T_{Id_{i*}} is read off S_2 and T_{O_i^+} off
+    S_4, S_k the state after k quarters.  When quarter 3 is the pi^3-image of
+    quarter 0 (Walk.quarter3_is_pi3) and S_3 equals pi^3(S_0) exactly,
+    S_4 is pi^3(S_1), the state quarter 3 would reach, and quarter 3 is not
+    mutated through; its checks are the images of quarter 0's.  Raises
+    RuntimeError if the precondition mu_l(Delta) = pi^2(Delta) fails: the
+    route computes nothing for such a quiver.
     """
     walk = iq.walk
     if not walk.mu_l_is_pi2:
@@ -397,27 +447,46 @@ def tv_subreps_via_fpoly(iq, i):
     cat = iq.cat
     star = cat.star
     m = len(iq.vertices)
-    state = _base_state(iq, i)
+    steps = walk.steps
+    quarter = len(steps) // 4
+    s0 = _base_state(iq, i)
     out = {cat.by_label["O%d-" % i]:
-           {tuple(e.to_bytes(m, "little")) for e in state.fpoly}}
-    half = len(walk.steps) // 2
-    for steps, target, perm in (
-        (walk.steps[:half], cat.by_label["Id%d" % star[i]], walk.pi2),
-        (walk.steps[half:], cat.by_label["O%d+" % i], walk.pi2_inv),
-    ):
-        for step in steps:
-            state = mutate_dual_state(state, step)
-        # unpack: byte k of e is e[k]; itemgetter of 4 or more indices
-        # (every ice quiver has them) returns a tuple
-        relabel = itemgetter(*perm)
-        relabelled = {relabel(e.to_bytes(m, "little")) for e in state.fpoly}
-        full = iq.tv_dim(target)
-        if max(relabelled, key=sum) != full:
-            raise RuntimeError("full dimension vector of T_%s is not the "
-                               "largest subrep" % target.label)
-        out[target] = relabelled
+           {tuple(e.to_bytes(m, "little")) for e in s0.fpoly}}
+    s1 = _mutate_along(s0, steps[:quarter])
+    state = _mutate_along(s1, steps[quarter:2 * quarter])
+    target = cat.by_label["Id%d" % star[i]]
+    out[target] = _read_off(iq, state, target, walk.pi2)
+    state = _mutate_along(state, steps[2 * quarter:3 * quarter])
+    if (walk.quarter3_is_pi3
+            and state == relabel_dual_state(s0, walk.pi3)):
+        state = relabel_dual_state(s1, walk.pi3)
+    else:
+        state = _mutate_along(state, steps[3 * quarter:])
+    target = cat.by_label["O%d+" % i]
+    out[target] = _read_off(iq, state, target, walk.pi2_inv)
     zero = (0,) * m
     for v in list(out):
         trivial = {zero, iq.tv_dim(v)}
         out[v] = {e for e in out[v] if e not in trivial}
     return out
+
+
+def _mutate_along(state, steps):
+    for step in steps:
+        state = mutate_dual_state(state, step)
+    return state
+
+
+def _read_off(iq, state, target, perm):
+    """The exponent vectors of state relabelled by perm (e'[k] = e[perm[k]]),
+    the subrep dimension vectors of T_target; raises RuntimeError unless
+    the full dimension vector of T_target is the largest."""
+    m = len(iq.vertices)
+    # unpack: byte k of e is e[k]; itemgetter of 4 or more indices
+    # (every ice quiver has them) returns a tuple
+    relabel = itemgetter(*perm)
+    relabelled = {relabel(e.to_bytes(m, "little")) for e in state.fpoly}
+    if max(relabelled, key=sum) != iq.tv_dim(target):
+        raise RuntimeError("full dimension vector of T_%s is not the "
+                           "largest subrep" % target.label)
+    return relabelled

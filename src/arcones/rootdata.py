@@ -1,26 +1,17 @@
-"""Dynkin combinatorics: valued quivers, Cartan data, Weyl groups, roots.
+"""Dynkin combinatorics: valued quivers, Cartan data, the star involution,
+roots.
 
 Vertices are labelled 1..n following the LiE/Bourbaki convention.  All
 weights are integer row vectors in the fundamental-weight basis; the simple
 root alpha_i corresponds to row i of the Cartan matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .exact import lcm, mat_mul, vec_mat
-
-WEYL_ORDERS = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2 ** n * _factorial(n),
-    "C": lambda n: 2 ** n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
-}
+from .exact import lcm, mat_mul
 
 NUM_POS_ROOTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -31,10 +22,6 @@ NUM_POS_ROOTS = {
     "F": lambda n: 24,
     "G": lambda n: 6,
 }
-
-
-def _factorial(n):
-    return reduce(lambda a, b: a * b, range(1, n + 1), 1)
 
 
 def dynkin_edges(letter, rank):
@@ -249,78 +236,6 @@ def cartan_data(Q):
     if cart != cartan_matrix(Q.letter, n):
         raise RuntimeError("Cartan matrix mismatch")
     return CartanData(Q, el, er, dmat, euler, cart)
-
-
-def alpha_row(cartan, i):
-    """Simple root alpha_i as a row vector in fundamental-weight coordinates."""
-    return list(cartan[i - 1])
-
-
-def reflection_matrix(cartan, i):
-    """Matrix of s_i acting on weight row vectors by right multiplication."""
-    n = len(cartan)
-    s = [[1 if k == j else 0 for j in range(n)] for k in range(n)]
-    for j in range(n):
-        s[i - 1][j] -= cartan[i - 1][j]
-    return s
-
-
-@dataclass
-class WeylGroup:
-    elements: list          # matrices acting on row vectors from the right
-    lengths: dict           # index -> length
-    w0: int                 # index of the longest element
-    star: dict              # i -> i*
-    cartan: list = field(repr=False, default=None)
-
-
-# largest Weyl group weyl_group generates before giving up
-WEYL_CAP = 10 ** 6
-
-
-def weyl_group(cd):
-    """Generate the full Weyl group by BFS over simple reflections."""
-    cart = cd.cartan
-    n = len(cart)
-    gens = [reflection_matrix(cart, i) for i in range(1, n + 1)]
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    seen = {ident: 0}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for s in gens:
-                m = tuple(tuple(r) for r in mat_mul([list(r) for r in w], s))
-                if m not in seen:
-                    seen[m] = seen[w] + 1
-                    order.append(m)
-                    new.append(m)
-                    if len(order) > WEYL_CAP:
-                        raise ValueError("Weyl group cap exceeded")
-        frontier = new
-    expected = WEYL_ORDERS[cd.Q.letter](n)
-    if len(order) != expected:
-        raise RuntimeError("Weyl group order %d != %d" % (len(order), expected))
-    maxlen = max(seen.values())
-    longest = [w for w, l in seen.items() if l == maxlen]
-    if len(longest) != 1:
-        raise RuntimeError("longest element is not unique")
-    w0 = order.index(longest[0])
-    w0mat = [list(r) for r in longest[0]]
-    star = {}
-    for i in range(1, n + 1):
-        img = vec_mat(alpha_row(cart, i), w0mat)
-        neg = [-x for x in img]
-        for j in range(1, n + 1):
-            if neg == alpha_row(cart, j):
-                star[i] = j
-                break
-        else:
-            raise RuntimeError("w0 does not permute simple roots up to sign")
-    elements = [[list(r) for r in w] for w in order]
-    lengths = {k: seen[tuple(tuple(r) for r in w)] for k, w in enumerate(elements)}
-    return WeylGroup(elements, lengths, w0, star, cart)
 
 
 def star_involution(cd):

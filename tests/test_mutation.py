@@ -133,6 +133,36 @@ def test_mutate_dual_involutive(key, data):
         state, b = mutated, b_u
 
 
+@pytest.mark.parametrize("key", INVOLUTION_KEYS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_mutate_dual_relabel_equivariant(key, data):
+    # renaming the vertices commutes with mutation: the step taken from the
+    # relabelled B-matrix is the relabelled step, and mutating the relabelled
+    # state along it gives the relabelled result
+    iq = _ice(key)
+    m = len(iq.vertices)
+    perm = data.draw(st.permutations(range(m)))
+    state = mutation._base_state(iq, data.draw(st.integers(1, iq.n)))
+    b = iq.bmat_full
+    walk = data.draw(st.lists(st.sampled_from([iq.index[v]
+                                               for v in iq.mutable]),
+                              min_size=1, max_size=7))
+    for u in walk:
+        step = mutation.Step.at(b, u)
+        pb = [[0] * m for _ in range(m)]
+        for r in range(m):
+            for c in range(m):
+                pb[perm[r]][perm[c]] = b[r][c]
+        moved = mutation.relabel_step(step, perm)
+        assert moved == mutation.Step.at(pb, perm[u])
+        mutated = mutation.mutate_dual_state(state, step)
+        assert mutation.mutate_dual_state(
+            mutation.relabel_dual_state(state, perm), moved) == \
+            mutation.relabel_dual_state(mutated, perm)
+        state, b = mutated, step.apply(b)
+
+
 def _run_python_O(body):
     """Run body under python -O with arcones importable; its stdout."""
     script = textwrap.dedent("""
@@ -228,17 +258,34 @@ def test_mu_sequences_a2():
     assert seqs.pi[fs1] == fs1
 
 
-@pytest.mark.parametrize("letter,n", [("A", 2), ("A", 3), ("D", 4)])
+@pytest.mark.parametrize("letter,n", [("A", 2), ("A", 3), ("D", 4),
+                                      ("B", 2), ("G", 2)])
 def test_verify_cyclic(letter, n):
     report = mutation.verify_cyclic(System(letter, n).ice())
-    assert report["all"], report
+    # quarter 3 of the walk is quarter 0 relabelled by pi^3, valued types too
+    assert report["quarter3_is_pi3"], report
+    if letter in "AD":
+        assert report["all"], report
+
+
+def test_verify_cyclic_quarter3_counts_in_all(monkeypatch):
+    build_walk = mutation.b_walk
+
+    def planted(iq):
+        walk = build_walk(iq)
+        walk.quarter3_is_pi3 = False
+        return walk
+
+    monkeypatch.setattr(mutation, "b_walk", planted)
+    report = mutation.verify_cyclic(System("A", 2).ice())
+    assert not report["quarter3_is_pi3"] and not report["all"], report
 
 
 def test_verify_cyclic_g2_runs():
     # conjectural for valued types: record the outcome, no assertion
     report = mutation.verify_cyclic(System("G", 2).ice())
     assert set(report) >= {"sqrt_l_vs_pi", "l_vs_pi2", "l_cubed_identity",
-                           "g_vector_lemma"}
+                           "g_vector_lemma", "quarter3_is_pi3"}
 
 
 @pytest.mark.parametrize("letter,n", [("A", 2), ("A", 3), ("D", 4)])
@@ -320,18 +367,107 @@ def test_tv_fpoly_pinned(letter, n, subreps, digest):
 
 # brute force refuses E6 (total dimension 43 over a cap of 24), so these
 # digests of tv_subreps_via_fpoly(iq, i) fix the F-polynomial output on the
-# widest ice quiver (48 vertices) the packed exponents meet; the branch
-# vertex i = 4 is left out for its run time
+# widest ice quiver (48 vertices) the packed exponents meet
 @pytest.mark.parametrize("i,subreps,digest", [
     (1, 33, "b2013b2692c1830e79892e46d951ef9cddf04dbf908992787f90f7291803506b"),
     (2, 84, "44a8e043fdb7946ad912392f3f5c13f58563087cfe98e43c25368313c71e4274"),
     (3, 33, "f03b37369b0f838732eb8e4cc9881866274d8fac4d7f44088930b8adc0e971ac"),
+    (4, 2931,
+     "9db913aacba7efa68fc0f6b1b659cd1dc99d69e8b733881450c836be9210b941"),
     (5, 33, "a9239db0f99d3a27b8a2dc789b8ee662d9044df6f354e49214cfb9eb4a307a5f"),
     (6, 33, "15688b3ea15af6fc9adb8e4c1fc6046159b4fadb2227e26aea58426c6ea06641"),
-], ids=["1", "2", "3", "5", "6"])
+], ids=["1", "2", "3", "4", "5", "6"])
 def test_tv_fpoly_pinned_e6(i, subreps, digest):
     iq = _ice("E6")
     assert len(iq.vertices) == 48
     sets = mutation.tv_subreps_via_fpoly(iq, i)
     assert sum(len(s) for s in sets.values()) == subreps
     assert _tv_digest(sets) == digest
+
+
+def _plain_walk_subreps(iq, i):
+    """tv_subreps_via_fpoly(iq, i) with every step of iq.walk sent through
+    mutate_dual_state: T_{Id_{i*}} read off after half the walk, T_{O_i^+}
+    after all of it."""
+    cat = iq.cat
+    walk = iq.walk
+    m = len(iq.vertices)
+
+    def unpack(state, perm):
+        return {tuple(e.to_bytes(m, "little")[k] for k in perm)
+                for e in state.fpoly}
+
+    state = mutation._base_state(iq, i)
+    out = {cat.by_label["O%d-" % i]: unpack(state, range(m))}
+    half = len(walk.steps) // 2
+    for step in walk.steps[:half]:
+        state = mutation.mutate_dual_state(state, step)
+    out[cat.by_label["Id%d" % cat.star[i]]] = unpack(state, walk.pi2)
+    for step in walk.steps[half:]:
+        state = mutation.mutate_dual_state(state, step)
+    out[cat.by_label["O%d+" % i]] = unpack(state, walk.pi2_inv)
+    zero = (0,) * m
+    return {v: {e for e in s if e not in (zero, iq.tv_dim(v))}
+            for v, s in out.items()}
+
+
+WALK_KEYS = ["A2", "A3", "A4", "A5", "A6", "D4", "D4:2>1,3>2,4>2", "D5"]
+
+
+@pytest.mark.parametrize("key", WALK_KEYS)
+def test_tv_fpoly_equals_plain_walk(key):
+    iq = _ice(key)
+    for i in range(1, iq.n + 1):
+        assert mutation.tv_subreps_via_fpoly(iq, i) == \
+            _plain_walk_subreps(iq, i), i
+
+
+# vertices whose state after three quarters is pi^3 of the base state, so
+# quarter 3 is read off quarter 0 instead of mutated through; all of them
+# have i = i*, and no vertex of type A is among them
+QUARTER3_REUSED = {"A2": (), "A3": (), "A4": (), "A5": (), "A6": (),
+                   "D4": (1, 2, 3, 4), "D4:2>1,3>2,4>2": (1, 2, 3, 4),
+                   "D5": (1, 2, 3)}
+
+
+@pytest.mark.parametrize("key", WALK_KEYS)
+def test_tv_fpoly_quarter3_reuse(key, monkeypatch):
+    iq = _ice(key)
+    walk = iq.walk
+    assert walk.quarter3_is_pi3
+    calls = []
+    real = mutation.mutate_dual_state
+
+    def counted(state, step):
+        calls.append(step)
+        return real(state, step)
+
+    monkeypatch.setattr(mutation, "mutate_dual_state", counted)
+    for i in range(1, iq.n + 1):
+        calls.clear()
+        mutation.tv_subreps_via_fpoly(iq, i)
+        if i in QUARTER3_REUSED[key]:
+            assert calls == walk.steps[:3 * len(walk.steps) // 4], i
+        else:
+            assert calls == walk.steps, i
+
+
+def test_tv_fpoly_without_quarter3_reuse(monkeypatch):
+    # a walk whose quarter 3 is not taken as pi^3 of quarter 0 is mutated
+    # through in full, to the same sets
+    iq = _ice("D4")
+    expected = {i: mutation.tv_subreps_via_fpoly(iq, i)
+                for i in range(1, 5)}
+    monkeypatch.setattr(iq.walk, "quarter3_is_pi3", False)
+    calls = []
+    real = mutation.mutate_dual_state
+
+    def counted(state, step):
+        calls.append(step)
+        return real(state, step)
+
+    monkeypatch.setattr(mutation, "mutate_dual_state", counted)
+    for i in range(1, 5):
+        calls.clear()
+        assert mutation.tv_subreps_via_fpoly(iq, i) == expected[i]
+        assert calls == iq.walk.steps

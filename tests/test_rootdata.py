@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+from math import factorial
+
 import pytest
 
 from arcones import rootdata
-from arcones.exact import mat_mul
+from arcones.exact import mat_mul, vec_mat
 
 
 ALL_TYPES = [
@@ -58,13 +61,92 @@ def test_d4_highest_root():
     assert high == (1, 2, 1, 1)  # coefficient 2 at the branch vertex 2
 
 
+# The Weyl group, generated as a check of the group orders and of
+# rootdata.star_involution, which does without it
+
+WEYL_ORDERS = {
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2 ** n * factorial(n),
+    "C": lambda n: 2 ** n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
+    "F": lambda n: 1152,
+    "G": lambda n: 12,
+}
+
+# largest Weyl group weyl_group generates before giving up
+WEYL_CAP = 10 ** 6
+
+
+def alpha_row(cartan, i):
+    """Simple root alpha_i as a row vector in fundamental-weight coordinates."""
+    return list(cartan[i - 1])
+
+
+def reflection_matrix(cartan, i):
+    """Matrix of s_i acting on weight row vectors by right multiplication."""
+    n = len(cartan)
+    s = [[1 if k == j else 0 for j in range(n)] for k in range(n)]
+    for j in range(n):
+        s[i - 1][j] -= cartan[i - 1][j]
+    return s
+
+
+@dataclass
+class WeylGroup:
+    elements: list          # matrices acting on row vectors from the right
+    star: dict              # i -> i*, from the longest element w0
+
+
+def weyl_group(cd):
+    """Generate the full Weyl group by BFS over simple reflections."""
+    cart = cd.cartan
+    n = len(cart)
+    gens = [reflection_matrix(cart, i) for i in range(1, n + 1)]
+    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    seen = {ident: 0}
+    order = [ident]
+    frontier = [ident]
+    while frontier:
+        new = []
+        for w in frontier:
+            for s in gens:
+                m = tuple(tuple(r) for r in mat_mul([list(r) for r in w], s))
+                if m not in seen:
+                    seen[m] = seen[w] + 1
+                    order.append(m)
+                    new.append(m)
+                    if len(order) > WEYL_CAP:
+                        raise ValueError("Weyl group cap exceeded")
+        frontier = new
+    expected = WEYL_ORDERS[cd.Q.letter](n)
+    if len(order) != expected:
+        raise RuntimeError("Weyl group order %d != %d" % (len(order), expected))
+    maxlen = max(seen.values())
+    longest = [w for w, l in seen.items() if l == maxlen]
+    if len(longest) != 1:
+        raise RuntimeError("longest element is not unique")
+    w0mat = [list(r) for r in longest[0]]
+    star = {}
+    for i in range(1, n + 1):
+        img = vec_mat(alpha_row(cart, i), w0mat)
+        neg = [-x for x in img]
+        for j in range(1, n + 1):
+            if neg == alpha_row(cart, j):
+                star[i] = j
+                break
+        else:
+            raise RuntimeError("w0 does not permute simple roots up to sign")
+    return WeylGroup([[list(r) for r in w] for w in order], star)
+
+
 @pytest.mark.parametrize("letter,rank,order", [
     ("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("B", 2, 8),
     ("D", 4, 192), ("G", 2, 12),
 ])
 def test_weyl_group_orders(letter, rank, order):
     cd = rootdata.cartan_data(rootdata.build_dynkin(letter, rank))
-    W = rootdata.weyl_group(cd)
+    W = weyl_group(cd)
     assert len(W.elements) == order
 
 
@@ -73,7 +155,7 @@ def test_weyl_group_orders(letter, rank, order):
 ])
 def test_star_matches_w0(letter, rank):
     cd = rootdata.cartan_data(rootdata.build_dynkin(letter, rank))
-    W = rootdata.weyl_group(cd)
+    W = weyl_group(cd)
     assert W.star == rootdata.star_involution(cd)
 
 
