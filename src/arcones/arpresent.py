@@ -37,7 +37,6 @@ class ARQuiver:
     modules: list                 # knitting order
     arrows: dict                  # (M, N) -> (a, b) valuation
     tau: dict                     # non-projective N -> tau N
-    tau_inv: dict
     projectives: dict             # i -> Module
     injectives: dict              # i -> Module
     simples: dict                 # i -> Module
@@ -71,7 +70,7 @@ def knit_rep_ar(Q):
     for (i, j) in Q.arrows:
         # rad P_i contains P_j: irreducible map P_j -> P_i
         arrows[(projectives[j], projectives[i])] = (Q.c(j, i), Q.c(i, j))
-    tau, tau_inv = {}, {}
+    tau = {}
 
     expected = NUM_POS_ROOTS[Q.letter](n)
     done = set()
@@ -105,7 +104,6 @@ def knit_rep_ar(Q):
             if tl not in modules:
                 modules.append(tl)
             tau[tl] = L
-            tau_inv[L] = tl
             for N, (a, b) in outs:
                 arrows[(N, tl)] = (b, a)
         if not progressed:
@@ -118,8 +116,8 @@ def knit_rep_ar(Q):
         simples[i] = Module(sdim)
         if simples[i] not in modules:
             raise RuntimeError("simple S%d missing from the AR quiver" % i)
-    return ARQuiver(Q, cd, modules, arrows, tau, tau_inv,
-                    projectives, injectives, simples)
+    return ARQuiver(Q, cd, modules, arrows, tau, projectives, injectives,
+                    simples)
 
 
 def hom_dim_table(ar):
@@ -206,22 +204,16 @@ class PresentationCatalog:
     f_plus: dict
     e_vec: dict
     orbit: dict                    # non-neutral Presentation -> (i, t)
-    orbit_len: dict                # i -> t_i + 1
-    tau: dict                      # Presentation -> Presentation along orbits
-    tau_inv: dict
     by_module: dict                # Module -> Presentation (incl. projectives)
     by_label: dict                 # label -> Presentation
     star: dict                     # i -> i*, the involution -w0
-    orbits: dict                   # i -> [O_i^+, ..., O_{i*}^-] along tau
+    orbits: dict                   # i -> [O_i^+, ..., O_{i*}^-] along tau:
+                                   # orbits[i][t] is tau^t O_i^+
     hom: dict                      # M -> N -> dim Hom(M, N), hom_dim_table
 
     @property
     def n(self):
         return self.ar.Q.n
-
-    def t_star(self, i):
-        """t_i, the largest t with tau^t O_i^+ defined."""
-        return self.orbit_len[i] - 1
 
     def triple_weight(self, p):
         return (self.e_vec[p], self.f_minus[p], self.f_plus[p])
@@ -232,20 +224,20 @@ class PresentationCatalog:
             return self.by_label["O%d+" % p.index]
         if p.kind == "negative":
             return self.by_label["Id%d" % p.index]
-        i, t = self.orbit[p]
-        # pi sends (i, t) to (i, t_i - t) in orbit coordinates
-        return self._orbit_member(i, self.t_star(i) - t)
+        return self._reflect(p)
 
     def pi_inv(self, p):
         if p.kind == "neutral":
             return self.by_label["O%d-" % p.index]
         if p.kind == "positive":
             return self.by_label["Id%d" % p.index]
-        i, t = self.orbit[p]
-        return self._orbit_member(i, self.t_star(i) - t)
+        return self._reflect(p)
 
-    def _orbit_member(self, i, t):
-        return self.orbits[i][t]
+    def _reflect(self, p):
+        """The orbit reflection (i, t) -> (i, t_i - t), t_i the largest t
+        with tau^t O_i^+ defined."""
+        i, t = self.orbit[p]
+        return self.orbits[i][-1 - t]
 
 
 def enumerate_presentations(ar):
@@ -297,8 +289,7 @@ def enumerate_presentations(ar):
                                    % (M.name, i))
 
     # thread tau-orbits: O_i^+ -> f(I_i) -> ... -> O_{i*}^-
-    tau, tau_inv, orbit, orbit_len = {}, {}, {}, {}
-    orbits = {}
+    orbit, orbits = {}, {}
     for i in range(1, n + 1):
         chain = [pos[i]]
         cur = by_module[ar.injectives[i]]
@@ -314,20 +305,15 @@ def enumerate_presentations(ar):
         for t, p in enumerate(chain):
             orbit[p] = (i, t)
             e_vec[p] = unit(i)
-            if t:
-                tau[chain[t - 1]] = p
-                tau_inv[p] = chain[t - 1]
-        orbit_len[i] = len(chain)
         orbits[i] = chain
 
     objects = ([neg[i] for i in range(1, n + 1)]
                + [pos[i] for i in range(1, n + 1)]
                + [neu[i] for i in range(1, n + 1)]
                + mods)
-    return PresentationCatalog(ar, objects, f_minus, f_plus, e_vec,
-                               orbit, orbit_len, tau, tau_inv, by_module,
-                               {p.label: p for p in objects}, star, orbits,
-                               hom)
+    return PresentationCatalog(ar, objects, f_minus, f_plus, e_vec, orbit,
+                               by_module, {p.label: p for p in objects},
+                               star, orbits, hom)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +418,14 @@ def _full2_arrows(cat):
     for i in range(1, Q.n + 1):
         fIi = fmap[ar.injectives[i]]
         arrows.append((cat.by_label["O%d+" % i], fIi, (1, 1), "C"))
-    # (d) neutral vertices: f(S_i) -> Id_i -> tau^{-1} f(S_i)
+    # (d) neutral vertices: f(S_i) -> Id_i -> tau^{-1} f(S_i), the orbit
+    # member before f(S_i)
     for i in range(1, Q.n + 1):
         fSi = fmap[ar.simples[i]]
         Idi = cat.by_label["Id%d" % i]
+        k, t = cat.orbit[fSi]
         arrows.append((fSi, Idi, (1, 1), "A"))
-        arrows.append((Idi, cat.tau_inv[fSi], (1, 1), "A"))
+        arrows.append((Idi, cat.orbits[k][t - 1], (1, 1), "A"))
     return arrows
 
 
@@ -464,18 +452,13 @@ def build_ice_quiver(cat, variant="full2"):
                      bfull, bmat, mutable)
 
 
-@dataclass
-class WeightConfig:
-    iq: IceQuiver
-    sigma: list                   # one row per vertex, or None for l/r
-
-
 def weight_configuration(iq):
-    """The weight configuration sigma of the variant; checks B . sigma = 0."""
+    """The weight configuration sigma of the variant, one row per vertex of
+    iq, or None for the ungraded variants l and r; checks B . sigma = 0."""
     cat = iq.cat
     n = iq.n
     if iq.variant in ("l", "r"):
-        return WeightConfig(iq, None)
+        return None
     rows = []
     for v in iq.vertices:
         e, fm, fp = cat.triple_weight(v)
@@ -491,4 +474,4 @@ def weight_configuration(iq):
     if iq.variant == "full2":
         if rank(rows) != 3 * n:
             raise RuntimeError("sigma^2 is not full rank 3n")
-    return WeightConfig(iq, rows)
+    return rows

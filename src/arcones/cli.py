@@ -18,7 +18,7 @@ import time
 import click
 
 from . import arpresent, cone, count, lieoracle, mutation
-from .system import System
+from .system import System, UnsupportedCone
 
 FORMAT_VERSION = 1
 
@@ -90,12 +90,16 @@ def _write_build_artifacts(system, variant, outdir):
                "rank": system.rank,
                "orientation": [list(a) for a in Q.arrows],
                "variant": variant, "vertices": len(iq.vertices)}
-    if Q.trivially_valued:
-        spec, sig = system.cone(variant), system.sigma(variant)
+    try:
+        spec = system.cone(variant)
+    except UnsupportedCone as exc:
+        summary["cone"] = {"supported": False, "reason": str(exc)}
+    else:
+        sig = system.sigma(variant)
         files["hmatrix.json"] = json.dumps({"format": FORMAT_VERSION,
                                             **spec.to_json_dict()}, indent=1)
         files["hmatrix.csv"] = spec.to_csv()
-        if sig.sigma is None:
+        if sig is None:
             summary["sigma"] = {"written": False,
                                 "reason": "variant %s has no grading"
                                           % variant}
@@ -103,12 +107,9 @@ def _write_build_artifacts(system, variant, outdir):
             files["sigma.json"] = json.dumps(
                 {"format": FORMAT_VERSION,
                  "rows": {v.label: list(r)
-                          for v, r in zip(spec.vertices, sig.sigma)}},
+                          for v, r in zip(spec.vertices, sig)}},
                 indent=1)
         summary["cone"] = {"supported": True, "columns": len(spec.columns)}
-    else:
-        summary["cone"] = {"supported": False,
-                           "reason": "valued type: quiver and catalog only"}
     files["summary.json"] = json.dumps(summary, indent=1)
     os.makedirs(outdir, exist_ok=True)
     for name, text in files.items():
@@ -171,7 +172,7 @@ def _grid_targets(cd, variant, sig, bound, rng, decompositions):
                 rows.append((mu, lam))
     else:  # u: every sum of h_v * sigma_v with 0 <= h_v <= bound
         gammas = {(0,) * n}
-        for row in sig.sigma:
+        for row in sig:
             gammas = {tuple(g + k * x for g, x in zip(gamma, row))
                       for gamma in gammas for k in range(bound + 1)}
         rows.extend((gamma,) for gamma in sorted(gammas))
@@ -187,7 +188,7 @@ def _oracle_value(cd, variant, weights, decompositions):
     if variant == "sharp":
         mu, lam = weights
         return lieoracle.freudenthal(cd, mu).get(lam, 0)
-    return count.kostant_partition(cd, weights[0])
+    return lieoracle.kostant_partition(cd, weights[0])
 
 
 @main.command("count")
@@ -210,9 +211,6 @@ def cmd_count(type_, orient, variant, triple, targets_opt, grid, check, out):
     """Count lattice points of weight slices; CSV output."""
     letter, rank = _parse_type(type_)
     system = System(letter, rank, _parse_orient(orient))
-    if not system.quiver.trivially_valued:
-        raise ValueError("counting is unsupported for valued type %s%d"
-                         % (letter, rank))
     sig = system.sigma(variant)
     cd = system.cd
     rows = []
@@ -272,8 +270,11 @@ _D4_COUNTS = ([3, 3, 3, 3], [7, 6, 1, 1], [1, 2, 7, 7])
 
 
 def _suite_structural(system, _bound):
-    if (system.letter, system.rank) == ("D", 4) and system.orient is None:
-        edges = [(1, 2), (3, 2), (4, 2)]
+    # the default D4 orientation, however it was given, is searched for the
+    # orientation of the 44-column cone
+    edges = [(1, 2), (3, 2), (4, 2)]
+    if (system.letter, system.rank) == ("D", 4) and \
+            set(system.quiver.arrows) == set(edges):
         for bits in itertools.product((0, 1), repeat=3):
             arrows = [(j, i) if b else (i, j)
                       for (i, j), b in zip(edges, bits)]

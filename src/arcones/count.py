@@ -1,5 +1,4 @@
-"""Exact lattice-point counting of weight slices of cones, plus Kostant's
-partition function as a memoized recursion over the positive roots.
+"""Exact lattice-point counting of weight slices of cones.
 
 A slice is {g : g . h >= 0 for every cone column h, g . sigma = target}.
 Counting reduces the affine integer slice to integer coordinates on an
@@ -18,14 +17,11 @@ reference the tests compare it against.
 """
 
 from collections import deque
-from fractions import Fraction
-from functools import cache
 from math import ceil, floor
 from operator import mul, sub
 
-from . import arpresent, rootdata
 from .exact import (dot, integer_row_solution, lcm, left_kernel_lattice,
-                    lp_min, mat_inv, row_hnf, vec_mat)
+                    lp_min, row_hnf)
 
 
 def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
@@ -97,8 +93,8 @@ class SliceFamily:
     for every individual target.  Everything a count reads is kept as ints:
     the functionals as sparse integer forms over one common denominator and
     each active inequality as its nonzero indices and coefficients, so the
-    per-target path does integer arithmetic only.  sigma is a WeightConfig
-    or its list of rows.
+    per-target path does integer arithmetic only.  sigma is the list of
+    rows of the weight configuration, one per vertex of the cone.
 
     count is a depth-first search over the box that narrows the bounds by
     propagation at every node (queue-based AC-3, Mackworth 1977).  Each
@@ -118,8 +114,6 @@ class SliceFamily:
     """
 
     def __init__(self, cone, sigma):
-        if isinstance(sigma, arpresent.WeightConfig):
-            sigma = sigma.sigma
         if sigma is None:
             raise ValueError("this cone variant carries no weight grading")
         self.cone = cone
@@ -410,31 +404,3 @@ class SliceFamily:
 
         return rec(0, [[a[k] for k in order] for a in rows], rhs)
 
-
-def kostant_partition(cd, gamma):
-    """Kostant's partition function: the number of ways to write gamma
-    (a weight in fundamental-weight coordinates) as a nonnegative integer
-    combination of the positive roots of the CartanData cd.  Returns 0
-    outside the root cone.
-
-    Only the non-simple roots are enumerated, memoized on (root index,
-    remainder): the simple roots then fill any nonnegative remainder in
-    exactly one way.
-    """
-    k = vec_mat([Fraction(x) for x in gamma], mat_inv(cd.cartan))
-    if any(x.denominator != 1 or x < 0 for x in k):
-        return 0
-    roots = [a for a, _fw in rootdata.positive_roots(cd) if sum(a) > 1]
-
-    @cache
-    def rec(idx, rem):
-        if idx == len(roots):
-            return 1
-        a = roots[idx]
-        total = 0
-        while all(x >= 0 for x in rem):
-            total += rec(idx + 1, rem)
-            rem = tuple(x - y for x, y in zip(rem, a))
-        return total
-
-    return rec(0, tuple(int(x) for x in k))

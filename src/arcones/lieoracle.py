@@ -1,8 +1,9 @@
 """Independent classical Lie-theory oracles.
 
-Freudenthal weight multiplicities, Brauer-Klimyk tensor decomposition, and
-the type-A Littlewood-Richardson tableau rule.  These are deliberately
-separate from the quiver machinery so they can serve as cross-checks.
+Freudenthal weight multiplicities, Brauer-Klimyk tensor decomposition,
+Kostant's partition function, and the type-A Littlewood-Richardson tableau
+rule.  These are deliberately separate from the quiver machinery so they
+can serve as cross-checks.
 
 All weights are integer tuples in fundamental-weight coordinates.  Every
 call computes in ints: the forms of each Cartan datum are scaled to integers
@@ -10,7 +11,7 @@ once (`_forms`), and each formula ends in one exact `divmod`.
 """
 
 from collections import namedtuple
-from functools import reduce
+from functools import cache, reduce
 
 from .exact import dot, lcm, mat_inv, vec_mat
 from .rootdata import positive_roots
@@ -179,6 +180,41 @@ def tensor_decomposition(cd, mu, nu):
     if total != weyl_dimension(cd, mu) * weyl_dimension(cd, nu):
         raise RuntimeError("dimensions of %s x %s do not add up" % (mu, nu))
     return out
+
+
+def kostant_partition(cd, gamma):
+    """Kostant's partition function: the number of ways to write gamma
+    (a weight in fundamental-weight coordinates) as a nonnegative integer
+    combination of the positive roots of the CartanData cd.  Returns 0
+    outside the root cone.
+
+    Only the non-simple roots are enumerated, memoized on (root index,
+    remainder): the simple roots then fill any nonnegative remainder in
+    exactly one way.
+    """
+    forms = _forms(cd)
+    # the simple-root coordinates k = gamma . C^-1 of gamma, from
+    # gamma . gram = den (d_j k_j)_j
+    k = []
+    for x, d in zip(vec_mat(gamma, forms.gram), cd.Q.d):
+        q, r = divmod(x, forms.den * d)
+        if r or q < 0:
+            return 0
+        k.append(q)
+    roots = [a for a, _fw in positive_roots(cd) if sum(a) > 1]
+
+    @cache
+    def rec(idx, rem):
+        if idx == len(roots):
+            return 1
+        a = roots[idx]
+        total = 0
+        while all(x >= 0 for x in rem):
+            total += rec(idx + 1, rem)
+            rem = tuple(x - y for x, y in zip(rem, a))
+        return total
+
+    return rec(0, tuple(k))
 
 
 def weight_to_partition(n, mu):

@@ -212,33 +212,6 @@ def _field_overflow(deg):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MuSequences:
-    mu_sqrt_l: list              # vertex lists (Presentation), applied left to right
-    mu_l: list
-    pi: dict                     # Presentation -> Presentation
-    pi2: dict
-
-
-def mu_sequences(iq):
-    """The sequences mu_sqrt_l, mu_l and the permutations pi, pi^2."""
-    cat = iq.cat
-    Q = cat.ar.Q
-    pos = {i: k for k, i in enumerate(Q.topological_order())}
-    mutables = sorted(iq.mutable, key=lambda p: (cat.orbit[p][1], pos[cat.orbit[p][0]]))
-    member = cat._orbit_member
-    sqrt_l = []
-    for p in mutables:
-        i, t = cat.orbit[p]
-        ti = cat.t_star(i)
-        sqrt_l.extend(member(i, s) for s in range(1, ti - t + 1))
-    pi = {v: cat.pi(v) for v in iq.vertices}
-    pi2 = {v: pi[pi[v]] for v in iq.vertices}
-    sqrt_l_pi = [pi[v] for v in sqrt_l]
-    mu_l = sqrt_l + sqrt_l_pi
-    return MuSequences(sqrt_l, mu_l, pi, pi2)
-
-
-@dataclass
 class Walk:
     """The B-matrix walk mu_l . mu_l of an ice quiver.
 
@@ -248,47 +221,65 @@ class Walk:
     again; on the mutable vertices pi is an involution, so the last quarter
     walks the vertices of the first relabelled by pi^3, and
     quarter3_is_pi3 records whether its steps (u, row and column entries)
-    are exactly those relabelled ones.
+    are exactly those relabelled ones.  pi renames vertex k as pi[k], the
+    convention of relabel_step, relabel_dual_state and relabel_b; its
+    powers are taken where they are used.  pi has order 6: it is an
+    involution on the mutable vertices and cycles O_i^- -> Id_i -> O_i^+
+    -> O_{i*}^- on the frozen ones.
     """
 
-    seqs: MuSequences
     steps: list                  # Step per mutation of mu_l, then of mu_l again
     b_sqrt_l: list               # mu_sqrt_l(B)
     b_l: list                    # mu_l(B)
     b_l2: list                   # mu_l(mu_l(B))
     mu_l_is_pi2: bool            # mu_l(Delta) = pi^2(Delta), see _mu_l_is_pi2
-    pi2: list                    # pi^2 relabelling: e'[k] = e[pi2[k]]
-    pi2_inv: list                # its inverse, the same way
-    pi3: list                    # pi^3 renames vertex k as vertex pi3[k]
+    pi: list                     # pi renames vertex k as vertex pi[k]
     quarter3_is_pi3: bool        # steps of quarter 3 = pi^3(steps of quarter 0)
 
 
+def _power(perm, k):
+    """perm^k, k >= 0, for perm renaming vertex j as perm[j]."""
+    out = list(range(len(perm)))
+    for _ in range(k):
+        out = [perm[j] for j in out]
+    return out
+
+
 def b_walk(iq):
-    """The Walk of iq, from its full B-matrix."""
-    seqs = mu_sequences(iq)
+    """The Walk of iq, from its full B-matrix.
+
+    mu_sqrt_l mutates, for each mutable vertex at (i, t) in orbit
+    coordinates, taken by t and then by the topological order of i, at the
+    orbit members tau^s O_i^+ for s = 1 .. t_i - t; mu_l is mu_sqrt_l
+    followed by its pi-image.
+    """
+    cat = iq.cat
     index = iq.index
+    pos = {i: k for k, i in enumerate(cat.ar.Q.topological_order())}
+    sqrt_l = []
+    for p in sorted(iq.mutable,
+                    key=lambda p: (cat.orbit[p][1], pos[cat.orbit[p][0]])):
+        i, t = cat.orbit[p]
+        chain = cat.orbits[i]
+        sqrt_l.extend(index[v] for v in chain[1:len(chain) - t])
+    pi = [index[cat.pi(v)] for v in iq.vertices]
+    mu_l = sqrt_l + [pi[u] for u in sqrt_l]
     b0 = iq.bmat_full
     b = b0
     steps = []
     ends = []
-    # mu_l is mu_sqrt_l followed by its pi-image; the walk is mu_l twice,
-    # four quarters of this length
-    quarter = len(seqs.mu_sqrt_l)
-    for seq in (seqs.mu_sqrt_l, seqs.mu_l[quarter:], seqs.mu_l):
-        for v in seq:
-            step = Step.at(b, index[v])
+    # the walk is mu_l twice, four quarters of the length of mu_sqrt_l
+    quarter = len(sqrt_l)
+    for seq in (sqrt_l, mu_l[quarter:], mu_l):
+        for u in seq:
+            step = Step.at(b, u)
             steps.append(step)
             b = step.apply(b)
         ends.append(b)
     b_sqrt_l, b_l, b_l2 = ends
-    pi2_inv = {w: v for v, w in seqs.pi2.items()}
-    pi = seqs.pi
-    pi3 = [index[pi[pi[pi[v]]]] for v in iq.vertices]
-    return Walk(seqs, steps, b_sqrt_l, b_l, b_l2,
-                _mu_l_is_pi2(iq, b_l, b0, seqs.pi2),
-                [index[seqs.pi2[v]] for v in iq.vertices],
-                [index[pi2_inv[v]] for v in iq.vertices],
-                pi3,
+    pi3 = _power(pi, 3)
+    return Walk(steps, b_sqrt_l, b_l, b_l2,
+                _mu_l_is_pi2(iq, b_l, b0, _power(pi, 2)), pi,
                 [relabel_step(s, pi3) for s in steps[:quarter]]
                 == steps[3 * quarter:])
 
@@ -308,27 +299,33 @@ def relabel_dual_state(state, perm):
     step.col and byte positions, so mutating the relabelled state along the
     relabelled step gives the relabelled result, checks included.
     """
+    relabel = _renaming(perm)
     m = len(perm)
-    inv = [0] * m
-    for k, j in enumerate(perm):
-        inv[j] = k
-    # itemgetter of 4 or more indices (every ice quiver has them) returns a
-    # tuple: e'[j] = e[inv[j]]
-    relabel = itemgetter(*inv)
     return DualTracked(
         list(relabel(state.gdual)),
         {int.from_bytes(bytes(relabel(e.to_bytes(m, "little"))), "little"): c
          for e, c in state.fpoly.items()})
 
 
-def _relabelled_b(b, iq, perm):
-    """B-matrix of the relabelled quiver: B'[perm(u)][perm(v)] = B[u][v]."""
+def _renaming(perm):
+    """The function that renames vertex k as perm[k] in a sequence indexed
+    by vertex: it sends x to the tuple x' with x'[perm[k]] = x[k]."""
+    inv = [0] * len(perm)
+    for k, j in enumerate(perm):
+        inv[j] = k
+    # itemgetter of 4 or more indices (every ice quiver has them) returns a
+    # tuple: x'[j] = x[inv[j]]
+    return itemgetter(*inv)
+
+
+def relabel_b(b, perm):
+    """The B-matrix b with vertex k renamed perm[k]: B'[perm[u]][perm[v]] =
+    B[u][v]."""
     m = len(b)
-    p = [iq.index[perm[v]] for v in iq.vertices]
     out = [[0] * m for _ in range(m)]
     for u in range(m):
         for v in range(m):
-            out[p[u]][p[v]]= b[u][v]
+            out[perm[u]][perm[v]] = b[u][v]
     return out
 
 
@@ -344,43 +341,38 @@ def _restricted_equal(b1, b2, iq):
 def verify_cyclic(iq):
     """Check the cyclic mutation identities; returns a dict report."""
     walk = iq.walk
-    seqs = walk.seqs
+    pi = walk.pi
     b0 = iq.bmat_full
+    quarter = len(walk.steps) // 4
     report = {}
 
     report["sqrt_l_vs_pi"] = _restricted_equal(
-        walk.b_sqrt_l, _relabelled_b(b0, iq, seqs.pi), iq)
+        walk.b_sqrt_l, relabel_b(b0, pi), iq)
     report["l_vs_pi2"] = _restricted_equal(
-        walk.b_l, _relabelled_b(b0, iq, seqs.pi2), iq)
+        walk.b_l, relabel_b(b0, _power(pi, 2)), iq)
 
+    # a third mu_l, at the vertices of the walk's first half
     b = walk.b_l2
-    for v in seqs.mu_l:
-        b = mutate_b(b, iq.index[v])
+    for step in walk.steps[:2 * quarter]:
+        b = mutate_b(b, step.u)
     report["l_cubed_identity"] = _restricted_equal(b, b0, iq)
 
-    # Lemma: mu_sqrt_l(-e_{i,t_i-t}) = e_{i,t} on the mutable-only quiver;
+    # Lemma: mu_sqrt_l(-e_{pi(v)}) = e_v for every mutable v, on the
+    # mutable-only quiver (pi(v) is v's orbit reflection (i, t_i - t));
     # every g-vector is mutated along one walk of its B-matrix
-    cat = iq.cat
-    mut_index = {v: k for k, v in enumerate(iq.mutable)}
-    b = [[b0[iq.index[v]][iq.index[w]] for w in iq.mutable]
-         for v in iq.mutable]
+    mut = {iq.index[v]: k for k, v in enumerate(iq.mutable)}
+    b = [[b0[u][w] for w in mut] for u in mut]
     gs = {}
-    for v in iq.mutable:
-        i, t = cat.orbit[v]
-        src = cat._orbit_member(i, cat.t_star(i) - t)
-        g = [0] * len(iq.mutable)
-        g[mut_index[src]] = -1
-        gs[v] = g
-    for w in seqs.mu_sqrt_l:
-        u = mut_index[w]
-        gs = {v: mutate_g(g, b, u) for v, g in gs.items()}
+    for u, k in mut.items():
+        g = [0] * len(mut)
+        g[mut[pi[u]]] = -1
+        gs[k] = g
+    for step in walk.steps[:quarter]:
+        u = mut[step.u]
+        gs = {k: mutate_g(g, b, u) for k, g in gs.items()}
         b = mutate_b(b, u)
-    ok = True
-    for v, g in gs.items():
-        expected = [0] * len(iq.mutable)
-        expected[mut_index[v]] = 1
-        ok = ok and g == expected
-    report["g_vector_lemma"] = ok
+    report["g_vector_lemma"] = all(
+        g == [int(j == k) for j in range(len(mut))] for k, g in gs.items())
     report["quarter3_is_pi3"] = walk.quarter3_is_pi3
     report["all"] = all(report.values())
     return report
@@ -392,13 +384,13 @@ def verify_cyclic(iq):
 
 def _mu_l_is_pi2(iq, bl, b0, pi2):
     """Whether mu_l(Delta) = pi^2(Delta) as ice quivers, for bl, the
-    B-matrix mu_l made from b0.
+    B-matrix mu_l made from b0, and pi2 renaming vertex k as pi2[k].
 
     Entries between two frozen vertices are ignored: ice quivers are defined
     up to arrows between frozen vertices, and such entries never feed into
     mutations at mutable vertices.
     """
-    bp = _relabelled_b(b0, iq, pi2)
+    bp = relabel_b(b0, pi2)
     mut = {iq.index[v] for v in iq.mutable}
     m = len(b0)
     return all(bl[u][v] == bp[u][v] for u in range(m) for v in range(m)
@@ -436,7 +428,9 @@ def tv_subreps_via_fpoly(iq, i):
     S_4, S_k the state after k quarters.  When quarter 3 is the pi^3-image of
     quarter 0 (Walk.quarter3_is_pi3) and S_3 equals pi^3(S_0) exactly,
     S_4 is pi^3(S_1), the state quarter 3 would reach, and quarter 3 is not
-    mutated through; its checks are the images of quarter 0's.  Raises
+    mutated through; its checks are the images of quarter 0's.  S_2 is a
+    state of mu_l(Delta) = pi^2(Delta) and S_4 one of pi^4(Delta), so they
+    are read off renamed by pi^4 and pi^2, their inverses.  Raises
     RuntimeError if the precondition mu_l(Delta) = pi^2(Delta) fails: the
     route computes nothing for such a quiver.
     """
@@ -449,21 +443,22 @@ def tv_subreps_via_fpoly(iq, i):
     m = len(iq.vertices)
     steps = walk.steps
     quarter = len(steps) // 4
+    pi2 = _power(walk.pi, 2)
     s0 = _base_state(iq, i)
     out = {cat.by_label["O%d-" % i]:
            {tuple(e.to_bytes(m, "little")) for e in s0.fpoly}}
     s1 = _mutate_along(s0, steps[:quarter])
     state = _mutate_along(s1, steps[quarter:2 * quarter])
     target = cat.by_label["Id%d" % star[i]]
-    out[target] = _read_off(iq, state, target, walk.pi2)
+    out[target] = _read_off(iq, state, target, _power(pi2, 2))
     state = _mutate_along(state, steps[2 * quarter:3 * quarter])
-    if (walk.quarter3_is_pi3
-            and state == relabel_dual_state(s0, walk.pi3)):
-        state = relabel_dual_state(s1, walk.pi3)
+    pi3 = _power(walk.pi, 3)
+    if walk.quarter3_is_pi3 and state == relabel_dual_state(s0, pi3):
+        state = relabel_dual_state(s1, pi3)
     else:
         state = _mutate_along(state, steps[3 * quarter:])
     target = cat.by_label["O%d+" % i]
-    out[target] = _read_off(iq, state, target, walk.pi2_inv)
+    out[target] = _read_off(iq, state, target, pi2)
     zero = (0,) * m
     for v in list(out):
         trivial = {zero, iq.tv_dim(v)}
@@ -478,13 +473,13 @@ def _mutate_along(state, steps):
 
 
 def _read_off(iq, state, target, perm):
-    """The exponent vectors of state relabelled by perm (e'[k] = e[perm[k]]),
-    the subrep dimension vectors of T_target; raises RuntimeError unless
-    the full dimension vector of T_target is the largest."""
+    """The exponent vectors of state with vertex k renamed perm[k], as in
+    relabel_dual_state, the subrep dimension vectors of T_target; raises
+    RuntimeError unless the full dimension vector of T_target is the
+    largest."""
     m = len(iq.vertices)
-    # unpack: byte k of e is e[k]; itemgetter of 4 or more indices
-    # (every ice quiver has them) returns a tuple
-    relabel = itemgetter(*perm)
+    # unpack: byte k of e is e[k]
+    relabel = _renaming(perm)
     relabelled = {relabel(e.to_bytes(m, "little")) for e in state.fpoly}
     if max(relabelled, key=sum) != iq.tv_dim(target):
         raise RuntimeError("full dimension vector of T_%s is not the "

@@ -14,6 +14,10 @@ from . import arpresent, count, rootdata
 from .cone import assemble_cone, tv_strict_sets
 
 
+class UnsupportedCone(NotImplementedError):
+    """Raised by System.cone for a type whose cones are not built."""
+
+
 def _memo(table, variant, make):
     if variant not in table:
         table[variant] = make()
@@ -32,6 +36,10 @@ class System:
     The T_v sets come from F-polynomial mutation.  The GF(2)/GF(3) brute
     force (tv_bruteforce) is the independent check on them; no other stage
     builds a pathalg.PathAlg.
+
+    Cones are built for trivially valued types only: cone, and so family
+    and every command that counts, raises UnsupportedCone on a valued
+    type.
     """
 
     letter: str
@@ -78,11 +86,15 @@ class System:
         return tv_strict_sets(self.ice(), "fpoly")
 
     def cone(self, variant="full2"):
+        if not self.quiver.trivially_valued:
+            raise UnsupportedCone("valued type: quiver and catalog only")
         return _memo(self._cone, variant,
                      lambda: assemble_cone(self.ice(variant),
                                            strict_sets=self.tv_sets))
 
     def sigma(self, variant="full2"):
+        """The weight configuration of variant as a list of rows, one per
+        vertex, or None for the ungraded variants l and r."""
         return _memo(self._sigma, variant,
                      lambda: arpresent.weight_configuration(
                          self.ice(variant)))

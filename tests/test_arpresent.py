@@ -76,11 +76,8 @@ def test_catalog_a2():
     assert cat.f_plus[fs1] == (0, 1)
     # orbits: O_1^+ -> f(S1) -> O_2^-  and  O_2^+ -> O_1^-
     assert cat.orbit[fs1] == (1, 1)
-    assert cat.orbit_len[1] == 3
-    assert cat.orbit_len[2] == 2
-    assert cat.tau[cat.by_label["O1+"]] == fs1
-    assert cat.tau[fs1] == cat.by_label["O2-"]
-    assert cat.tau[cat.by_label["O2+"]] == cat.by_label["O1-"]
+    assert cat.orbits[1] == [cat.by_label["O1+"], fs1, cat.by_label["O2-"]]
+    assert cat.orbits[2] == [cat.by_label["O2+"], cat.by_label["O1-"]]
 
 
 def test_catalog_triple_weights():
@@ -96,7 +93,7 @@ def test_catalog_d4():
     assert len(cat.objects) == 20
     assert sum(1 for p in cat.objects if p.kind == "module") == 8
     for i in range(1, 5):
-        assert cat.orbit_len[i] == 4  # every tau-orbit has length 4
+        assert len(cat.orbits[i]) == 4  # every tau-orbit has length 4
 
 
 def test_pi_permutation():
@@ -131,27 +128,27 @@ def test_ice_quiver_d4_counts():
 def test_weight_configurations(letter, n, variant):
     iq = System(letter, n).ice(variant)
     assert rank(iq.bmat) == len(iq.mutable)
-    wc = arpresent.weight_configuration(iq)
+    sigma = arpresent.weight_configuration(iq)
     if variant in ("l", "r"):
-        assert wc.sigma is None
+        assert sigma is None
     else:
-        assert len(wc.sigma) == len(iq.vertices)
+        assert len(sigma) == len(iq.vertices)
 
 
 def test_sigma_q_row_is_alpha1():
     s = System("A", 2)
     ar, cat, iq = s.ar, s.catalog, s.ice("u")
-    wc = arpresent.weight_configuration(iq)
+    sigma = arpresent.weight_configuration(iq)
     fs1 = cat.by_module[ar.simples[1]]
-    assert wc.sigma[iq.vertices.index(fs1)] == [2, -1]
+    assert sigma[iq.vertices.index(fs1)] == [2, -1]
 
 
 def test_sigma2_row_fs1():
     s = System("A", 2)
     ar, cat, iq = s.ar, s.catalog, s.ice()
-    wc = arpresent.weight_configuration(iq)
+    sigma = arpresent.weight_configuration(iq)
     fs1 = cat.by_module[ar.simples[1]]
-    assert wc.sigma[iq.vertices.index(fs1)] == [1, 0, 1, 0, 0, 1]
+    assert sigma[iq.vertices.index(fs1)] == [1, 0, 1, 0, 0, 1]
 
 
 @pytest.mark.parametrize("letter,n", [("B", 2), ("G", 2), ("C", 3), ("F", 4)])

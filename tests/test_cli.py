@@ -5,7 +5,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from arcones import cli, cone, count, lieoracle, mutation
+from arcones import cli, cone, lieoracle, mutation
 from arcones.system import System
 
 
@@ -160,7 +160,7 @@ def test_count_grid_check_a3():
 
 def test_count_u_grid_sorted_sumset():
     # the grid is every sum h . sigma with 0 <= h_v <= 2, listed sorted
-    sigma = System("A", 3).sigma("u").sigma
+    sigma = System("A", 3).sigma("u")
     want = sorted({tuple(sum(hk * row[j] for hk, row in zip(h, sigma))
                          for j in range(3))
                    for h in itertools.product(range(3), repeat=len(sigma))})
@@ -215,12 +215,12 @@ def test_verify_kostant_a2_max4():
 
 
 def test_verify_kostant_planted_oracle_exit_1(monkeypatch, tmp_path):
-    real = count.kostant_partition
+    real = lieoracle.kostant_partition
 
     def planted(cd, gamma):
         return real(cd, gamma) + (tuple(gamma) == (1, 1))
 
-    monkeypatch.setattr(count, "kostant_partition", planted)
+    monkeypatch.setattr(lieoracle, "kostant_partition", planted)
     out = tmp_path / "report.json"
     res = run("verify", "kostant", "--type", "A2", "--max", "1",
               "--out", str(out))
@@ -310,12 +310,43 @@ def test_verify_fpoly_mismatch_exit_1(monkeypatch):
 
 
 def test_verify_structural_d4_report(tmp_path):
+    # the verdict depends on the quiver only: the default orientation
+    # spelled out is searched like the default
     out = tmp_path / "report.json"
-    res = run("verify", "structural", "--type", "D4", "--out", str(out))
-    assert res.exit_code == 0
-    rep = json.load(open(out))
-    s = rep["suites"]["structural"]
-    assert s["passed"] and s["columns"] == 44 and s["after_prune"] == 44
+    for orient in ([], ["--orient", "1>2,3>2,4>2"]):
+        res = run("verify", "structural", "--type", "D4", *orient,
+                  "--out", str(out))
+        assert res.exit_code == 0, orient
+        rep = json.load(open(out))
+        s = rep["suites"]["structural"]
+        assert s["passed"] and s["columns"] == 44 and \
+            s["after_prune"] == 44, orient
+        assert s["orientation"] == [[2, 1], [3, 2], [4, 2]], orient
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "structural", "--type", "G2"),
+    ("verify", "kostant", "--type", "B2", "--max", "1"),
+    ("verify", "weights", "--type", "G2", "--max", "1"),
+    ("verify", "all", "--type", "G2", "--max", "1"),
+    ("count", "--type", "G2", "--triple", "1,0", "1,0", "1,0"),
+    ("count", "--type", "B2", "--variant", "u", "--grid", "1"),
+], ids=["structural G2", "kostant B2", "weights G2", "all G2", "count G2",
+        "count u B2"])
+def test_valued_type_cone_refused_exit_2(args):
+    # System.cone refuses valued types, so every command that needs a cone
+    # exits 2 with its reason
+    res = run(*args)
+    assert res.exit_code == 2, res.output
+    assert "valued type: quiver and catalog only" in res.output
+    assert "pass" not in res.output
+
+
+@pytest.mark.parametrize("suite", ["mutation", "oracle"])
+def test_valued_type_suites_without_cone_run(suite):
+    res = run("verify", suite, "--type", "G2")
+    assert res.exit_code == 0, res.output
+    assert "pass" in res.output
 
 
 def test_verify_all_a2():

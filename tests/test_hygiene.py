@@ -4,6 +4,8 @@
 - no raise of AssertionError: invariant checks raise RuntimeError;
 - no imported name that the module never uses;
 - no module-level _private function that its own module never references;
+- no read of a _private attribute of anything but self or cls: a module
+  reaches another object's state only through its public names;
 - no floating point outside cli.py (which times suites): no float literal,
   no use of the name float, and from math only integer functions.
 """
@@ -69,6 +71,17 @@ def test_no_unreferenced_private_functions(name):
                and not node.name.startswith("__")}
     dead = sorted(private - _used_names(tree))
     assert not dead, "%s: unreferenced %s" % (name, dead)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_foreign_private_attributes(name):
+    found = [(node.lineno, node.attr) for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)
+             and node.attr.startswith("_") and not node.attr.startswith("__")
+             and not (isinstance(node.value, ast.Name)
+                      and node.value.id in ("self", "cls"))]
+    assert not found, "%s: private attributes read %s" % (name, found)
 
 
 # the integer functions of math; everything else in it works on floats

@@ -141,8 +141,7 @@ def test_mutate_dual_relabel_equivariant(key, data):
     # relabelled B-matrix is the relabelled step, and mutating the relabelled
     # state along it gives the relabelled result
     iq = _ice(key)
-    m = len(iq.vertices)
-    perm = data.draw(st.permutations(range(m)))
+    perm = data.draw(st.permutations(range(len(iq.vertices))))
     state = mutation._base_state(iq, data.draw(st.integers(1, iq.n)))
     b = iq.bmat_full
     walk = data.draw(st.lists(st.sampled_from([iq.index[v]
@@ -150,12 +149,8 @@ def test_mutate_dual_relabel_equivariant(key, data):
                               min_size=1, max_size=7))
     for u in walk:
         step = mutation.Step.at(b, u)
-        pb = [[0] * m for _ in range(m)]
-        for r in range(m):
-            for c in range(m):
-                pb[perm[r]][perm[c]] = b[r][c]
         moved = mutation.relabel_step(step, perm)
-        assert moved == mutation.Step.at(pb, perm[u])
+        assert moved == mutation.Step.at(mutation.relabel_b(b, perm), perm[u])
         mutated = mutation.mutate_dual_state(state, step)
         assert mutation.mutate_dual_state(
             mutation.relabel_dual_state(state, perm), moved) == \
@@ -249,13 +244,22 @@ def test_mutate_dual_field_guard_survives_python_O():
 
 def test_mu_sequences_a2():
     iq = System("A", 2).ice()
-    seqs = mutation.mu_sequences(iq)
+    walk = iq.walk
     cat = iq.cat
-    fs1 = cat.by_module[cat.ar.simples[1]]
-    assert seqs.mu_sqrt_l == [fs1]
-    assert seqs.mu_l == [fs1, fs1]
-    assert seqs.pi[cat.by_label["O1-"]] == cat.by_label["Id1"]
-    assert seqs.pi[fs1] == fs1
+    fs1 = iq.index[cat.by_module[cat.ar.simples[1]]]
+    # mu_sqrt_l = (f(S1)), so mu_l . mu_l mutates at f(S1) four times
+    assert [step.u for step in walk.steps] == [fs1] * 4
+    assert walk.steps[0] == mutation.Step.at(iq.bmat_full, fs1)
+    for prev, step in zip(walk.steps, walk.steps[1:]):
+        # mutating at f(S1) again flips the signs of its row and column
+        assert step == mutation.Step(
+            fs1, tuple((v, -x) for v, x in prev.row),
+            tuple((v, -x) for v, x in prev.col))
+    # pi renames vertex k as pi[k]
+    assert walk.pi[iq.index[cat.by_label["O1-"]]] == \
+        iq.index[cat.by_label["Id1"]]
+    assert walk.pi == [iq.index[cat.pi(v)] for v in iq.vertices]
+    assert walk.pi[fs1] == fs1
 
 
 @pytest.mark.parametrize("letter,n", [("A", 2), ("A", 3), ("D", 4),
@@ -385,33 +389,68 @@ def test_tv_fpoly_pinned_e6(i, subreps, digest):
     assert _tv_digest(sets) == digest
 
 
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for k, j in enumerate(perm):
+        inv[j] = k
+    return inv
+
+
 def _plain_walk_subreps(iq, i):
     """tv_subreps_via_fpoly(iq, i) with every step of iq.walk sent through
-    mutate_dual_state: T_{Id_{i*}} read off after half the walk, T_{O_i^+}
-    after all of it."""
+    mutate_dual_state: T_{Id_{i*}} read off after half the walk, on
+    mu_l(Delta) = pi^2(Delta), T_{O_i^+} after all of it, on pi^4(Delta);
+    each is renamed back to Delta by the inverse permutation."""
     cat = iq.cat
     walk = iq.walk
     m = len(iq.vertices)
+    pi2 = [walk.pi[j] for j in walk.pi]
 
     def unpack(state, perm):
-        return {tuple(e.to_bytes(m, "little")[k] for k in perm)
-                for e in state.fpoly}
+        state = mutation.relabel_dual_state(state, perm)
+        return {tuple(e.to_bytes(m, "little")) for e in state.fpoly}
 
     state = mutation._base_state(iq, i)
     out = {cat.by_label["O%d-" % i]: unpack(state, range(m))}
     half = len(walk.steps) // 2
     for step in walk.steps[:half]:
         state = mutation.mutate_dual_state(state, step)
-    out[cat.by_label["Id%d" % cat.star[i]]] = unpack(state, walk.pi2)
+    out[cat.by_label["Id%d" % cat.star[i]]] = unpack(state, _inverse(pi2))
     for step in walk.steps[half:]:
         state = mutation.mutate_dual_state(state, step)
-    out[cat.by_label["O%d+" % i]] = unpack(state, walk.pi2_inv)
+    out[cat.by_label["O%d+" % i]] = unpack(
+        state, _inverse([pi2[j] for j in pi2]))
     zero = (0,) * m
     return {v: {e for e in s if e not in (zero, iq.tv_dim(v))}
             for v, s in out.items()}
 
 
 WALK_KEYS = ["A2", "A3", "A4", "A5", "A6", "D4", "D4:2>1,3>2,4>2", "D5"]
+
+
+@pytest.mark.parametrize("key", ["A3", "D4", "D4:2>1,3>2,4>2"])
+def test_read_off_is_relabel_dual_state(key):
+    # _read_off renames vertex k as p[k], the one convention of
+    # relabel_dual_state, relabel_step and relabel_b
+    iq = _ice(key)
+    cat = iq.cat
+    walk = iq.walk
+    m = len(iq.vertices)
+    pi = [iq.index[cat.pi(v)] for v in iq.vertices]
+    pi2 = [pi[j] for j in pi]
+    half = len(walk.steps) // 2
+    for i in range(1, iq.n + 1):
+        state = mutation._base_state(iq, i)
+        for steps, label, perm in (
+                (walk.steps[:half], "Id%d" % cat.star[i], _inverse(pi2)),
+                (walk.steps[half:], "O%d+" % i,
+                 _inverse([pi2[j] for j in pi2]))):
+            for step in steps:
+                state = mutation.mutate_dual_state(state, step)
+            moved = mutation.relabel_dual_state(state, perm)
+            assert mutation._read_off(iq, state, cat.by_label[label],
+                                      perm) == \
+                {tuple(e.to_bytes(m, "little")) for e in moved.fpoly}, label
 
 
 @pytest.mark.parametrize("key", WALK_KEYS)

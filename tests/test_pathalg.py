@@ -86,7 +86,7 @@ def test_tv_negative_is_thin_chain():
     cat = iq.cat
     for i in range(1, 5):
         t = alg.build_tv(cat.by_label["O%d-" % i])
-        assert sum(t.dims) == cat.orbit_len[i]
+        assert sum(t.dims) == len(cat.orbits[i])
         for m in t.mats:
             if m is not None:
                 assert m == ((1,),)
