@@ -4,18 +4,23 @@ A slice is {g : g . h >= 0 for every cone column h, g . sigma = target}.
 Counting reduces the affine integer slice to integer coordinates on an
 LLL-reduced basis of the left kernel lattice of sigma and enumerates by a
 depth-first search that propagates bounds at every node, keeping each
-inequality's slack and updating it as the bounds move.  All arithmetic is
-exact and no floating point is used anywhere.  The 2m LPs that set up a
-SliceFamily, one per coordinate bound, are solved by lp_min's fraction-free
-integer simplex, which builds the columns of these wide tableaux (one per
-inequality, m rows) only as far as Bland's rule reaches; their Fraction
-solutions become integer forms over one denominator.  Everything that does
+inequality's slack and updating it as the bounds move.  The root slacks and
+the check of every leaf read all inequalities at once, packed column by
+column into one int per coordinate with a field per inequality (PackedRows).
+All arithmetic is exact and no floating point is used anywhere.  The 2m
+LPs that set up a SliceFamily, one per coordinate bound, are solved by
+lp_min's fraction-free integer simplex, which builds the columns of these
+wide tableaux (one per inequality, m rows) only as far as Bland's rule
+reaches; their Fraction solutions become integer forms over one
+denominator.  Everything that does
 not depend on the target is precomputed there, so SliceFamily.count uses
 ints only.
 SliceFamily.count_lp, which brackets every coordinate by exact LPs, is the
 reference the tests compare it against.
 """
 
+import sys
+from array import array
 from collections import deque
 from math import ceil, floor
 from operator import mul, sub
@@ -77,6 +82,122 @@ def _ceil_div(n, d):
     return -((-n) // d)
 
 
+def _pack(values, r):
+    """The ints values as one int with a field of 64 r bits each, the first
+    lowest; a field holds its value modulo 2^(64 r), as two's complement.
+    Every value must lie in [-2^(64 r - 1), 2^(64 r - 1))."""
+    if r == 1:
+        fields = array("q", values)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        data = fields.tobytes()
+    else:
+        data = b"".join(v.to_bytes(8 * r, "little", signed=True)
+                        for v in values)
+    return int.from_bytes(data, "little")
+
+
+def _unpack(x, r, n):
+    """The n fields of 64 r bits of the int x >= 0 read as two's complement,
+    lowest first: the inverse of _pack."""
+    data = x.to_bytes(8 * r * n, "little")
+    if r > 1:
+        w = 8 * r
+        return [int.from_bytes(data[i:i + w], "little", signed=True)
+                for i in range(0, len(data), w)]
+    fields = array("q", data)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields.tolist()
+
+
+class PackedRows:
+    """Integer rows a_j of length m packed column by column into ints, so
+    that a_j . c for every row j at once takes m big-int multiply-adds, not
+    one dot product per row (SIMD within a register: Lamport 1975,
+    "Multiple byte processing with full-word instructions").
+
+    The table of width r gives each row a field of W = 64 r bits, the first
+    row lowest.  For each coordinate k it holds column k of the rows as
+    three ints: ppos[k] of the positive parts, pneg[k] of the absolute
+    values of the negative parts and pa[k] = ppos[k] - pneg[k], which is
+    sum_j a_jk 2^(W j); bias holds 2^(W-1) in every field.  For right-hand
+    sides b, base = bias - sum_j b_j 2^(W j), and
+
+        base + sum_k c_k pa[k] = sum_j (2^(W-1) + a_j . c - b_j) 2^(W j).
+
+    While every |a_j . c - b_j| < 2^(W-1), each term stays in its own
+    field, with no carry out of it, and the field's top bit is set exactly
+    when a_j . c >= b_j.  width picks the smallest r for which that holds
+    over a whole box; the table of width 1 is built with the rows and wider
+    ones on first use, each kept in tables under its r.
+    """
+
+    def __init__(self, rows, m):
+        self.rows = rows
+        self.m = m
+        # the largest l1 norm of a row, which bounds |a_j . c| by the
+        # largest |c_k|, and every entry
+        self.norm = max((sum(map(abs, a)) for a in rows), default=0)
+        self.tables = {}    # r -> (ppos, pneg, pa, bias)
+        if self.norm < 1 << 63:
+            self.table(1)
+
+    def table(self, r):
+        """The table of width r, (ppos, pneg, pa, bias), built on first
+        use; r must satisfy norm < 2^(64 r - 1)."""
+        table = self.tables.get(r)
+        if table is None:
+            ppos, pneg = [], []
+            for k in range(self.m):
+                column = [a[k] for a in self.rows]
+                ppos.append(_pack([max(x, 0) for x in column], r))
+                pneg.append(_pack([max(-x, 0) for x in column], r))
+            pa = [p - q for p, q in zip(ppos, pneg)]
+            bias = int.from_bytes((bytes(8 * r - 1) + b"\x80")
+                                  * len(self.rows), "little")
+            table = self.tables[r] = (ppos, pneg, pa, bias)
+        return table
+
+    def width(self, b, lo, hi):
+        """The smallest r with |a_j . c - b_j| < 2^(64 r - 1) for every row
+        j and every c in the box lo..hi, and norm < 2^(64 r - 1)."""
+        reach = max(1, max(hi, default=0), -min(lo, default=0))
+        bound = self.norm * reach + max(map(abs, b), default=0)
+        return bound.bit_length() // 64 + 1
+
+    def _start(self, b, r):
+        """The table of width r and base = bias - sum_j b_j 2^(W j)."""
+        ppos, pneg, pa, bias = self.table(r)
+        # _pack(b) ^ bias flips each field's top bit, which turns b_j's
+        # two's complement into 2^(W-1) + b_j, as |b_j| < 2^(W-1)
+        base = (bias << 1) - (_pack(b, r) ^ bias)
+        return ppos, pneg, pa, bias, base
+
+    def slacks(self, b, lo, hi):
+        """For every row j, the max of a_j . c over the box lo..hi less b_j:
+        it reads hi[k] where a_jk > 0 and lo[k] where a_jk < 0."""
+        r = self.width(b, lo, hi)
+        ppos, pneg, _pa, bias, base = self._start(b, r)
+        s = sum(map(mul, hi, ppos), base) - sum(map(mul, lo, pneg))
+        # flipping each field's top bit again leaves the slack's two's
+        # complement
+        return _unpack(s ^ bias, r, len(self.rows))
+
+    def certificate(self, b, lo, hi):
+        """A test of points c of the box lo..hi: whether a_j . c >= b_j for
+        every row j, computed afresh from the packed rows at each call."""
+        r = self.width(b, lo, hi)
+        _ppos, _pneg, pa, bias, base = self._start(b, r)
+        top = 64 * r * len(self.rows)
+
+        def holds(c):
+            s = sum(map(mul, c, pa), base)
+            # every field's top bit set, and no carry past the last field
+            return s & bias == bias and not s >> top
+        return holds
+
+
 class SliceFamily:
     """Shared counting machinery for all weight slices of one cone.
 
@@ -99,15 +220,17 @@ class SliceFamily:
     count is a depth-first search over the box that narrows the bounds by
     propagation at every node (queue-based AC-3, Mackworth 1977).  Each
     row's slack, the max of a . c over the box less b, is computed once at
-    the root (dot products over the dense positive and negative parts
-    apos/aneg) and then kept: it reads hi[k] where the row's entry at k is
-    positive and lo[k] where it is negative, so the watch lists
-    watch_hi[k] and watch_lo[k], the (row, |entry|) pairs of those rows,
-    say whose slack a moved bound lowers and by how much.  A negative
-    slack ends the node at once, and a row is queued only while its slack
-    is below amax * wmax (its largest |entry| times the widest range of
-    the box), below which it may still tighten a bound.  Every leaf is
-    re-checked against all rows from scratch.
+    the root, for all rows at once from the rows packed column by column
+    into ints (packed, a PackedRows), and then kept: it reads hi[k] where
+    the row's entry at k is positive and lo[k] where it is negative, so the
+    watch lists watch_hi[k] and watch_lo[k], the (row, |entry|) pairs of
+    those rows, say whose slack a moved bound lowers and by how much.  A
+    negative slack ends the node at once, and a row is queued only while
+    its slack is below amax * wmax (its largest |entry| times the widest
+    range of the box), below which it may still tighten a bound.  Every
+    leaf is re-checked against all rows from scratch, again from the
+    packed rows: one sum of m products tests every row, never reading the
+    kept slacks.
     count_lp, the reference the tests compare count against, brackets each
     coordinate by exact LPs instead; both read the target through one
     prefix, _slice_rhs.
@@ -143,10 +266,9 @@ class SliceFamily:
              tuple(x for x in a if x > 0),
              tuple(k for k, x in enumerate(a) if x < 0),
              tuple(-x for x in a if x < 0)) for a, _i in self.active]
-        # the same rows dense, split into their positive parts and the
-        # absolute values of their negative parts, for the root slacks
-        self.apos = [tuple(max(x, 0) for x in a) for a, _i in self.active]
-        self.aneg = [tuple(max(-x, 0) for x in a) for a, _i in self.active]
+        # the same rows packed column by column into ints, for the root
+        # slacks and the leaf certificate
+        self.packed = PackedRows([a for a, _i in self.active], self.m)
         # each row's largest |entry|, for the queue filter
         self.amax = [max(map(abs, a)) for a, _i in self.active]
         # watch lists: the (row, |entry|) pairs of the rows whose slack
@@ -258,7 +380,9 @@ class SliceFamily:
         if root is None:
             return 0
         b, lo, hi, slack = root
-        m, order, active = self.m, self.order, self.active
+        # every leaf lies in the root box, so the root box sizes the fields
+        holds = self.packed.certificate(b, lo, hi)
+        m, order = self.m, self.order
         watch_lo, watch_hi = self.watch_lo, self.watch_hi
         propagate = self._propagate
 
@@ -267,10 +391,9 @@ class SliceFamily:
             while depth < m and lo[order[depth]] == hi[order[depth]]:
                 depth += 1
             if depth == m:
-                for (a, _i), bj in zip(active, b):
-                    if sum(map(mul, a, lo)) < bj:
-                        raise RuntimeError("propagation leaf violates "
-                                           "a checked constraint")
+                if not holds(lo):
+                    raise RuntimeError("propagation leaf violates "
+                                       "a checked constraint")
                 return 1
             k = order[depth]
             lk, hk = lo[k], hi[k]
@@ -309,8 +432,7 @@ class SliceFamily:
                 return None
             lo.append(l)
             hi.append(u)
-        slack = [sum(map(mul, p, hi)) - sum(map(mul, n, lo)) - bj
-                 for p, n, bj in zip(self.apos, self.aneg, b)]
+        slack = self.packed.slacks(b, lo, hi)
         if not self._propagate(lo, hi, slack, range(len(slack))):
             return None
         return b, lo, hi, slack

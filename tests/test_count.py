@@ -1,11 +1,20 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import arcones
 from arcones import cli, cone, count, exact, lieoracle, rootdata
+from arcones.exact import vec_mat
 from arcones.system import System
+from test_rootdata import weyl_group
 
 
 def test_lp_bound_zero_slice_pointed():
@@ -248,6 +257,129 @@ def test_negative_slack_ends_propagation_at_once():
         assert (l2, h2) == (lo, hi), j
 
 
+@st.composite
+def _packed_systems(draw):
+    """Small integer systems a_j . c >= b_j with a box lo..hi: mixed signs,
+    some rows and some columns zero, and entries, right-hand sides or box
+    bounds scaled up until fields of 64 bits overflow."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 6))
+    scale = draw(st.sampled_from([1, 1, 2 ** 40, 2 ** 70]))
+    zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(m - 1, 0))))
+    rows = [tuple(0 if j in zero_rows or k in zero_cols
+                  else scale * draw(st.integers(-4, 4)) for k in range(m))
+            for j in range(n)]
+    reach = draw(st.sampled_from([1, 1, 2 ** 30, 2 ** 66]))
+    lo = [reach * draw(st.integers(-5, 5)) for _k in range(m)]
+    hi = [l + draw(st.integers(0, 4)) for l in lo]
+    b = [draw(st.sampled_from([1, scale * reach]))
+         * draw(st.integers(-20, 20)) for _j in range(n)]
+    points = [lo, hi] + [[draw(st.integers(l, h)) for l, h in zip(lo, hi)]
+                         for _i in range(3)]
+    return rows, m, b, lo, hi, points
+
+
+@given(_packed_systems())
+@settings(max_examples=200, deadline=None)
+def test_packed_rows_match_dense(system):
+    # the packed slacks and leaf verdicts are the plain per-row ones, at
+    # the smallest field width that holds every |a_j . c - b_j| in the box
+    rows, m, b, lo, hi, points = system
+    packed = count.PackedRows(rows, m)
+    r = packed.width(b, lo, hi)
+    reach = max([1] + [abs(x) for x in lo + hi])
+    bound = max([0] + [sum(map(abs, a)) for a in rows]) * reach + \
+        max([0] + [abs(x) for x in b])
+    assert bound < 2 ** (64 * r - 1)
+    assert r == 1 or bound >= 2 ** (64 * r - 65)
+    assert packed.slacks(b, lo, hi) == [
+        sum(x * (h if x > 0 else l) for x, l, h in zip(a, lo, hi)) - bj
+        for a, bj in zip(rows, b)]
+    holds = packed.certificate(b, lo, hi)
+    for c in points:
+        assert holds(c) == all(sum(x * y for x, y in zip(a, c)) >= bj
+                               for a, bj in zip(rows, b)), c
+    assert 1 in packed.tables or packed.norm >= 2 ** 63
+    assert r in packed.tables
+
+
+def test_packed_rows_widen_past_64_bits():
+    # one entry of 2^62 on a box reaching 4 needs fields of 128 bits; the
+    # wide table is kept beside the 64-bit one, which stays as it was
+    packed = count.PackedRows([(2 ** 62, -1), (0, 0), (-3, 1)], 2)
+    narrow = packed.tables[1]
+    b, lo, hi = [2 ** 64, -1, -20], [-4, 0], [4, 2]
+    assert packed.width(b, lo, hi) == 2
+    assert packed.slacks(b, lo, hi) == [0, 1, 34]
+    holds = packed.certificate(b, lo, hi)
+    assert holds([4, 0]) and not holds([3, 0]) and not holds([4, 2])
+    assert sorted(packed.tables) == [1, 2] and packed.tables[1] is narrow
+    assert packed.slacks([0, 0, 0], [0, 0], [1, 1]) == [2 ** 62, 0, 1]
+
+
+def test_packed_rows_without_active_rows():
+    # A1's kernel is empty: m = 0, no active row, every field list empty
+    s = System("A", 1)
+    fam = s.family()
+    assert fam.m == 0 and fam.active == []
+    assert fam.packed.slacks([], [], []) == []
+    assert fam.packed.certificate([], [], [])([])
+    for mu, nu in itertools.product(range(3), repeat=2):
+        want = lieoracle.tensor_decomposition(s.cd, (mu,), (nu,))
+        for lam in range(5):
+            assert fam.count((mu, nu, lam)) == want.get((lam,), 0)
+
+
+def test_huge_targets_count_in_wide_fields():
+    # entries near 2^70 need fields of 128 bits; the wide table is kept
+    # under its width and a small target still counts in 64-bit fields
+    s = System("A", 2)
+    fam = s.family()
+    big = 2 ** 70
+    for target in [(big, 0, 0, big, 0, 0), (big, 0, 0, big, big, big)]:
+        assert fam.count(target) == fam.count_lp(target) == 1
+    assert sorted(fam.packed.tables) == [1, 2]
+    want = lieoracle.tensor_decomposition(s.cd, (1, 1), (1, 1))[(1, 1)]
+    assert fam.count((1, 1, 1, 1, 1, 1)) == want == 2
+
+
+def test_planted_leaf_violation_raises():
+    # D4 c^rho_{rho rho} counted with propagation planted to narrow
+    # nothing: the search then reaches leaves of the wide root box that
+    # violate rows, and the leaf check must raise
+    fam = System("D", 4).family()
+    _b, lo, hi, _s = fam._root((1,) * 12)
+    assert any(l < h for l, h in zip(lo, hi))
+    fam._propagate = lambda lo, hi, slack, rows: True
+    with pytest.raises(RuntimeError, match="propagation leaf violates"):
+        fam.count((1,) * 12)
+
+
+def test_planted_leaf_violation_survives_python_O():
+    # the leaf certificate is a raise, not an assert
+    script = textwrap.dedent("""
+        import sys
+        from arcones.system import System
+        if __debug__:
+            sys.exit("not running under -O")
+        fam = System("D", 4).family()
+        fam._propagate = lambda lo, hi, slack, rows: True
+        try:
+            fam.count((1,) * 12)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("violating leaf counted")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arcones.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "propagation leaf violates" in res.stdout
+
+
 def test_count_path_uses_no_fraction(monkeypatch):
     # the per-target path is integers only: every Fraction is made while
     # the family is built; count itself imports none, and the exact
@@ -343,6 +475,50 @@ def test_u_variant_counts_kostant():
             gamma = [c1 * a1[k] + c2 * a2[k] for k in range(2)]
             assert fam.count(gamma) == \
                 lieoracle.kostant_partition(cd, gamma), (c1, c2)
+
+
+@pytest.mark.parametrize("letter, n, mus", [
+    ("A", 2, _fundamental(2)[1:] + [(1, 1)]),
+    ("A", 3, _fundamental(3)[1:] + [(1, 1, 1)]),
+    ("D", 4, [(0, 1, 0, 0)]),
+], ids=["A2", "A3", "D4"])
+def test_sharp_counts_weyl_invariant(letter, n, mus):
+    # the weight multiplicities of L(mu) are constant on Weyl orbits: the
+    # sharp count at (mu, w . lam) is the same for every w in W and every
+    # weight lam of L(mu), with w generated apart from the count
+    s = System(letter, n)
+    group = weyl_group(s.cd).elements
+    fam = s.family("sharp")
+    values = set()
+    for mu in mus:
+        for lam, mult in lieoracle.freudenthal(s.cd, mu).items():
+            orbit = {tuple(vec_mat(list(lam), w)) for w in group}
+            got = {fam.count(mu + image) for image in orbit}
+            assert got == {mult}, (mu, lam)
+            values.add(mult)
+    assert len(values) > 1
+
+
+@pytest.mark.parametrize("letter, n", [("A", 2), ("A", 3), ("D", 4)])
+def test_u_count_zero_off_root_cone(letter, n):
+    # gamma in the root lattice but outside the positive root cone has no
+    # Kostant partition: -alpha_i, alpha_i - alpha_j for adjacent i, j, and
+    # -(sum of the simple roots)
+    s = System(letter, n)
+    fam = s.family("u")
+    alphas = [list(row) for row in s.cd.cartan]
+    add = lambda *vs: tuple(sum(x) for x in zip(*vs))
+    neg = lambda v: [-x for x in v]
+    gammas = [tuple(neg(a)) for a in alphas]
+    gammas += [add(alphas[i], neg(alphas[j]))
+               for i, j in itertools.permutations(range(n), 2)
+               if s.cd.cartan[i][j]]
+    gammas.append(tuple(neg(add(*alphas))))
+    for gamma in gammas:
+        assert lieoracle.kostant_partition(s.cd, gamma) == 0, gamma
+        assert fam.count(gamma) == 0, gamma
+    # and the cone's own simple roots count once each
+    assert [fam.count(tuple(a)) for a in alphas] == [1] * n
 
 
 def test_kostant_examples():
