@@ -12,17 +12,21 @@ LPs that set up a SliceFamily, one per coordinate bound, are solved by
 lp_min's fraction-free integer simplex, which builds the columns of these
 wide tableaux (one per inequality, m rows) only as far as Bland's rule
 reaches; their Fraction solutions become integer forms over one
-denominator.  Everything that does
-not depend on the target is precomputed there, so SliceFamily.count uses
-ints only.
-SliceFamily.count_lp, which brackets every coordinate by exact LPs, is the
-reference the tests compare it against.
+denominator.  Everything that does not depend on the target is
+precomputed there, and the rest is linear in the target: the slice
+lattice test, the right-hand sides, the constant rows and the root box
+are integer maps of it fixed at set-up (the parametric view of the slice
+family, as in Verdoolaege et al. 2007), so SliceFamily.count uses ints
+only and no per-target back-substitution.
+SliceFamily.count_lp, which brackets every coordinate by exact LPs and
+reads the target through the HNF instead, is the reference the tests
+compare it against.
 """
 
 import sys
 from array import array
 from collections import deque
-from math import ceil, floor
+from math import ceil, floor, gcd
 from operator import mul, sub
 
 from .exact import (dot, integer_row_solution, lcm, left_kernel_lattice,
@@ -82,6 +86,29 @@ def _ceil_div(n, d):
     return -((-n) // d)
 
 
+def _scaled_inverse(p):
+    """(D, Y) with Y = D p^-1 an integer matrix and D > 0 the least such,
+    for p square and upper triangular with a positive diagonal (the top of
+    a full-rank row HNF).  Row i of det(p) p^-1 solves x p = det(p) e_i by
+    forward substitution, in ints, as det(p) p^-1 is integral."""
+    n = len(p)
+    det = 1
+    for i in range(n):
+        det *= p[i][i]
+    rows = []
+    for i in range(n):
+        x = [0] * n
+        for j in range(i, n):
+            q, r = divmod((det if j == i else 0)
+                          - sum(x[k] * p[k][j] for k in range(i, j)), p[j][j])
+            if r:
+                raise RuntimeError("det(p) p^-1 is not integral")
+            x[j] = q
+        rows.append(x)
+    g = gcd(det, *(x for row in rows for x in row))
+    return det // g, [[x // g for x in row] for row in rows]
+
+
 def _pack(values, r):
     """The ints values as one int with a field of 64 r bits each, the first
     lowest; a field holds its value modulo 2^(64 r), as two's complement.
@@ -115,36 +142,46 @@ class PackedRows:
     """Integer rows a_j of length m packed column by column into ints, so
     that a_j . c for every row j at once takes m big-int multiply-adds, not
     one dot product per row (SIMD within a register: Lamport 1975,
-    "Multiple byte processing with full-word instructions").
+    "Multiple byte processing with full-word instructions").  Row j's
+    right-hand side is b_j = q_j . y, the form q_j of length n read at a
+    vector y, so the right-hand sides are packed the same way.
 
     The table of width r gives each row a field of W = 64 r bits, the first
     row lowest.  For each coordinate k it holds column k of the rows as
     three ints: ppos[k] of the positive parts, pneg[k] of the absolute
     values of the negative parts and pa[k] = ppos[k] - pneg[k], which is
-    sum_j a_jk 2^(W j); bias holds 2^(W-1) in every field.  For right-hand
-    sides b, base = bias - sum_j b_j 2^(W j), and
+    sum_j a_jk 2^(W j); likewise pq[k] = sum_j q_jk 2^(W j) for each
+    coordinate k of y; bias holds 2^(W-1) in every field.  For y,
+    base = bias - sum_k y_k pq[k] = bias - sum_j b_j 2^(W j), and
 
         base + sum_k c_k pa[k] = sum_j (2^(W-1) + a_j . c - b_j) 2^(W j).
 
     While every |a_j . c - b_j| < 2^(W-1), each term stays in its own
     field, with no carry out of it, and the field's top bit is set exactly
-    when a_j . c >= b_j.  width picks the smallest r for which that holds
-    over a whole box; the table of width 1 is built with the rows and wider
-    ones on first use, each kept in tables under its r.
+    when a_j . c >= b_j.  start picks the smallest r for which a bound on
+    that holds over a whole box; the table of width 1 is built with the
+    rows and wider ones on first use, each kept in tables under its r.
     """
 
-    def __init__(self, rows, m):
+    def __init__(self, rows, m, forms, n):
         self.rows = rows
+        self.forms = forms
         self.m = m
-        # the largest l1 norm of a row, which bounds |a_j . c| by the
-        # largest |c_k|, and every entry
-        self.norm = max((sum(map(abs, a)) for a in rows), default=0)
-        self.tables = {}    # r -> (ppos, pneg, pa, bias)
+        self.n = n
+        # qmax[k], the largest |q_jk|, bounds |b_j| by sum_k |y_k| qmax[k];
+        # norm is at least the largest l1 norm of a row, which bounds
+        # |a_j . c| by the largest |c_k|, and every |q_jk|, so a table
+        # whose fields hold norm holds every entry
+        self.qmax = [max((abs(q[k]) for q in forms), default=0)
+                     for k in range(n)]
+        self.norm = max([sum(map(abs, a)) for a in rows] + self.qmax,
+                        default=0)
+        self.tables = {}    # r -> (ppos, pneg, pa, pq, bias)
         if self.norm < 1 << 63:
             self.table(1)
 
     def table(self, r):
-        """The table of width r, (ppos, pneg, pa, bias), built on first
+        """The table of width r, (ppos, pneg, pa, pq, bias), built on first
         use; r must satisfy norm < 2^(64 r - 1)."""
         table = self.tables.get(r)
         if table is None:
@@ -156,39 +193,40 @@ class PackedRows:
             pa = [p - q for p, q in zip(ppos, pneg)]
             bias = int.from_bytes((bytes(8 * r - 1) + b"\x80")
                                   * len(self.rows), "little")
-            table = self.tables[r] = (ppos, pneg, pa, bias)
+            # flipping each field's top bit turns q_jk's two's complement
+            # into 2^(W-1) + q_jk, as |q_jk| < 2^(W-1)
+            pq = [(_pack([q[k] for q in self.forms], r) ^ bias) - bias
+                  for k in range(self.n)]
+            table = self.tables[r] = (ppos, pneg, pa, pq, bias)
         return table
 
-    def width(self, b, lo, hi):
-        """The smallest r with |a_j . c - b_j| < 2^(64 r - 1) for every row
-        j and every c in the box lo..hi, and norm < 2^(64 r - 1)."""
+    def start(self, y, lo, hi):
+        """(r, base) for the right-hand sides at y and the box lo..hi: the
+        smallest r with norm * reach + sum_k |y_k| qmax[k] < 2^(64 r - 1),
+        which bounds every |a_j . c - b_j| over the box, and base in the
+        table of width r."""
         reach = max(1, max(hi, default=0), -min(lo, default=0))
-        bound = self.norm * reach + max(map(abs, b), default=0)
-        return bound.bit_length() // 64 + 1
+        bound = self.norm * reach + sum(map(mul, map(abs, y), self.qmax))
+        r = bound.bit_length() // 64 + 1
+        _ppos, _pneg, _pa, pq, bias = self.table(r)
+        return r, bias - sum(map(mul, y, pq))
 
-    def _start(self, b, r):
-        """The table of width r and base = bias - sum_j b_j 2^(W j)."""
-        ppos, pneg, pa, bias = self.table(r)
-        # _pack(b) ^ bias flips each field's top bit, which turns b_j's
-        # two's complement into 2^(W-1) + b_j, as |b_j| < 2^(W-1)
-        base = (bias << 1) - (_pack(b, r) ^ bias)
-        return ppos, pneg, pa, bias, base
-
-    def slacks(self, b, lo, hi):
-        """For every row j, the max of a_j . c over the box lo..hi less b_j:
-        it reads hi[k] where a_jk > 0 and lo[k] where a_jk < 0."""
-        r = self.width(b, lo, hi)
-        ppos, pneg, _pa, bias, base = self._start(b, r)
+    def slacks(self, start, lo, hi):
+        """For every row j, the max of a_j . c over the box lo..hi less b_j,
+        given start = self.start(y, lo, hi): it reads hi[k] where a_jk > 0
+        and lo[k] where a_jk < 0."""
+        r, base = start
+        ppos, pneg, _pa, _pq, bias = self.table(r)
         s = sum(map(mul, hi, ppos), base) - sum(map(mul, lo, pneg))
-        # flipping each field's top bit again leaves the slack's two's
-        # complement
+        # flipping each field's top bit leaves the slack's two's complement
         return _unpack(s ^ bias, r, len(self.rows))
 
-    def certificate(self, b, lo, hi):
-        """A test of points c of the box lo..hi: whether a_j . c >= b_j for
-        every row j, computed afresh from the packed rows at each call."""
-        r = self.width(b, lo, hi)
-        _ppos, _pneg, pa, bias, base = self._start(b, r)
+    def certificate(self, start):
+        """A test of points c of the box that start = self.start(y, lo, hi)
+        was sized for: whether a_j . c >= b_j for every row j, computed
+        afresh from the packed rows at each call."""
+        r, base = start
+        _ppos, _pneg, pa, _pq, bias = self.table(r)
         top = 64 * r * len(self.rows)
 
         def holds(c):
@@ -201,39 +239,50 @@ class PackedRows:
 class SliceFamily:
     """Shared counting machinery for all weight slices of one cone.
 
-    Precomputes, independently of the target: the row Hermite normal form of
-    sigma (so each target's particular solution g0 is one back-substitution),
-    an LLL-reduced integer basis of the left kernel lattice of sigma (so
-    slice lattice points become integer vectors c with g = g0 + c . kernel;
-    a short, nearly orthogonal basis gives sparse rows and a box close to
-    the slice, where the saturated basis read off the HNF transform is
-    skewed and the search meets far more dead ends), the
-    inequality vectors in c-coordinates, and per-coordinate bounding
-    functionals expressing each +-c_i as a nonnegative combination of the
-    inequality vectors.  The functionals turn into finite enumeration boxes
-    for every individual target.  Everything a count reads is kept as ints:
-    the functionals as sparse integer forms over one common denominator and
-    each active inequality as its nonzero indices and coefficients, so the
-    per-target path does integer arithmetic only.  sigma is the list of
-    rows of the weight configuration, one per vertex of the cone.
+    Precomputes, independently of the target: the row Hermite normal form
+    (H, U) of sigma, an LLL-reduced integer basis of the left kernel
+    lattice of sigma (so slice lattice points become integer vectors c
+    with g = g0 + c . kernel; a short, nearly orthogonal basis gives
+    sparse rows and a box close to the slice, where the saturated basis
+    read off the HNF transform is skewed and the search meets far more
+    dead ends), the inequality vectors in c-coordinates, and
+    per-coordinate bounding functionals expressing each +-c_i as a
+    nonnegative combination of the inequality vectors.  sigma is the list
+    of rows of the weight configuration, one per vertex of the cone, and
+    must have full column rank.
+
+    Everything else is linear in the target t.  With D = y_den and
+    Y = D * H_top^-1 (y_map, by forward substitution on the square top of
+    H), t is on the slice lattice exactly when D divides t . Y, and then
+    y = t . Y / D gives the particular solution g0 = y . U_top.  Each
+    cone column's right-hand side is a form q_i over y, so the constant
+    rows (constant_forms) are sign tests y . q_i <= 0, the functionals
+    become the box forms over y (box_forms, from lower_form and upper_form
+    over one common denominator), and the active rows are packed together
+    with their forms (packed, a PackedRows), which reads every right-hand
+    side at once.  Everything a count reads is kept as ints, so the
+    per-target path does integer arithmetic only.
 
     count is a depth-first search over the box that narrows the bounds by
     propagation at every node (queue-based AC-3, Mackworth 1977).  Each
     row's slack, the max of a . c over the box less b, is computed once at
-    the root, for all rows at once from the rows packed column by column
-    into ints (packed, a PackedRows), and then kept: it reads hi[k] where
-    the row's entry at k is positive and lo[k] where it is negative, so the
-    watch lists watch_hi[k] and watch_lo[k], the (row, |entry|) pairs of
-    those rows, say whose slack a moved bound lowers and by how much.  A
-    negative slack ends the node at once, and a row is queued only while
-    its slack is below amax * wmax (its largest |entry| times the widest
-    range of the box), below which it may still tighten a bound.  Every
-    leaf is re-checked against all rows from scratch, again from the
-    packed rows: one sum of m products tests every row, never reading the
-    kept slacks.
+    the root, for all rows at once from the packed rows and their packed
+    right-hand sides, and then kept: it reads hi[k] where the row's entry
+    at k is positive and lo[k] where it is negative, so the watch lists
+    watch_hi[k] and watch_lo[k], the (row, |entry|) pairs of those rows,
+    say whose slack a moved bound lowers and by how much.  A negative
+    slack ends the node at once, and a row is queued only while its slack
+    is below amax * wmax (its largest |entry| times the widest range of
+    the box), below which it may still tighten a bound.  Every leaf is
+    re-checked against all rows from scratch, from the packed rows and
+    the root's packed right-hand sides: one sum of m products tests every
+    row, never reading the kept slacks.
     count_lp, the reference the tests compare count against, brackets each
-    coordinate by exact LPs instead; both read the target through one
-    prefix, _slice_rhs.
+    coordinate by exact LPs instead, and reads the target through
+    _slice_rhs: one back-substitution through the HNF for g0, then
+    b = -g0 . h for each column h.  Both routes share the width check and,
+    on a cone with a recession ray, the LP that tells an empty slice from
+    an unbounded one (_checked).
     """
 
     def __init__(self, cone, sigma):
@@ -247,16 +296,35 @@ class SliceFamily:
                              % (len(self.sigma), self.d))
         self.width = len(self.sigma[0])
         self.hnf = row_hnf(self.sigma)
+        h, u = self.hnf
+        rank = sum(1 for row in h if any(row))
+        if rank < self.width:
+            raise ValueError("sigma has rank %d, less than its width %d"
+                             % (rank, self.width))
         self.hcols = [list(c) for _v, c in cone.columns]
-        # g-coordinate k -> the nonzero (column, entry) pairs of its row of H
-        self.hrows = [[(i, c[k]) for i, c in enumerate(self.hcols) if c[k]]
-                      for k in range(self.d)]
+        # the linear maps of the target t (see the class docstring): y_map
+        # holds the columns of Y = y_den * H_top^-1, and forms[i] is q_i =
+        # -U_top h_i, so that column i's right-hand side -g0 . h_i is y . q_i
+        self.y_den, ymat = _scaled_inverse(h[:self.width])
+        self.y_map = [list(col) for col in zip(*ymat)]
+        # summed over the nonzero entries of h_i and of U_top's columns
+        ucols = [[(r, row[k]) for r, row in enumerate(u[:self.width])
+                  if row[k]] for k in range(self.d)]
+        forms = []
+        for hc in self.hcols:
+            q = [0] * self.width
+            for k, x in enumerate(hc):
+                if x:
+                    for r, v in ucols[k]:
+                        q[r] -= x * v
+            forms.append(q)
         self.kernel = left_kernel_lattice(self.hnf)
         self.m = len(self.kernel)
         avecs = [tuple(dot(k, h) for k in self.kernel) for h in self.hcols]
         # inequalities whose c-part vanishes reduce to a sign test on the
-        # particular solution; keep them apart
+        # particular solution, y . q_i <= 0; keep them apart
         self.constant = [i for i, a in enumerate(avecs) if not any(a)]
+        self.constant_forms = [forms[i] for i in self.constant]
         self.active = [(a, i) for i, a in enumerate(avecs) if any(a)]
         # active inequality a . c >= b as parallel lists of the indices and
         # coefficients of its positive entries, then of the indices and
@@ -266,9 +334,12 @@ class SliceFamily:
              tuple(x for x in a if x > 0),
              tuple(k for k, x in enumerate(a) if x < 0),
              tuple(-x for x in a if x < 0)) for a, _i in self.active]
-        # the same rows packed column by column into ints, for the root
-        # slacks and the leaf certificate
-        self.packed = PackedRows([a for a, _i in self.active], self.m)
+        # the same rows packed column by column into ints, with their
+        # right-hand sides as the forms q_i over y, for the root slacks and
+        # the leaf certificate
+        self.packed = PackedRows([a for a, _i in self.active], self.m,
+                                 [forms[i] for _a, i in self.active],
+                                 self.width)
         # each row's largest |entry|, for the queue filter
         self.amax = [max(map(abs, a)) for a, _i in self.active]
         # watch lists: the (row, |entry|) pairs of the rows whose slack
@@ -302,12 +373,22 @@ class SliceFamily:
         self.box_den = 1
         self.lower_form = []
         self.upper_form = []
+        # the same bounds as forms over y, a (lower, upper) pair per
+        # coordinate: c_i >= ceil(lower . y / box_den) and c_i <=
+        # floor(-upper . y / box_den), with lower = sum n * q_h over the
+        # pairs (h, n) of lower_form[i]
+        self.box_forms = []
         if self.unbounded_ray is None:
             for lam in self.lower_mult + self.upper_mult:
                 for x in lam:
                     self.box_den = lcm(self.box_den, x.denominator)
             self.lower_form = [self._integer_form(l) for l in self.lower_mult]
             self.upper_form = [self._integer_form(l) for l in self.upper_mult]
+            qs = self.packed.forms      # q of each active row, by index h
+            self.box_forms = [
+                tuple([sum(n * qs[h][k] for h, n in form)
+                       for k in range(self.width)] for form in pair)
+                for pair in zip(self.lower_form, self.upper_form)]
 
     def _integer_form(self, lam):
         den = self.box_den
@@ -342,11 +423,10 @@ class SliceFamily:
                for j in range(self.d)]
         self.unbounded_ray = ray
 
-    def _slice_rhs(self, target):
-        """The right-hand sides b of the active rows a . c >= b of the slice
-        at target, or None when the target alone empties the slice (off the
-        slice lattice, or a constant row fails).  Shared by count and
-        count_lp; raises on a bad width and on an unbounded nonempty slice.
+    def _checked(self, target):
+        """target as a list, or None when an LP finds the slice empty on a
+        cone with an unbounded ray; raises on a bad width and on an
+        unbounded nonempty slice.  The prefix of both _root and _slice_rhs.
         """
         target = list(target)
         if len(target) != self.width:
@@ -360,18 +440,24 @@ class SliceFamily:
             raise UnboundedSliceError(
                 "slice is unbounded along the ray %s" % (self.unbounded_ray,),
                 self.unbounded_ray)
+        return target
+
+    def _slice_rhs(self, target):
+        """The right-hand sides b of the active rows a . c >= b of the slice
+        at target, or None when the target alone empties the slice (off the
+        slice lattice, or a constant row fails), computed from a particular
+        solution through the HNF: the reference route, which count_lp and
+        the tests read, to _root's linear maps of the target.
+        """
+        target = self._checked(target)
+        if target is None:
+            return None
         g0 = integer_row_solution(self.hnf, target)
         if g0 is None:
             return None
-        # rhs[i] = -g0 . h_i, summed over the nonzero entries of g0
-        rhs = [0] * len(self.hcols)
-        for k, gk in enumerate(g0):
-            if gk:
-                for i, x in self.hrows[k]:
-                    rhs[i] -= gk * x
-        for i in self.constant:
-            if rhs[i] > 0:
-                return None
+        rhs = [-dot(g0, h) for h in self.hcols]
+        if any(rhs[i] > 0 for i in self.constant):
+            return None
         return [rhs[i] for _a, i in self.active]
 
     def count(self, target):
@@ -379,9 +465,9 @@ class SliceFamily:
         root = self._root(target)
         if root is None:
             return 0
-        b, lo, hi, slack = root
-        # every leaf lies in the root box, so the root box sizes the fields
-        holds = self.packed.certificate(b, lo, hi)
+        start, lo, hi, slack = root
+        # every leaf lies in the root box, which sized start's fields
+        holds = self.packed.certificate(start)
         m, order = self.m, self.order
         watch_lo, watch_hi = self.watch_lo, self.watch_hi
         propagate = self._propagate
@@ -417,25 +503,38 @@ class SliceFamily:
         return rec(lo, hi, slack, 0)
 
     def _root(self, target):
-        """The slice at target as the search's root: (b, lo, hi, slack),
-        its right-hand sides and its box and row slacks at the propagation
-        fixpoint, or None when the slice is empty by then."""
-        b = self._slice_rhs(target)
-        if b is None:
+        """The slice at target as the search's root: (start, lo, hi, slack),
+        its box and row slacks at the propagation fixpoint and start =
+        packed.start(y, lo, hi) of the box before propagation, or None when
+        the slice is empty by then.  It reads the target through the linear
+        maps of __init__: the lattice test and y, the constant rows, the box
+        and the packed right-hand sides."""
+        target = self._checked(target)
+        if target is None:
             return None
+        y = [sum(map(mul, target, col)) for col in self.y_map]
+        den = self.y_den
+        if den > 1:
+            if any(x % den for x in y):
+                return None
+            y = [x // den for x in y]
+        for form in self.constant_forms:
+            if sum(map(mul, y, form)) > 0:
+                return None
         den = self.box_den
         lo, hi = [], []
-        for lower, upper in zip(self.lower_form, self.upper_form):
-            l = _ceil_div(sum(n * b[h] for h, n in lower), den)
-            u = (-sum(n * b[h] for h, n in upper)) // den
+        for lower, upper in self.box_forms:
+            l = _ceil_div(sum(map(mul, y, lower)), den)
+            u = -sum(map(mul, y, upper)) // den
             if l > u:
                 return None
             lo.append(l)
             hi.append(u)
-        slack = self.packed.slacks(b, lo, hi)
+        start = self.packed.start(y, lo, hi)
+        slack = self.packed.slacks(start, lo, hi)
         if not self._propagate(lo, hi, slack, range(len(slack))):
             return None
-        return b, lo, hi, slack
+        return start, lo, hi, slack
 
     def _propagate(self, lo, hi, slack, rows):
         """Narrow lo and hi in place to the propagation fixpoint of the

@@ -180,6 +180,50 @@ def test_count_sharp_target():
     assert res.output.splitlines()[1] == "1 1,0 0,2,2,yes"
 
 
+def _triples(mu, nu, lams):
+    args = ["--check"]
+    for lam in lams:
+        args += ["--triple", mu, nu, lam]
+    return args
+
+
+@pytest.mark.parametrize("args", [
+    ["--type", "A1", "--grid", "2", "--check"],
+    ["--type", "A4"] + _triples("1,0,0,0", "0,0,0,1",
+                                ["1,0,0,1", "0,0,0,0", "0,1,0,0"]),
+    ["--type", "A5"] + _triples("0,1,0,0,0", "0,1,0,0,0",
+                                ["0,2,0,0,0", "1,0,1,0,0", "0,0,0,1,0",
+                                 "0,0,0,0,0"]),
+], ids=["A1", "A4", "A5"])
+def test_count_check_exit_0(args):
+    # A1 has no kernel coordinates and only constant rows; A4 and A5 count
+    # values 1 and 0 in wider cones
+    res = run("count", *args)
+    assert res.exit_code == 0, res.output
+    rows = res.output.strip().splitlines()[1:]
+    assert {row.rsplit(",", 3)[1] for row in rows} == {"0", "1"}
+    assert all(row.endswith(",yes") for row in rows)
+
+
+_A2_TRIPLE = ["--triple", "1,0", "0,1", "1,1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--orient", "2-1"] + _A2_TRIPLE, "error:"),
+    (["--orient", "1>2>1"] + _A2_TRIPLE, "error:"),
+    (["--orient", "x>y"] + _A2_TRIPLE, "error:"),
+    (["--triple", "1,0", "0,1", "-1,2", "--check"],
+     "all three weights must be dominant"),
+], ids=["orient 2-1", "orient 1>2>1", "orient x>y", "non-dominant check"])
+def test_count_malformed_input_exit_2(args, message):
+    # a malformed orientation, and a non-dominant weight under --check,
+    # are invalid input: exit 2 with the error, and no CSV
+    res = run("count", "--type", "A2", *args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "mu,nu,lambda" not in res.output
+
+
 def test_count_invalid_input_exit_2():
     res = run("count", "--type", "X9", "--triple", "1", "1", "1")
     assert res.exit_code == 2

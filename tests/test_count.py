@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import os
@@ -243,12 +244,41 @@ def test_root_fixpoint_matches_full_sweeps(letter, n, orient):
     assert 0 < empty < len(targets)
 
 
+@functools.lru_cache(maxsize=None)
+def _family(letter, n, orient):
+    return System(letter, n, orient and list(orient)).family()
+
+
+@pytest.mark.parametrize("letter, n, orient", [
+    ("A", 3, None), ("D", 4, None), ("D", 4, ((2, 1), (3, 2), (4, 2))),
+    ("D", 5, None),
+], ids=["A3", "D4", "D4:2>1,3>2,4>2", "D5"])
+@given(entries=st.lists(st.integers(-1, 3), min_size=15, max_size=15))
+@settings(max_examples=60, deadline=None)
+def test_linear_prefix_matches_reference(letter, n, orient, entries):
+    # _root reads the target through the linear maps fixed at init (the
+    # lattice test, y, the constant rows, the box forms and the packed
+    # right-hand sides); the reference reads it through the HNF
+    # back-substitution of _slice_rhs and a plain sweep.  Random targets,
+    # non-dominant and off the slice lattice ones among them, are empty
+    # on both routes or have the same box and slacks, and the packed base
+    # holds the reference's right-hand sides
+    fam = _family(letter, n, orient)
+    target = tuple(entries[:3 * n])
+    root = fam._root(target)
+    assert (None if root is None else root[1:]) == _swept_root(fam, target)
+    if root is not None:
+        (r, base), b = root[0], fam._slice_rhs(target)
+        bias = fam.packed.table(r)[-1]
+        assert base == bias - sum(bj << 64 * r * j for j, bj in enumerate(b))
+
+
 def test_negative_slack_ends_propagation_at_once():
     # a row handed to propagation with a negative slack empties the box
     # before any bound moves
     fam = System("D", 4).family()
     # c^rho_{rho rho} = 32, whose root box is still wide
-    _b, lo, hi, slack = fam._root((1,) * 12)
+    _start, lo, hi, slack = fam._root((1,) * 12)
     assert any(l < h for l, h in zip(lo, hi))
     for j in range(len(slack)):
         l2, h2, s2 = list(lo), list(hi), list(slack)
@@ -259,11 +289,13 @@ def test_negative_slack_ends_propagation_at_once():
 
 @st.composite
 def _packed_systems(draw):
-    """Small integer systems a_j . c >= b_j with a box lo..hi: mixed signs,
-    some rows and some columns zero, and entries, right-hand sides or box
-    bounds scaled up until fields of 64 bits overflow."""
+    """Small integer systems a_j . c >= b_j, with b_j = q_j . y read off
+    forms q_j at a point y, and a box lo..hi: mixed signs, some rows and
+    some columns zero, and entries, forms, y or box bounds scaled up until
+    fields of 64 bits overflow."""
     m = draw(st.integers(0, 4))
     n = draw(st.integers(0, 6))
+    p = draw(st.integers(0, 3))
     scale = draw(st.sampled_from([1, 1, 2 ** 40, 2 ** 70]))
     zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0))))
     zero_cols = draw(st.sets(st.integers(0, max(m - 1, 0))))
@@ -273,32 +305,40 @@ def _packed_systems(draw):
     reach = draw(st.sampled_from([1, 1, 2 ** 30, 2 ** 66]))
     lo = [reach * draw(st.integers(-5, 5)) for _k in range(m)]
     hi = [l + draw(st.integers(0, 4)) for l in lo]
-    b = [draw(st.sampled_from([1, scale * reach]))
-         * draw(st.integers(-20, 20)) for _j in range(n)]
+    forms = [tuple(draw(st.sampled_from([1, scale])) * draw(st.integers(-3, 3))
+                   for _k in range(p)) for _j in range(n)]
+    y = [draw(st.sampled_from([1, reach])) * draw(st.integers(-20, 20))
+         for _k in range(p)]
     points = [lo, hi] + [[draw(st.integers(l, h)) for l, h in zip(lo, hi)]
                          for _i in range(3)]
-    return rows, m, b, lo, hi, points
+    return rows, m, forms, y, lo, hi, points
 
 
 @given(_packed_systems())
 @settings(max_examples=200, deadline=None)
 def test_packed_rows_match_dense(system):
-    # the packed slacks and leaf verdicts are the plain per-row ones, at
-    # the smallest field width that holds every |a_j . c - b_j| in the box
-    rows, m, b, lo, hi, points = system
-    packed = count.PackedRows(rows, m)
-    r = packed.width(b, lo, hi)
+    # the packed right-hand sides, slacks and leaf verdicts are the plain
+    # per-row ones, at the smallest field width that holds the bound on
+    # every |a_j . c - b_j| in the box
+    rows, m, forms, y, lo, hi, points = system
+    b = [sum(x * v for x, v in zip(q, y)) for q in forms]
+    packed = count.PackedRows(rows, m, forms, len(y))
+    start = packed.start(y, lo, hi)
+    r, base = start
     reach = max([1] + [abs(x) for x in lo + hi])
-    bound = max([0] + [sum(map(abs, a)) for a in rows]) * reach + \
-        max([0] + [abs(x) for x in b])
+    qmax = [max([0] + [abs(q[k]) for q in forms]) for k in range(len(y))]
+    norm = max([0] + [sum(map(abs, a)) for a in rows] + qmax)
+    bound = norm * reach + sum(abs(v) * q for v, q in zip(y, qmax))
     assert bound < 2 ** (64 * r - 1)
     assert r == 1 or bound >= 2 ** (64 * r - 65)
-    assert packed.slacks(b, lo, hi) == [
+    bias = packed.table(r)[-1]
+    assert base == bias - sum(bj << 64 * r * j for j, bj in enumerate(b))
+    assert packed.slacks(start, lo, hi) == [
         sum(x * (h if x > 0 else l) for x, l, h in zip(a, lo, hi)) - bj
         for a, bj in zip(rows, b)]
-    holds = packed.certificate(b, lo, hi)
+    holds = packed.certificate(start)
     for c in points:
-        assert holds(c) == all(sum(x * y for x, y in zip(a, c)) >= bj
+        assert holds(c) == all(sum(x * z for x, z in zip(a, c)) >= bj
                                for a, bj in zip(rows, b)), c
     assert 1 in packed.tables or packed.norm >= 2 ** 63
     assert r in packed.tables
@@ -306,25 +346,33 @@ def test_packed_rows_match_dense(system):
 
 def test_packed_rows_widen_past_64_bits():
     # one entry of 2^62 on a box reaching 4 needs fields of 128 bits; the
-    # wide table is kept beside the 64-bit one, which stays as it was
-    packed = count.PackedRows([(2 ** 62, -1), (0, 0), (-3, 1)], 2)
+    # wide table is kept beside the 64-bit one, which stays as it was; the
+    # forms are the identity, so y is b
+    identity = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    packed = count.PackedRows([(2 ** 62, -1), (0, 0), (-3, 1)], 2,
+                              identity, 3)
     narrow = packed.tables[1]
     b, lo, hi = [2 ** 64, -1, -20], [-4, 0], [4, 2]
-    assert packed.width(b, lo, hi) == 2
-    assert packed.slacks(b, lo, hi) == [0, 1, 34]
-    holds = packed.certificate(b, lo, hi)
+    start = packed.start(b, lo, hi)
+    assert start[0] == 2
+    assert packed.slacks(start, lo, hi) == [0, 1, 34]
+    holds = packed.certificate(start)
     assert holds([4, 0]) and not holds([3, 0]) and not holds([4, 2])
     assert sorted(packed.tables) == [1, 2] and packed.tables[1] is narrow
-    assert packed.slacks([0, 0, 0], [0, 0], [1, 1]) == [2 ** 62, 0, 1]
+    small = packed.start([0, 0, 0], [0, 0], [1, 1])
+    assert small[0] == 1
+    assert packed.slacks(small, [0, 0], [1, 1]) == [2 ** 62, 0, 1]
 
 
 def test_packed_rows_without_active_rows():
-    # A1's kernel is empty: m = 0, no active row, every field list empty
+    # A1's kernel is empty: m = 0, no active row, every field list empty,
+    # and all three cone columns are constant rows, tested on y alone
     s = System("A", 1)
     fam = s.family()
-    assert fam.m == 0 and fam.active == []
-    assert fam.packed.slacks([], [], []) == []
-    assert fam.packed.certificate([], [], [])([])
+    assert fam.m == 0 and fam.active == [] and len(fam.constant) == 3
+    start = fam.packed.start([0, 0, 0], [], [])
+    assert fam.packed.slacks(start, [], []) == []
+    assert fam.packed.certificate(start)([])
     for mu, nu in itertools.product(range(3), repeat=2):
         want = lieoracle.tensor_decomposition(s.cd, (mu,), (nu,))
         for lam in range(5):
@@ -349,7 +397,7 @@ def test_planted_leaf_violation_raises():
     # nothing: the search then reaches leaves of the wide root box that
     # violate rows, and the leaf check must raise
     fam = System("D", 4).family()
-    _b, lo, hi, _s = fam._root((1,) * 12)
+    _start, lo, hi, _s = fam._root((1,) * 12)
     assert any(l < h for l, h in zip(lo, hi))
     fam._propagate = lambda lo, hi, slack, rows: True
     with pytest.raises(RuntimeError, match="propagation leaf violates"):
@@ -380,17 +428,23 @@ def test_planted_leaf_violation_survives_python_O():
     assert "propagation leaf violates" in res.stdout
 
 
+def _d4_brauer_klimyk(s):
+    """Three D4 pairs (mu, nu) with every lambda in {0,1}^4: target ->
+    Brauer-Klimyk value."""
+    pairs = [((1, 0, 0, 0), (1, 0, 0, 0)), ((0, 1, 0, 0), (0, 1, 0, 0)),
+             ((1, 0, 1, 1), (0, 1, 0, 1))]
+    return {mu + nu + lam: lieoracle.tensor_decomposition(s.cd, mu, nu)
+            .get(lam, 0) for mu, nu in pairs
+            for lam in itertools.product(range(2), repeat=4)}
+
+
 def test_count_path_uses_no_fraction(monkeypatch):
     # the per-target path is integers only: every Fraction is made while
     # the family is built; count itself imports none, and the exact
     # helpers it calls make none per target
     s = System("D", 4)
     fam = s.family()
-    targets = [((1, 0, 0, 0), (1, 0, 0, 0)), ((0, 1, 0, 0), (0, 1, 0, 0)),
-               ((1, 0, 1, 1), (0, 1, 0, 1))]
-    want = {mu + nu + lam: lieoracle.tensor_decomposition(s.cd, mu, nu)
-            .get(lam, 0) for mu, nu in targets
-            for lam in itertools.product(range(2), repeat=4)}
+    want = _d4_brauer_klimyk(s)
 
     def no_fraction(*_args):
         raise AssertionError("Fraction on the per-target counting path")
@@ -402,6 +456,24 @@ def test_count_path_uses_no_fraction(monkeypatch):
     monkeypatch.setattr(exact, "Fraction", no_fraction)
     assert {t: fam.count(t) for t in want} == want
     assert any(want.values())
+
+
+def test_count_path_skips_the_hnf(monkeypatch):
+    # count reads the target through the linear maps fixed at init, never
+    # through the HNF back-substitution; count_lp, the reference, still
+    # reaches it
+    s = System("D", 4)
+    fam = s.family()
+    want = _d4_brauer_klimyk(s)
+
+    def no_hnf(*_args):
+        raise AssertionError("HNF back-substitution on the count path")
+
+    monkeypatch.setattr(count, "integer_row_solution", no_hnf)
+    assert {t: fam.count(t) for t in want} == want
+    assert any(want.values())
+    with pytest.raises(AssertionError, match="HNF back-substitution"):
+        fam.count_lp(next(iter(want)))
 
 
 @pytest.mark.parametrize("letter, n, weights", [
@@ -554,12 +626,30 @@ class _V:
     label = "x"
 
 
-def test_unbounded_slice_raises_with_ray():
-    spec = cone.ConeSpec("full2", [_V(), _V()], [])
+def test_unbounded_slice_raises_with_ray(monkeypatch):
+    # g_1 = target and g_1 >= 0, with g_2 free: no box exists, so an LP on
+    # the target tells an empty slice (count 0) from an unbounded one
+    spec = cone.ConeSpec("full2", [_V(), _V()], [(_V(), [1, 0])])
     sigma = [[1], [0]]
+    fam = count.SliceFamily(spec, sigma)
+    lps = []
+    real = count.lp_bound
+    monkeypatch.setattr(count, "lp_bound",
+                        lambda *args: lps.append(args) or real(*args))
+    assert fam.count((-1,)) == fam.count_lp((-1,)) == 0
     with pytest.raises(count.UnboundedSliceError) as exc:
-        count.SliceFamily(spec, sigma).count((0,))
+        fam.count((0,))
+    assert len(lps) == 3
     ray = exc.value.ray
     assert any(ray)
     assert sum(r * s[0] for r, s in zip(ray, sigma)) == 0
+
+
+def test_rank_deficient_sigma_refused():
+    # the linear maps of the target need sigma of full column rank
+    spec = cone.ConeSpec("full2", [_V(), _V()],
+                         [(_V(), [1, 0]), (_V(), [0, 1])])
+    with pytest.raises(ValueError, match="sigma has rank 1, less than "
+                                         "its width 2"):
+        count.SliceFamily(spec, [[1, 2], [2, 4]])
 
