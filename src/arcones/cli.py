@@ -35,18 +35,30 @@ def _parse_type(type_):
 
 
 def _parse_orient(orient):
-    """Parse an orientation like '2>1,3>2,4>2' into arrow pairs."""
+    """Parse an orientation like '2>1,3>2,4>2' into arrow pairs; raises
+    ValueError naming --orient and its form on anything else."""
     if not orient:
         return None
-    arrows = []
-    for part in orient.split(","):
-        i, j = part.split(">")
-        arrows.append((int(i), int(j)))
-    return arrows
+    try:
+        arrows = [tuple(int(x) for x in part.split(">"))
+                  for part in orient.split(",")]
+        if all(len(a) == 2 for a in arrows):
+            return arrows
+    except ValueError:
+        pass
+    raise ValueError("--orient %r is not of the form i>j,... with integer "
+                     "vertices i, j (e.g. 2>1,3>2,4>2)" % orient)
 
 
-def _parse_weight(text):
-    return tuple(int(x) for x in text.split(","))
+def _parse_weight(text, option):
+    """Parse a weight like '1,0,2'; raises ValueError naming option and its
+    form on anything else."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError("%s weight %r is not of the form n,n,... with "
+                         "integer entries (e.g. 1,0,2)"
+                         % (option, text)) from None
 
 
 def _guard(fn):
@@ -218,9 +230,10 @@ def cmd_count(type_, orient, variant, triple, targets_opt, grid, check, out):
     for t in triple:
         if variant != "full2":
             raise ValueError("--triple applies to the full2 variant")
-        rows.append(tuple(_parse_weight(x) for x in t))
+        rows.append(tuple(_parse_weight(x, "--triple") for x in t))
     for t in targets_opt:
-        rows.append(tuple(_parse_weight(x) for x in t.split("/")))
+        rows.append(tuple(_parse_weight(x, "--target")
+                          for x in t.split("/")))
     if grid is not None:
         rows.extend(_grid_targets(cd, variant, sig, grid, random.Random(0),
                                   decompositions))

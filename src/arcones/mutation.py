@@ -7,6 +7,18 @@ vectors of the cone modules T_v.  That algorithm mutates each T_v along the
 walk mu_l . mu_l, whose last quarter repeats its first relabelled by pi^3;
 where the state entering the last quarter is the pi^3-image of the base
 state, exactly, the state it reaches is read off the first quarter's.
+
+The first and last quarters are walked in a reordering of the paper's steps.
+Mutations at u and v commute where b_uv = 0 (Fomin-Zelevinsky, Cluster
+algebras IV): mu_u leaves row and column v as they are, and both orders
+give the same seed, dual states included.  So a quarter may be walked in
+any order that keeps each step after the earlier steps it depends on:
+those at the same vertex, or at a vertex u_k with b_{u_k, u_j} != 0 where
+step k is taken.  The order taken always takes next the latest step of
+the paper's order whose dependencies are taken (_latest_first; _reordered
+walks it and checks it).  At the E6 branch vertex the first quarter's
+largest F-polynomial has 103 916 terms in the paper's order and 3 626 in
+this one.
 """
 
 from dataclasses import dataclass
@@ -221,7 +233,11 @@ class Walk:
     again; on the mutable vertices pi is an involution, so the last quarter
     walks the vertices of the first relabelled by pi^3, and
     quarter3_is_pi3 records whether its steps (u, row and column entries)
-    are exactly those relabelled ones.  pi renames vertex k as pi[k], the
+    are exactly those relabelled ones.  steps holds quarters 0 and 3 in
+    their latest-first commutation order (b_walk), quarters 1 and 2 in the
+    paper's: the walk reaches the same seeds after each quarter, and
+    every step is the one the paper's order takes at that vertex, with the
+    same row and column.  pi renames vertex k as pi[k], the
     convention of relabel_step, relabel_dual_state and relabel_b; its
     powers are taken where they are used.  pi has order 6: it is an
     involution on the mutable vertices and cycles O_i^- -> Id_i -> O_i^+
@@ -251,7 +267,14 @@ def b_walk(iq):
     mu_sqrt_l mutates, for each mutable vertex at (i, t) in orbit
     coordinates, taken by t and then by the topological order of i, at the
     orbit members tau^s O_i^+ for s = 1 .. t_i - t; mu_l is mu_sqrt_l
-    followed by its pi-image.
+    followed by its pi-image.  Each quarter is first walked in this, the
+    paper's, order; quarters 0 and 3 are then walked again in the
+    latest-first order of _latest_first, which reaches the same seed
+    (_reordered checks that it meets the same steps and ends at the same
+    B-matrix).  Quarters 1 and 2 stay in the paper's order: latest-first
+    makes quarter 1 larger, not smaller (D6 i = 4 goes from 19 256 to
+    68 076 term-steps there), and quarter 2 is small in the paper's order
+    (390 term-steps at E6 i = 4, against 136 383 in quarter 0).
     """
     cat = iq.cat
     index = iq.index
@@ -263,25 +286,86 @@ def b_walk(iq):
         chain = cat.orbits[i]
         sqrt_l.extend(index[v] for v in chain[1:len(chain) - t])
     pi = [index[cat.pi(v)] for v in iq.vertices]
-    mu_l = sqrt_l + [pi[u] for u in sqrt_l]
+    pi_sqrt_l = [pi[u] for u in sqrt_l]
     b0 = iq.bmat_full
     b = b0
-    steps = []
-    ends = []
-    # the walk is mu_l twice, four quarters of the length of mu_sqrt_l
-    quarter = len(sqrt_l)
-    for seq in (sqrt_l, mu_l[quarter:], mu_l):
+    quarters = []
+    starts = []
+    for seq in (sqrt_l, pi_sqrt_l, sqrt_l, pi_sqrt_l):
+        starts.append(b)
+        quarters.append([])
         for u in seq:
             step = Step.at(b, u)
-            steps.append(step)
+            quarters[-1].append(step)
             b = step.apply(b)
-        ends.append(b)
-    b_sqrt_l, b_l, b_l2 = ends
+    b_sqrt_l, b_l, b_l2 = starts[1], starts[2], b
+    quarters[0] = _reordered(quarters[0], b0, b_sqrt_l)
+    quarters[3] = _reordered(quarters[3], starts[3], b_l2)
     pi3 = _power(pi, 3)
-    return Walk(steps, b_sqrt_l, b_l, b_l2,
+    return Walk([s for q in quarters for s in q], b_sqrt_l, b_l, b_l2,
                 _mu_l_is_pi2(iq, b_l, b0, _power(pi, 2)), pi,
-                [relabel_step(s, pi3) for s in steps[:quarter]]
-                == steps[3 * quarter:])
+                [relabel_step(s, pi3) for s in quarters[0]] == quarters[3])
+
+
+def _latest_first(steps):
+    """The positions of steps, a quarter walked in the paper's order, in
+    their latest-first commutation order.
+
+    Step j depends on an earlier step k when u_j = u_k or u_j is in
+    steps[k].row (b_{u_k, u_j} != 0 where step k is taken); the order is
+    the linear extension of these dependencies that always takes the
+    latest step whose dependencies are all taken.
+    """
+    q = len(steps)
+    waits = [0] * q
+    after = [[] for _ in range(q)]
+    for j, sj in enumerate(steps):
+        for k in range(j):
+            sk = steps[k]
+            if sk.u == sj.u or any(v == sj.u for v, _ in sk.row):
+                waits[j] += 1
+                after[k].append(j)
+    # q <= 90 (E6) on every quiver built here, so a scan picks the latest
+    ready = [j for j in range(q) if not waits[j]]
+    order = []
+    while ready:
+        j = max(ready)
+        ready.remove(j)
+        order.append(j)
+        for k in after[j]:
+            waits[k] -= 1
+            if not waits[k]:
+                ready.append(k)
+    return order
+
+
+def _reordered(steps, b, end):
+    """steps, a quarter walked from the B-matrix b to end in the paper's
+    order, walked from b again in the order of _latest_first.
+
+    Why it reaches the same seed, by induction on the quarter's length:
+    drop the paper's last step s.  The order restricted to the rest keeps
+    their dependencies, so by induction it meets the paper's steps and
+    ends where the paper takes s; with s appended, it reaches the paper's
+    seed.  s does not depend on any step x after it in the order: u_x !=
+    u_s, and b_{u_x, u_s} = 0 in row u_x of the paper's step x, which is
+    the row x meets.  So mu at u_s commutes with mu at u_x there, and s
+    moves back past each such x to its place, leaving every step and the
+    seed at the end as they were.  The walk checks what the argument
+    promises: raises RuntimeError unless each step it meets is the
+    paper's step at that vertex (same row and column) and it ends at end.
+    """
+    out = []
+    for j in _latest_first(steps):
+        step = Step.at(b, steps[j].u)
+        if step != steps[j]:
+            raise RuntimeError("reordered quarter meets step %d at vertex %d "
+                               "with another row or column" % (j, step.u))
+        out.append(step)
+        b = step.apply(b)
+    if b != end:
+        raise RuntimeError("reordered quarter ends at another B-matrix")
+    return out
 
 
 def relabel_step(step, perm):

@@ -194,9 +194,12 @@ def _triples(mu, nu, lams):
     ["--type", "A5"] + _triples("0,1,0,0,0", "0,1,0,0,0",
                                 ["0,2,0,0,0", "1,0,1,0,0", "0,0,0,1,0",
                                  "0,0,0,0,0"]),
-], ids=["A1", "A4", "A5"])
+    ["--type", "A6"] + _triples("1,0,0,0,0,0", "0,0,0,0,0,1",
+                                ["1,0,0,0,0,1", "0,0,0,0,0,0",
+                                 "0,1,0,0,0,0"]),
+], ids=["A1", "A4", "A5", "A6"])
 def test_count_check_exit_0(args):
-    # A1 has no kernel coordinates and only constant rows; A4 and A5 count
+    # A1 has no kernel coordinates and only constant rows; A4 to A6 count
     # values 1 and 0 in wider cones
     res = run("count", *args)
     assert res.exit_code == 0, res.output
@@ -205,23 +208,44 @@ def test_count_check_exit_0(args):
     assert all(row.endswith(",yes") for row in rows)
 
 
+def test_count_e6_zero_check_exit_0():
+    # E6 end to end: T_v sets by mutation, the 3147-column cone, one count
+    zero = "0,0,0,0,0,0"
+    res = run("count", "--type", "E6", "--triple", zero, zero, zero,
+              "--check")
+    assert res.exit_code == 0, res.output
+    assert res.output.strip().splitlines()[1:] == \
+        ["0 0 0 0 0 0,0 0 0 0 0 0,0 0 0 0 0 0,1,1,yes"]
+
+
 _A2_TRIPLE = ["--triple", "1,0", "0,1", "1,1"]
+_ORIENT_FORM = "is not of the form i>j,... with integer vertices"
+_WEIGHT_FORM = "is not of the form n,n,... with integer entries"
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--orient", "2-1"] + _A2_TRIPLE, "error:"),
-    (["--orient", "1>2>1"] + _A2_TRIPLE, "error:"),
-    (["--orient", "x>y"] + _A2_TRIPLE, "error:"),
+    (["--orient", "2-1"] + _A2_TRIPLE,
+     "error: --orient '2-1' " + _ORIENT_FORM),
+    (["--orient", "1>2>1"] + _A2_TRIPLE,
+     "error: --orient '1>2>1' " + _ORIENT_FORM),
+    (["--orient", "x>y"] + _A2_TRIPLE,
+     "error: --orient 'x>y' " + _ORIENT_FORM),
     (["--triple", "1,0", "0,1", "-1,2", "--check"],
      "all three weights must be dominant"),
-], ids=["orient 2-1", "orient 1>2>1", "orient x>y", "non-dominant check"])
+    (["--triple", "1,a", "0,1", "1,1"],
+     "error: --triple weight '1,a' " + _WEIGHT_FORM),
+    (["--variant", "sharp", "--target", "1,1/0,x"],
+     "error: --target weight '0,x' " + _WEIGHT_FORM),
+], ids=["orient 2-1", "orient 1>2>1", "orient x>y", "non-dominant check",
+        "triple 1,a", "target 0,x"])
 def test_count_malformed_input_exit_2(args, message):
-    # a malformed orientation, and a non-dominant weight under --check,
-    # are invalid input: exit 2 with the error, and no CSV
+    # a malformed orientation or weight, and a non-dominant weight under
+    # --check, are invalid input: exit 2 with an error naming the option
+    # and the expected form, and no CSV
     res = run("count", "--type", "A2", *args)
     assert res.exit_code == 2, res.output
     assert message in res.output
-    assert "mu,nu,lambda" not in res.output
+    assert ",count" not in res.output
 
 
 def test_count_invalid_input_exit_2():

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import json
@@ -510,3 +511,129 @@ def test_tv_fpoly_without_quarter3_reuse(monkeypatch):
         calls.clear()
         assert mutation.tv_subreps_via_fpoly(iq, i) == expected[i]
         assert calls == iq.walk.steps
+
+
+def _paper_quarters(iq):
+    """The four quarters of mu_l . mu_l in the paper's order, each step taken
+    with Step.at: mu_sqrt_l mutates, for each mutable vertex at (i, t) in
+    orbit coordinates, by t and then by the topological order of i, at
+    tau^s O_i^+ for s = 1 .. t_i - t; then pi(mu_sqrt_l), then both again."""
+    cat = iq.cat
+    pos = {i: k for k, i in enumerate(cat.ar.Q.topological_order())}
+    sqrt_l = []
+    for p in sorted(iq.mutable,
+                    key=lambda p: (cat.orbit[p][1], pos[cat.orbit[p][0]])):
+        i, t = cat.orbit[p]
+        chain = cat.orbits[i]
+        sqrt_l.extend(iq.index[v] for v in chain[1:len(chain) - t])
+    pi = [iq.index[cat.pi(v)] for v in iq.vertices]
+    b = iq.bmat_full
+    quarters = []
+    for seq in (sqrt_l, [pi[u] for u in sqrt_l]) * 2:
+        quarters.append([])
+        for u in seq:
+            step = mutation.Step.at(b, u)
+            quarters[-1].append(step)
+            b = step.apply(b)
+    return quarters
+
+
+@pytest.mark.parametrize("key", WALK_KEYS + ["D6"])
+def test_walk_reorders_paper_quarters(key):
+    # quarters 0 and 3 hold the paper's steps in another order, quarters 1
+    # and 2 the paper's steps in its order, and every T_v state after each
+    # quarter is the one the paper's order reaches
+    iq = _ice(key)
+    steps = iq.walk.steps
+    paper = _paper_quarters(iq)
+    q = len(paper[0])
+    assert len(steps) == 4 * q
+    assert steps[q:3 * q] == paper[1] + paper[2]
+    for k in (0, 3):
+        assert collections.Counter(steps[k * q:(k + 1) * q]) == \
+            collections.Counter(paper[k])
+    for i in range(1, iq.n + 1):
+        state = mutation._base_state(iq, i)
+        for k, quarter in enumerate(paper):
+            walked = mutation._mutate_along(state, steps[k * q:(k + 1) * q])
+            state = mutation._mutate_along(state, quarter)
+            assert walked == state, (i, k)
+
+
+# the work of tv_subreps_via_fpoly with quarters 0 and 3 walked latest
+# first: term-steps are the terms of every state mutate_dual_state takes,
+# and the largest |F| is over every state it takes or returns.  The paper's
+# order of quarter 0 does 79 116 term-steps with |F| up to 5 226 at D6
+# i = 4, and 2 117 769 with |F| up to 103 916 at E6 i = 4 (the branch
+# vertex), so walking it again fails here.
+@pytest.mark.parametrize("key,i,term_steps,largest", [
+    ("D6", 4, 34440, 649),
+    ("E6", 4, 296098, 3787),
+], ids=["D6-4", "E6-4"])
+def test_fpoly_work_pinned(key, i, term_steps, largest, monkeypatch):
+    real = mutation.mutate_dual_state
+    work = [0, 0]
+
+    def counted(state, step):
+        out = real(state, step)
+        work[0] += len(state.fpoly)
+        work[1] = max(work[1], len(state.fpoly), len(out.fpoly))
+        return out
+
+    monkeypatch.setattr(mutation, "mutate_dual_state", counted)
+    mutation.tv_subreps_via_fpoly(_ice(key), i)
+    assert work == [term_steps, largest]
+
+
+def _swap_dependent(steps, order):
+    """order with its first adjacent pair of dependent steps swapped: the
+    later of the two in the paper's order at the same vertex as the
+    earlier, or in its row."""
+    for p in range(len(order) - 1):
+        k, j = order[p], order[p + 1]
+        if k < j and (steps[k].u == steps[j].u or
+                      any(v == steps[j].u for v, _ in steps[k].row)):
+            order[p], order[p + 1] = j, k
+            return order
+    raise AssertionError("no adjacent dependent steps")
+
+
+@pytest.mark.parametrize("plant,message", [
+    (_swap_dependent, "with another row or column"),
+    (lambda steps, order: order[:-1], "ends at another B-matrix"),
+], ids=["swap dependent steps", "drop last step"])
+def test_b_walk_refuses_planted_order(plant, message, monkeypatch):
+    # a swap of two steps that do not commute meets a step with another
+    # row; an order missing a step ends at another B-matrix
+    real = mutation._latest_first
+    monkeypatch.setattr(mutation, "_latest_first",
+                        lambda steps: plant(steps, real(steps)))
+    with pytest.raises(RuntimeError, match=message):
+        System("D", 4).ice().walk
+
+
+def test_b_walk_planted_swap_survives_python_O():
+    # the swap of test_b_walk_refuses_planted_order
+    out = _run_python_O("""
+        from arcones.system import System
+        real = mutation._latest_first
+
+        def swapped(steps):
+            order = real(steps)
+            for p in range(len(order) - 1):
+                k, j = order[p], order[p + 1]
+                if k < j and (steps[k].u == steps[j].u or
+                              any(v == steps[j].u for v, _ in steps[k].row)):
+                    order[p], order[p + 1] = j, k
+                    return order
+            sys.exit("no adjacent dependent steps")
+
+        mutation._latest_first = swapped
+        try:
+            System("D", 4).ice().walk
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("planted order accepted")
+    """)
+    assert "with another row or column" in out
