@@ -27,10 +27,12 @@ SUITES = ("structural", "kostant", "weights", "mutation", "fpoly", "oracle",
 
 
 def _parse_type(type_):
-    """Split --type D4 into ("D", 4)."""
+    """Split --type D4 into ("D", 4); raises ValueError naming --type and
+    its form on anything else."""
     letter, digits = type_[:1].upper(), type_[1:]
-    if not digits:
-        raise ValueError("no rank in --type %r (use e.g. --type D4)" % type_)
+    if not (letter.isalpha() and digits.isdecimal()):
+        raise ValueError("--type %r is not a letter and a rank (e.g. "
+                         "--type D4)" % type_)
     return letter, int(digits)
 
 

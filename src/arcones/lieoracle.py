@@ -8,6 +8,16 @@ can serve as cross-checks.
 All weights are integer tuples in fundamental-weight coordinates.  Every
 call computes in ints: the forms of each Cartan datum are scaled to integers
 once (`_forms`), and each formula ends in one exact `divmod`.
+
+Multiplicities are W-invariant, so Freudenthal's recursion runs in the
+dominant chamber only (Moody & Patera 1982): the dominant weights of L(mu)
+are enumerated by subtracting positive roots from mu through dominant
+weights, the recursion visits them in decreasing height and reads each
+m(lam + k alpha) at the dominant representative of lam + k alpha, and the
+full weight dict is then the union of their W-orbits.  Brauer-Klimyk sums
+over the weights of the factor with the smaller Weyl dimension.  A
+decomposition lists its components in one canonical order, decreasing
+height with ties broken by lam, whichever factor comes first.
 """
 
 from collections import namedtuple
@@ -18,7 +28,7 @@ from .rootdata import positive_roots
 
 _memo = {}
 
-_Forms = namedtuple("_Forms", "den gram roots height")
+_Forms = namedtuple("_Forms", "den gram roots height mirrors")
 
 
 def _forms(cd):
@@ -29,6 +39,9 @@ def _forms(cd):
     each positive root alpha (fundamental-weight coordinates) with r_alpha
     = alpha . gram, so den (lam, alpha) = r_alpha . lam.  height . w, with
     height[i] = den sum_j (C^-1)_ij, is den times the height of w.
+    mirrors[i] lists the (j, C_ij) with j != i and C_ij != 0: the simple
+    reflection s_i maps w to w - w_i alpha_i, which negates w_i and moves
+    only those w_j.
     """
     key = ("forms", cd.Q.letter, cd.Q.n)
     if key not in _memo:
@@ -39,7 +52,10 @@ def _forms(cd):
         roots = tuple((alpha, tuple(vec_mat(alpha, gram)))
                       for _, alpha in positive_roots(cd))
         height = tuple(int(sum(row) * den) for row in inv)
-        _memo[key] = _Forms(den, gram, roots, height)
+        mirrors = tuple(tuple((j, c) for j, c in enumerate(row)
+                              if j != i and c)
+                        for i, row in enumerate(cd.cartan))
+        _memo[key] = _Forms(den, gram, roots, height, mirrors)
     return _memo[key]
 
 
@@ -53,48 +69,110 @@ def _check_dominant(what, *weights):
         raise ValueError("%s must be dominant" % what)
 
 
+def _canonical(forms, weights):
+    """weights in decreasing height, ties broken by the weight tuple."""
+    return sorted(weights, key=lambda w: (-dot(forms.height, w), w))
+
+
 def weyl_dimension(cd, mu):
     """dim L(mu) by the Weyl dimension formula: the product of the
     den (mu + rho, alpha) over the positive roots, over that of
-    den (rho, alpha)."""
+    den (rho, alpha), kept per weight."""
     _check_dominant("mu", mu)
-    lam_rho = [m + 1 for m in mu]
-    num = denom = 1
-    for _, r in _forms(cd).roots:
-        num *= dot(r, lam_rho)
-        denom *= sum(r)           # r . rho, as rho = (1, ..., 1)
-    dim, rem = divmod(num, denom)
-    if rem:
-        raise RuntimeError("dim L(%s) = %d/%d is not an integer"
-                           % (mu, num, denom))
-    return dim
+    key = ("dim", cd.Q.letter, cd.Q.n, tuple(mu))
+    if key not in _memo:
+        lam_rho = [m + 1 for m in mu]
+        num = denom = 1
+        for _, r in _forms(cd).roots:
+            num *= dot(r, lam_rho)
+            denom *= sum(r)           # r . rho, as rho = (1, ..., 1)
+        dim, rem = divmod(num, denom)
+        if rem:
+            raise RuntimeError("dim L(%s) = %d/%d is not an integer"
+                               % (mu, num, denom))
+        _memo[key] = dim
+    return _memo[key]
 
 
-def _weight_saturation(cd, mu):
-    """All weights of L(mu): close mu under lam -> lam - k*alpha_i, k<=lam_i."""
-    cart = cd.cartan
-    n = cd.Q.n
-    seen = {tuple(mu)}
-    queue = [tuple(mu)]
-    while queue:
-        w = queue.pop()
-        for i in range(n):
-            for k in range(1, w[i] + 1):
-                w2 = tuple(w[j] - k * cart[i][j] for j in range(n))
-                if w2 not in seen:
-                    seen.add(w2)
-                    queue.append(w2)
-    return seen
+def _mirror(forms, v, i):
+    """Apply the simple reflection s_i to the weight list v in place."""
+    x = v[i]
+    v[i] = -x
+    for j, c in forms.mirrors[i]:
+        v[j] -= x * c
+
+
+def _reflect(forms, v):
+    """Reflect the weight v into the dominant chamber.
+
+    Applies s_i at the first negative coordinate until there is none, and
+    returns (the dominant representative of v, the number of reflections).
+    This is the module's one reflection loop: `freudenthal` reads
+    multiplicities at dominant representatives, and `_straighten` adds the
+    wall test and the sign.
+    """
+    v = list(v)
+    flips = 0
+    i = 0
+    while i < len(v):
+        if v[i] < 0:
+            _mirror(forms, v, i)
+            flips += 1
+            i = 0
+        else:
+            i += 1
+    return tuple(v), flips
+
+
+def _straighten(forms, v):
+    """Reflect v to the dominant chamber, tracking the sign.
+
+    Returns (sign, dominant vector); sign 0 when v lies on a wall, that is
+    when its dominant representative does.
+    """
+    dom, flips = _reflect(forms, v)
+    if 0 in dom:
+        return 0, None
+    return (-1 if flips % 2 else 1), dom
+
+
+def _dominant_weights(cd, mu):
+    """The dominant weights of L(mu), in decreasing height, ties broken by
+    the weight tuple.
+
+    Subtracting positive roots from mu while the result stays dominant
+    reaches every dominant weight below mu (Stembridge 1998, "The partial
+    order of dominant weights"), and those are the dominant weights of
+    L(mu).
+    """
+    forms = _forms(cd)
+    seen = {mu}
+    stack = [mu]
+    while stack:
+        w = stack.pop()
+        for alpha, _ in forms.roots:
+            down = tuple(x - a for x, a in zip(w, alpha))
+            if min(down) >= 0 and down not in seen:
+                seen.add(down)
+                stack.append(down)
+    return _canonical(forms, seen)
 
 
 def freudenthal(cd, mu):
     """Weight multiplicities of the irreducible L(mu).
 
     Returns a dict {weight tuple: multiplicity} covering every weight of
-    L(mu) (the full Weyl-invariant set, not just the dominant ones), in
-    order of depth below mu.  Both sides of Freudenthal's recursion are
-    scaled by den, so each multiplicity is one exact division.  The total
-    is checked to equal the Weyl dimension formula value.
+    L(mu) (the full Weyl-invariant set, not just the dominant ones): each
+    dominant weight in decreasing height, ties broken by the weight tuple,
+    followed by the rest of its W-orbit.
+
+    Freudenthal's recursion runs on the dominant weights only, in
+    decreasing height, and reads m(lam + k alpha) at the dominant
+    representative of lam + k alpha, as multiplicities are W-invariant
+    (Moody & Patera 1982).  Both sides are scaled by den, so each
+    multiplicity is one exact division.  The orbits are then expanded by
+    simple reflections, and the total is checked to equal the Weyl
+    dimension formula value.
     """
     mu = tuple(int(x) for x in mu)
     _check_dominant("mu", mu)
@@ -102,20 +180,25 @@ def freudenthal(cd, mu):
     if key in _memo:
         return _memo[key]
     forms = _forms(cd)
-    # -height . w is den times the depth of w below mu, less a constant
-    weights = sorted(_weight_saturation(cd, mu),
-                     key=lambda w: -dot(forms.height, w))
-    wset = set(weights)
+    dominant = _dominant_weights(cd, mu)
+    is_weight = set(dominant)
     mult = {mu: 1}
     c_mu = _norm(forms, [m + 1 for m in mu])
-    for lam in weights:
+    for lam in dominant:
         if lam == mu:
             continue
         acc = 0
         for alpha, r in forms.roots:
             up = tuple(l + a for l, a in zip(lam, alpha))
-            while up in wset:
-                acc += mult[up] * dot(r, up)
+            while True:
+                dom = _reflect(forms, up)[0]
+                if dom not in is_weight:
+                    break
+                if dom not in mult:
+                    raise RuntimeError(
+                        "multiplicity of %s in L(%s) read before it is "
+                        "computed" % (dom, mu))
+                acc += mult[dom] * dot(r, up)
                 up = tuple(u + a for u, a in zip(up, alpha))
         denom = c_mu - _norm(forms, [l + 1 for l in lam])
         m, rem = divmod(2 * acc, denom)
@@ -123,34 +206,24 @@ def freudenthal(cd, mu):
             raise RuntimeError("multiplicity %d/%d of %s in L(%s)"
                                % (2 * acc, denom, lam, mu))
         mult[lam] = m
-    if sum(mult.values()) != weyl_dimension(cd, mu):
+    full = {}
+    for lam in dominant:
+        m = full[lam] = mult[lam]
+        orbit = [lam]
+        for w in orbit:
+            for i, x in enumerate(w):
+                if x > 0:
+                    image = list(w)
+                    _mirror(forms, image, i)
+                    image = tuple(image)
+                    if image not in full:
+                        full[image] = m
+                        orbit.append(image)
+    if sum(full.values()) != weyl_dimension(cd, mu):
         raise RuntimeError("weight multiplicities of L(%s) do not add up to "
                            "its dimension" % (mu,))
-    _memo[key] = mult
-    return mult
-
-
-def _straighten(cd, v):
-    """Reflect v to the dominant chamber, tracking the sign.
-
-    Returns (sign, dominant vector); sign 0 when v lies on a wall.
-    """
-    cart = cd.cartan
-    n = cd.Q.n
-    v = list(v)
-    sign = 1
-    while True:
-        i = next((i for i in range(n) if v[i] < 0), None)
-        if i is None:
-            break
-        if any(x == 0 for x in v):
-            return 0, None
-        pivot = v[i]
-        v = [x - pivot * cart[i][j] for j, x in enumerate(v)]
-        sign = -sign
-    if any(x == 0 for x in v):
-        return 0, None
-    return sign, tuple(v)
+    _memo[key] = full
+    return full
 
 
 def tensor_multiplicity(cd, mu, nu, lam):
@@ -162,22 +235,30 @@ def tensor_multiplicity(cd, mu, nu, lam):
 
 def tensor_decomposition(cd, mu, nu):
     """Full decomposition of L(mu) (x) L(nu) as {lam: multiplicity}, by the
-    Brauer-Klimyk signed-orbit sum over the weights of L(nu)."""
+    Brauer-Klimyk signed-orbit sum.
+
+    The sum runs over the weights of whichever factor has the smaller Weyl
+    dimension, as L(mu) (x) L(nu) and L(nu) (x) L(mu) are isomorphic.  The
+    components come in decreasing height, ties broken by lam, so the
+    result does not depend on the order of mu and nu.
+    """
     mu, nu = tuple(mu), tuple(nu)
     _check_dominant("mu and nu", mu, nu)
-    n = cd.Q.n
+    dim_mu, dim_nu = weyl_dimension(cd, mu), weyl_dimension(cd, nu)
+    if dim_nu > dim_mu:
+        mu, nu = nu, mu
+    forms = _forms(cd)
     out = {}
     for xi, m in freudenthal(cd, nu).items():
-        v = tuple(mu[j] + xi[j] + 1 for j in range(n))
-        sign, dom = _straighten(cd, v)
+        sign, dom = _straighten(forms, [a + x + 1 for a, x in zip(mu, xi)])
         if sign:
             lam = tuple(x - 1 for x in dom)
             out[lam] = out.get(lam, 0) + sign * m
-    out = {lam: c for lam, c in out.items() if c != 0}
+    out = {lam: out[lam] for lam in _canonical(forms, out) if out[lam]}
     if any(c < 0 for c in out.values()):
         raise RuntimeError("negative multiplicity in %s x %s" % (mu, nu))
     total = sum(c * weyl_dimension(cd, lam) for lam, c in out.items())
-    if total != weyl_dimension(cd, mu) * weyl_dimension(cd, nu):
+    if total != dim_mu * dim_nu:
         raise RuntimeError("dimensions of %s x %s do not add up" % (mu, nu))
     return out
 

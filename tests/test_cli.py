@@ -37,6 +37,17 @@ def test_build_d5_via_fpoly(tmp_path):
     assert summary["cone"] == {"supported": True, "columns": 192}
 
 
+@pytest.mark.parametrize("type_", ["A1", "A3", "A4", "A5", "A6", "D6", "E6"])
+def test_build_exit_0(tmp_path, type_):
+    # the rest of the build half of the exit-code matrix (A2, D4 and D5
+    # are above)
+    res = run("build", "--type", type_, "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    summary = json.load(open(tmp_path / "summary.json"))
+    assert summary["cone"]["supported"]
+    assert os.path.exists(tmp_path / "hmatrix.csv")
+
+
 @pytest.mark.parametrize("variant", ["l", "r"])
 def test_build_a2_ungraded_variant(tmp_path, variant):
     # l and r carry no weight configuration, so no sigma.json is written
@@ -246,6 +257,17 @@ def test_count_malformed_input_exit_2(args, message):
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert ",count" not in res.output
+
+
+@pytest.mark.parametrize("type_", ["Dx", "D", "D4x", "4", "D-4"])
+def test_malformed_type_exit_2(type_):
+    # --type is a letter and a rank; anything else is exit 2 with an error
+    # naming --type and that form, not Python's own int() message
+    res = run("count", "--type", type_, "--triple", "1", "1", "1")
+    assert res.exit_code == 2, res.output
+    assert ("error: --type %r is not a letter and a rank (e.g. --type D4)"
+            % type_) in res.output
+    assert "invalid literal" not in res.output
 
 
 def test_count_invalid_input_exit_2():
