@@ -7,12 +7,12 @@ frozen-vertex deletions "u", "sharp", "l", "r") with B-matrices and weight
 configurations.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import mutation
-from .exact import mat_inv, mat_mul, rank, vec_mat
-from .rootdata import NUM_POS_ROOTS, cartan_data
+from .exact import dot, mat_inv, mat_mul, rank, vec_mat
+from .rootdata import NUM_POS_ROOTS, cartan_data, star_involution
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +40,13 @@ class ARQuiver:
     projectives: dict             # i -> Module
     injectives: dict              # i -> Module
     simples: dict                 # i -> Module
+    projective_set: frozenset = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.projective_set = frozenset(self.projectives.values())
 
     def is_projective(self, m):
-        return any(p == m for p in self.projectives.values())
-
+        return m in self.projective_set
 
 
 def knit_rep_ar(Q):
@@ -67,9 +70,19 @@ def knit_rep_ar(Q):
 
     modules = list(dict.fromkeys(projectives.values()))
     arrows = {}
+    # the sources and the targets of each module's arrows, in the order the
+    # arrows enter the dict
+    ins, outs = {}, {}
+
+    def add_arrow(s, t, val):
+        if (s, t) not in arrows:
+            ins.setdefault(t, []).append(s)
+            outs.setdefault(s, []).append(t)
+        arrows[(s, t)] = val
+
     for (i, j) in Q.arrows:
         # rad P_i contains P_j: irreducible map P_j -> P_i
-        arrows[(projectives[j], projectives[i])] = (Q.c(j, i), Q.c(i, j))
+        add_arrow(projectives[j], projectives[i], (Q.c(j, i), Q.c(i, j)))
     tau = {}
 
     expected = NUM_POS_ROOTS[Q.letter](n)
@@ -83,17 +96,16 @@ def knit_rep_ar(Q):
         for L in list(modules):
             if L in done:
                 continue
-            preds = [s for s, _ in arrows.items() if s[1] == L]
-            if any(arr[0] not in done for arr in preds):
+            if any(s not in done for s in ins.get(L, ())):
                 continue
             # all in-arrows processed, so all out-arrows of L exist now
             done.add(L)
             progressed = True
             if L.dim in inj_dims:
                 continue
-            outs = [(N, v) for (s, N), v in arrows.items() if s == L]
+            out = [(N, arrows[(L, N)]) for N in outs.get(L, ())]
             new_dim = [-x for x in L.dim]
-            for N, (a, b) in outs:
+            for N, (a, b) in out:
                 for k in range(n):
                     new_dim[k] += b * N.dim[k]
             new_dim = tuple(new_dim)
@@ -104,8 +116,8 @@ def knit_rep_ar(Q):
             if tl not in modules:
                 modules.append(tl)
             tau[tl] = L
-            for N, (a, b) in outs:
-                arrows[(N, tl)] = (b, a)
+            for N, (a, b) in out:
+                add_arrow(N, tl, (b, a))
         if not progressed:
             raise RuntimeError("knitting deadlocked; input not Dynkin?")
     if len(modules) != expected:
@@ -127,10 +139,15 @@ def hom_dim_table(ar):
     validated against the Euler form via the AR formula.
     """
     Q, cd = ar.Q, ar.cd
-    n = Q.n
     # reverse topological order: sinks first, so dimHom(-, P_i) only needs
     # dimHom(-, P_j) for arrows (i, j)
     order = list(reversed(Q.topological_order()))
+    # the mesh starting at L: the middle terms of the AR arrows L -> mid
+    mesh = {M: [] for M in ar.modules}
+    for (s, mid), (_a, b) in ar.arrows.items():
+        mesh[s].append((mid, b))
+    # <M, -> of the Euler form as a row vector, one per module
+    euler = {M: vec_mat(list(M.dim), cd.euler) for M in ar.modules}
     table = {}
     for M in ar.modules:
         row = {}
@@ -147,30 +164,27 @@ def hom_dim_table(ar):
                 continue
             L = ar.tau[N]
             val = -row[L]
-            for (s, mid), (a, b) in ar.arrows.items():
-                if s == L:
-                    val += b * row[mid]
+            for mid, b in mesh[L]:
+                val += b * row[mid]
             if M == N:
-                val += _euler_form(cd, N.dim, N.dim)
+                val += dot(euler[N], N.dim)
             if val < 0:
                 raise RuntimeError("dim Hom(%s, %s) = %d < 0"
                                    % (M.name, N.name, val))
             row[N] = val
         table[M] = row
-    _validate_euler(ar, table)
+    _validate_euler(ar, table, euler)
     return table
 
 
-def _euler_form(cd, dm, dn):
-    return sum(dm[i] * cd.euler[i][j] * dn[j]
-               for i in range(len(dm)) for j in range(len(dn)))
-
-
-def _validate_euler(ar, table):
+def _validate_euler(ar, table, euler):
+    """dim Hom(M, N) - dim Hom(N, tau M) = <M, N> for every pair, with
+    euler[M] the row vector <M, ->."""
     for M in ar.modules:
+        tm = None if ar.is_projective(M) else ar.tau[M]
         for N in ar.modules:
-            ext = 0 if ar.is_projective(M) else table[N][ar.tau[M]]
-            if table[M][N] - ext != _euler_form(ar.cd, M.dim, N.dim):
+            ext = 0 if tm is None else table[N][tm]
+            if table[M][N] - ext != dot(euler[M], N.dim):
                 raise RuntimeError("Euler form mismatch at (%s, %s)"
                                    % (M.name, N.name))
 
@@ -242,8 +256,6 @@ class PresentationCatalog:
 
 def enumerate_presentations(ar):
     """Build the full catalog of presentations of C^2 Q."""
-    from .rootdata import star_involution
-
     Q, cd = ar.Q, ar.cd
     n = Q.n
     hom = hom_dim_table(ar)

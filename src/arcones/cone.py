@@ -8,6 +8,7 @@ group "u" for negative, "l" for neutral, "r" for positive vertices.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import mutation, pathalg
 from .exact import lp_min
@@ -37,40 +38,46 @@ def subreps_bruteforce(rep, q):
     n = len(iq.vertices)
     support = [k for k in range(n) if rep.dims[k]]
     per = {k: _subspaces(rep.dims[k], q) for k in support}
-    arrows = []
+    pos = {k: t for t, k in enumerate(support)}
+    # checks[t]: each arrow whose later end in the support order is
+    # support[t], with its closure table
+    checks = [[] for _ in support]
     for (s, d, _v, _t), m in zip(iq.arrows, rep.mats):
         if m is not None and any(any(r) for r in m):
-            arrows.append((iq.index[s], iq.index[d], m))
+            si, di = iq.index[s], iq.index[d]
+            checks[max(pos[si], pos[di])].append(
+                (si, di, _closure_table(m, per[si], per[di], q)))
     found = set()
-    sel = {}
+    sel = [None] * n        # the chosen subspace's index in per[k]
+    cur = [0] * n           # its dimension
 
-    def closed_so_far(k):
-        for si, di, m in arrows:
-            if si in sel and di in sel and (si == k or di == k):
-                _dim, members, basis = sel[di]
-                for vec in sel[si][2]:
-                    img = tuple(sum(m[r][c] * vec[c]
-                                    for c in range(len(vec))) % q
-                                for r in range(len(m)))
-                    if img not in members:
-                        return False
-        return True
-
-    def dfs(pos):
-        if pos == len(support):
-            dv = tuple(sel[k][0] if k in sel else 0 for k in range(n))
-            if any(dv):
-                found.add(dv)
+    def dfs(t):
+        if t == len(support):
+            if any(cur):
+                found.add(tuple(cur))
             return
-        k = support[pos]
-        for sub in per[k]:
-            sel[k] = sub
-            if closed_so_far(k):
-                dfs(pos + 1)
-        del sel[k]
+        k = support[t]
+        for a, sub in enumerate(per[k]):
+            sel[k] = a
+            if all(sel[di] in table[sel[si]] for si, di, table in checks[t]):
+                cur[k] = sub[0]
+                dfs(t + 1)
+        cur[k] = 0
 
     dfs(0)
     return found
+
+
+def _closure_table(m, src, dst, q):
+    """For each subspace of src (as from _subspaces), the set of indices of
+    the subspaces of dst that contain its image under m mod q."""
+    table = []
+    for _dim, _members, basis in src:
+        imgs = [tuple(sum(x * y for x, y in zip(row, vec)) % q for row in m)
+                for vec in basis]
+        table.append({b for b, (_d, members, _b) in enumerate(dst)
+                      if all(img in members for img in imgs)})
+    return table
 
 
 def strict_subreps(rep, q):
@@ -79,8 +86,10 @@ def strict_subreps(rep, q):
     return {dv for dv in subreps_bruteforce(rep, q) if dv != full}
 
 
+@cache
 def _subspaces(d, q):
-    """All subspaces of GF(q)^d as (dim, member set, basis list)."""
+    """All subspaces of GF(q)^d as (dim, member set, basis), sorted by
+    dimension and members; computed once per (d, q)."""
     vecs = [v for v in itertools.product(range(q), repeat=d) if any(v)]
     seen = {}
     for r in range(d + 1):
@@ -99,8 +108,8 @@ def _subspaces(d, q):
                 size = len(members)
                 while q ** dim < size:
                     dim += 1
-                seen[key] = (dim, key, list(combo))
-    return sorted(seen.values(), key=lambda t: (t[0], sorted(t[1])))
+                seen[key] = (dim, key, combo)
+    return tuple(sorted(seen.values(), key=lambda t: (t[0], sorted(t[1]))))
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Exact linear algebra helpers over the rationals and the integers.
 
 Everything here works on plain lists of lists holding ints or Fractions.
-The linear programs of lp_min are solved by a fraction-free integer simplex:
-its tableau holds only ints over one common denominator, and the columns
-of a wide tableau are built only as far as Bland's rule scans them.  Lattice
+Row reduction (rank, nullspace, rref, mat_inv) runs one fraction-free
+Gauss-Jordan elimination on int rows kept primitive by their gcd; only
+rref and mat_inv turn its rows into Fractions, at the end.  The linear
+programs of lp_min are solved by a fraction-free integer simplex: its
+tableau holds only ints over one common denominator, and the columns of a
+wide tableau are built only as far as Bland's rule scans them.  Lattice
 bases are reduced by lll_reduce, Cohen's integral LLL, which keeps its
 Gram-Schmidt data as ints with exact divisions.  No floating point is used
 anywhere.
@@ -30,66 +33,100 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def rref(a):
-    """Reduced row echelon form over Fraction.
+def _gauss_jordan(a, reduce=True):
+    """Fraction-free Gauss-Jordan elimination on the rows of a.
 
-    Returns (R, pivots) where pivots is the list of pivot column indices.
-    The input is not modified.
+    Rows are scaled to ints (by the lcm of their denominators) and kept
+    primitive by their gcd, so the elimination makes no Fraction: a pivot
+    on the entry p of row y takes every other row x, with f its entry in
+    the pivot column, to (p*x - f*y) / gcd (Bareiss 1968 keeps the entries
+    integral the same way).  Returns (rows, pivots): the nonzero rows in
+    echelon form, each primitive with a positive leading entry at column
+    pivots[i].  With reduce the rows above a pivot are cleared too, so row
+    i divided by rows[i][pivots[i]] is row i of the unique reduced row
+    echelon form; without it only the rows below are, which is enough for
+    the rank.
     """
-    r = [[Fraction(x) for x in row] for row in a]
-    m = len(r)
-    n = len(r[0]) if m else 0
+    n = len(a[0]) if a else 0
+    rows = []
+    for row in a:
+        row = _integer_row(row)
+        g = gcd(*row)
+        if g:
+            rows.append([x // g for x in row] if g > 1 else row)
     pivots = []
     i = 0
     for j in range(n):
-        p = next((k for k in range(i, m) if r[k][j] != 0), None)
-        if p is None:
+        if i == len(rows):
+            break
+        r = next((k for k in range(i, len(rows)) if rows[k][j]), None)
+        if r is None:
             continue
-        r[i], r[p] = r[p], r[i]
-        piv = r[i][j]
-        r[i] = [x / piv for x in r[i]]
-        for k in range(m):
-            if k != i and r[k][j] != 0:
-                c = r[k][j]
-                r[k] = [x - c * y for x, y in zip(r[k], r[i])]
+        y = rows[r]
+        if y[j] < 0:
+            y = [-x for x in y]
+        rows[r] = rows[i]
+        rows[i] = y
+        p = y[j]
+        for k in range(0 if reduce else i + 1, len(rows)):
+            f = rows[k][j]
+            if f and k != i:
+                z = [p * u - f * v for u, v in zip(rows[k], y)]
+                g = gcd(*z)
+                rows[k] = [u // g for u in z] if g > 1 else z
         pivots.append(j)
         i += 1
-        if i == m:
-            break
-    return r, pivots
+    return rows[:i], pivots
+
+
+def rref(a):
+    """Reduced row echelon form over Fraction, read off _gauss_jordan.
+
+    Returns (R, pivots) where pivots is the list of pivot column indices;
+    R has the rows of a, its zero rows last.  The input is not modified.
+    """
+    rows, pivots = _gauss_jordan(a)
+    n = len(a[0]) if a else 0
+    r = [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
+    return r + [[Fraction(0)] * n for _ in range(len(a) - len(r))], pivots
 
 
 def rank(a):
-    if not a:
-        return 0
-    return len(rref(a)[1])
+    return len(_gauss_jordan(a, reduce=False)[1])
 
 
 def mat_inv(a):
     """Inverse of a square matrix, entries Fraction."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    r, pivots = rref(aug)
+    rows, pivots = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r[:n]]
+    return [[Fraction(x, row[i]) for x in row[n:]]
+            for i, row in enumerate(rows)]
 
 
 def nullspace(a):
-    """Basis of the right nullspace {x : a x = 0} over Fraction."""
+    """Basis of the right nullspace {x : a x = 0}, one primitive integer
+    vector per free column f of a's reduced row echelon form: the basis
+    vector with x[f] = 1 scaled by a positive integer to be primitive."""
     if not a:
         return []
     n = len(a[0])
-    r, pivots = rref(a)
-    free = [j for j in range(n) if j not in pivots]
+    rows, pivots = _gauss_jordan(a)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        basis.append(v)
+    for f in sorted(set(range(n)) - set(pivots)):
+        den = 1
+        for row, p in zip(rows, pivots):
+            if row[f]:
+                den = lcm(den, row[p])
+        v = [0] * n
+        v[f] = den
+        for row, p in zip(rows, pivots):
+            if row[f]:
+                v[p] = -row[f] * (den // row[p])
+        g = gcd(*v)
+        basis.append([x // g for x in v] if g > 1 else v)
     return basis
 
 
@@ -256,20 +293,6 @@ def integer_row_solution(hnf, t):
 
 def lcm(a, b):
     return a * b // gcd(a, b)
-
-
-def clear_denominators(v):
-    """Scale a Fraction vector to a primitive integer vector."""
-    den = 1
-    for x in v:
-        den = lcm(den, Fraction(x).denominator)
-    w = [int(Fraction(x) * den) for x in v]
-    g = 0
-    for x in w:
-        g = gcd(g, x)
-    if g > 1:
-        w = [x // g for x in w]
-    return w
 
 
 def _integer_row(v):

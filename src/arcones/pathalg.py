@@ -10,10 +10,12 @@ morphisms as a complement of rad^2 inside rad, and assembles the integer
 quiver representations T_v attached to the frozen vertices of the ice quiver.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .exact import clear_denominators, mat_inv, mat_mul, nullspace, rank
+from .exact import mat_inv, mat_mul, nullspace, rank
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,6 @@ class PathAlg:
         # allowed entries: a nontrivial path minus[r] ~> plus[c]
         slots = [(r, c) for r in range(len(minus)) for c in range(len(plus))
                  if minus[r] != plus[c] and self._has_path(minus[r], plus[c])]
-        import random
-
         rng = random.Random(0xA17)
         for attempt in range(60):
             if attempt == 0:
@@ -125,7 +125,7 @@ class PathAlg:
         for v in range(1, self.Q.n + 1):
             rows = [r for r, i in enumerate(pm.minus) if self._has_path(i, v)]
             cols = [c for c, j in enumerate(pm.plus) if self._has_path(j, v)]
-            sub = [[Fraction(pm.mat[r][c]) for c in cols] for r in rows]
+            sub = [[pm.mat[r][c] for c in cols] for r in rows]
             if rank(sub) != len(cols):
                 return False          # not injective at vertex v
             if len(rows) - len(cols) != dims[v - 1]:
@@ -173,11 +173,9 @@ class PathAlg:
         if rows:
             sols = nullspace(rows)
         else:
-            sols = [[Fraction(int(i == k)) for i in range(nv)]
-                    for k in range(nv)]
+            sols = [[int(i == k) for i in range(nv)] for k in range(nv)]
         basis = []
         for s in sols:
-            s = clear_denominators(s)
             phi_p = [[0] * len(F.plus) for _ in range(len(G.plus))]
             phi_m = [[0] * len(F.minus) for _ in range(len(G.minus))]
             for (r, c), k in pindex.items():
@@ -420,8 +418,6 @@ def reduce_for_counting(rep):
 
 
 def _add_line(lines, vec):
-    from math import gcd
-
     a, b = vec
     if a == 0 and b == 0:
         return

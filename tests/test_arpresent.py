@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import arcones
 from arcones import arpresent
 from arcones.exact import rank
 from arcones.system import System
@@ -173,3 +179,40 @@ def test_skew_symmetrizable_valued(letter, n):
     for i in range(m):
         for j in range(m):
             assert d[i] * b[i][j] == -d[j] * b[j][i]
+
+
+def test_euler_mismatch_raises():
+    # a planted wrong valuation on one mesh arrow into a non-projective
+    # module makes the recursion disagree with the Euler form
+    ar = System("D", 4).ar
+    key = next(k for k in ar.arrows if not ar.is_projective(k[1]))
+    ar.arrows[key] = (1, 2)
+    with pytest.raises(RuntimeError, match="Euler form mismatch"):
+        arpresent.hom_dim_table(ar)
+
+
+RANK_DEFICIENT_SIGMA = """
+    import sys
+    from arcones import arpresent
+    from arcones.system import System
+    iq = System("D", 4).ice()
+    # f_+ planted equal to e: B . sigma stays 0, the rank drops to 2n
+    iq.cat.f_plus = dict(iq.cat.e_vec)
+    try:
+        arpresent.weight_configuration(iq)
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        sys.exit("rank-deficient sigma accepted")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_rank_deficient_sigma_raises(flags):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arcones.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, *flags, "-c",
+                          textwrap.dedent(RANK_DEFICIENT_SIGMA)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "not full rank 3n" in res.stdout

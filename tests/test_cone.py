@@ -157,3 +157,16 @@ def test_exports():
     csv = spec.to_csv()
     assert csv.splitlines()[0].startswith("vertex,")
     assert len(csv.splitlines()) == len(spec.vertices) + 1
+
+
+def test_field_mismatch_raises(monkeypatch):
+    # a subrep set planted to differ between GF(2) and GF(3) is refused
+    strict = cone.strict_subreps
+
+    def planted(rep, q):
+        found = strict(rep, q)
+        return found if q == 2 else set(sorted(found)[1:])
+
+    monkeypatch.setattr(cone, "strict_subreps", planted)
+    with pytest.raises(RuntimeError, match="differ between GF"):
+        cone.tv_strict_sets(System("A", 3).ice(), "bruteforce")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -51,9 +52,121 @@ def test_solve_inconsistent():
 @given(small_mat)
 @settings(max_examples=50)
 def test_nullspace_is_kernel(a):
-    for v in exact.nullspace(a):
+    basis = exact.nullspace(a)
+    for v in basis:
+        assert all(type(x) is int for x in v) and math.gcd(*v) == 1
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
-    assert len(exact.nullspace(a)) == len(a[0]) - exact.rank(a)
+    assert len(basis) == len(a[0]) - exact.rank(a)
+
+
+def _rref_reference(a):
+    """Plain Gauss-Jordan over Fraction, the reference for exact's
+    fraction-free core: (R, pivots) with R the reduced row echelon form,
+    zero rows last."""
+    r = [[Fraction(x) for x in row] for row in a]
+    m = len(r)
+    n = len(r[0]) if m else 0
+    pivots = []
+    i = 0
+    for j in range(n):
+        p = next((k for k in range(i, m) if r[k][j] != 0), None)
+        if p is None:
+            continue
+        r[i], r[p] = r[p], r[i]
+        piv = r[i][j]
+        r[i] = [x / piv for x in r[i]]
+        for k in range(m):
+            if k != i and r[k][j] != 0:
+                c = r[k][j]
+                r[k] = [x - c * y for x, y in zip(r[k], r[i])]
+        pivots.append(j)
+        i += 1
+        if i == m:
+            break
+    return r, pivots
+
+
+def _nullspace_reference(a):
+    """The Fraction nullspace basis read off _rref_reference, one vector
+    per free column f with x[f] = 1."""
+    if not a:
+        return []
+    n = len(a[0])
+    r, pivots = _rref_reference(a)
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        basis.append(v)
+    return basis
+
+
+def _clear_denominators(v):
+    """Scale a Fraction vector to a primitive integer vector."""
+    den = 1
+    for x in v:
+        den = exact.lcm(den, Fraction(x).denominator)
+    w = [int(Fraction(x) * den) for x in v]
+    g = math.gcd(*w)
+    return [x // g for x in w] if g > 1 else w
+
+
+def _mat_inv_reference(a):
+    n = len(a)
+    r, pivots = _rref_reference([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in r[:n]]
+
+
+BIG = 2 ** 70
+
+
+@st.composite
+def elimination_input(draw):
+    """An m x n matrix, 0 <= m, n <= 6 (wide, tall and empty ones), of ints
+    in [-3, 3], ints within 3 of +-2^70 and Fractions, with some rows
+    zeroed."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-3, 3).map(lambda k: BIG + k),
+        st.integers(-3, 3).map(lambda k: k - BIG),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    zero = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return [[0] * n if z else row for row, z in zip(rows, zero)]
+
+
+@given(elimination_input())
+@example([])
+@example([[]])
+@example([[0, 0], [0, 0]])
+@example([[BIG, BIG + 1], [BIG - 1, BIG]])
+@example([[Fraction(1, 2), 1, 0], [0, 0, 0], [1, 2, Fraction(-3, 4)]])
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_fraction_reference(a):
+    r, pivots = _rref_reference(a)
+    got_r, got_pivots = exact.rref(a)
+    assert (got_r, got_pivots) == (r, pivots)
+    assert all(type(x) is Fraction for row in got_r for x in row)
+    assert exact.rank(a) == len(pivots)
+    assert exact.nullspace(a) == [_clear_denominators(v)
+                                  for v in _nullspace_reference(a)]
+    # mat_inv on the leading square block
+    k = min(len(a), len(a[0]) if a else 0)
+    sq = [row[:k] for row in a[:k]]
+    want = _mat_inv_reference(sq)
+    if want is None:
+        with pytest.raises(ValueError, match="singular"):
+            exact.mat_inv(sq)
+    else:
+        assert exact.mat_inv(sq) == want
 
 
 @given(small_mat)
@@ -200,8 +313,12 @@ def test_integer_row_solution_none():
 
 
 def test_clear_denominators():
-    assert exact.clear_denominators([Fraction(1, 2), Fraction(3, 4)]) == [2, 3]
-    assert exact.clear_denominators([2, 4]) == [1, 2]
+    # the reference's scaling of a Fraction nullspace vector, which
+    # exact.nullspace returns directly
+    assert _clear_denominators([Fraction(1, 2), Fraction(3, 4)]) == [2, 3]
+    assert _clear_denominators([2, 4]) == [1, 2]
+    assert _clear_denominators([Fraction(-2, 3), 0, 1]) == [-2, 0, 3]
+    assert exact.nullspace([[2, 1, 0]]) == [[-1, 2, 0], [0, 0, 1]]
 
 
 @st.composite

@@ -3,6 +3,7 @@
 - no assert statements: they vanish under python -O, so invariants raise;
 - no raise of AssertionError: invariant checks raise RuntimeError;
 - no imported name that the module never uses;
+- imports only at module top, none inside a function or class;
 - no module-level _private function that its own module never references;
 - no read of a _private attribute of anything but self or cls: a module
   reaches another object's state only through its public names;
@@ -60,6 +61,17 @@ def test_no_unused_imports(name):
                 imported.add(alias.asname or alias.name.split(".")[0])
     unused = sorted(imported - _used_names(tree))
     assert not unused, "%s: unused imports %s" % (name, unused)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_at_module_top(name):
+    tree = _tree(name)
+    top = {id(node) for node in tree.body}
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and id(node) not in top]
+    assert not found, "%s: imports below the module top on lines %s" % (
+        name, found)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from arcones import pathalg
+from arcones import arpresent, cone, exact, pathalg
 from arcones.system import System
 
 
@@ -117,3 +120,81 @@ def test_repz_json_roundtrip_keys():
     d = t.to_json_dict()
     assert set(d) == {"dims", "mats"}
     assert d["dims"] == {"O1+": 1, "Id1": 1}
+
+
+def _sha(data):
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+def _mat(m):
+    return None if m is None else [list(r) for r in m]
+
+
+D4_MINIMAL = [(2, 1), (3, 2), (4, 2)]
+
+# sha256 digests of the brute-force route's outputs: every Hom basis over
+# all ordered pairs of catalog objects, every T_v RepZ, and the
+# subreps_bruteforce set of every T_v at q = 2 and at q = 3
+BRUTE_FORCE_DIGESTS = {
+    ("A", 4, None): (
+        "d4d603db50605bf2b6ced462c0cd174ff42e85385394f486180ca7ea4a183d02",
+        "073360dc98faaace196e4d393f4ff4f5213e0bb06f0301bfba16d822b6b4ec05",
+        "bf0e92dbab739815025fabdae613aa08ddccaab14feb4023f068f79e79c8a602",
+        "bf0e92dbab739815025fabdae613aa08ddccaab14feb4023f068f79e79c8a602"),
+    ("D", 4, None): (
+        "32e3e7c374e95d2512a0214c102abde04e4e60873efabae31421f57d53b7bd2a",
+        "fbb355c76e424b55b218272e502cb7552e467fcc5fefb2ce9043d717e0516d49",
+        "74854611c7f03e594f5a099d32e28dd3ff05ca94bed711f85d7f00289f43d0e4",
+        "74854611c7f03e594f5a099d32e28dd3ff05ca94bed711f85d7f00289f43d0e4"),
+    ("D", 4, "2>1,3>2,4>2"): (
+        "97b5af3f5a02e64ab88f76f09c47ec1a6623c67c824ae709c399efc14af6620f",
+        "591e805d8e2461895039244d32339d3a6891e52583287abb3f7a7addf65016c9",
+        "c597c6a1fc64d28c6c29e65a7eacdf1204aa792d38cde1aed46c388b279b7ed6",
+        "c597c6a1fc64d28c6c29e65a7eacdf1204aa792d38cde1aed46c388b279b7ed6"),
+}
+
+
+@pytest.mark.parametrize("letter,n,orient", list(BRUTE_FORCE_DIGESTS),
+                         ids=["A4", "D4", "D4 2>1,3>2,4>2"])
+def test_bruteforce_route_pinned(letter, n, orient):
+    s = System(letter, n, D4_MINIMAL if orient else None)
+    alg = pathalg.PathAlg(s.ice())
+    objs = alg.cat.objects
+    homs = [[f.label, g.label, [[_mat(part) for part in phi]
+                                for phi in alg.hom_basis(f, g).basis]]
+            for f in objs for g in objs]
+    reps = {v: alg.build_tv(v) for v in alg.iq.vertices if alg.iq.frozen[v]}
+    tvs = [[v.label, list(r.dims), [_mat(m) for m in r.mats]]
+           for v, r in reps.items()]
+    subs = [[[v.label, sorted(map(list, cone.subreps_bruteforce(r, q)))]
+             for v, r in reps.items()] for q in (2, 3)]
+    got = (_sha(homs), _sha(tvs), _sha(subs[0]), _sha(subs[1]))
+    assert got == BRUTE_FORCE_DIGESTS[(letter, n, orient)]
+
+
+def test_construction_makes_no_fraction(monkeypatch):
+    # PathAlg's Hom spaces and module realizations, and sigma's rank check,
+    # eliminate in ints only
+    iq = System("D", 4).ice()
+    want = arpresent.weight_configuration(iq)
+
+    def no_fraction(*_args):
+        raise AssertionError("Fraction in the construction")
+
+    monkeypatch.setattr(exact, "Fraction", no_fraction)
+    monkeypatch.setattr(pathalg, "Fraction", no_fraction)
+    alg = pathalg.PathAlg(iq)
+    assert all(alg.hom_basis(p, p).dim == 1 for p in iq.vertices)
+    assert arpresent.weight_configuration(iq) == want
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_wrong_hom_dimension_raises(delta):
+    # a planted wrong entry of the catalog's Hom table, too high or too
+    # low, is caught by the all-pairs comparison with the solved Hom spaces
+    s = System("D", 4)
+    cat = s.catalog
+    M = next(p.module for p in cat.objects if p.kind == "module")
+    cat.hom[M][M] += delta
+    with pytest.raises(RuntimeError, match="solved dimension"):
+        pathalg.PathAlg(s.ice())
