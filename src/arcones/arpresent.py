@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import mutation
-from .exact import dot, mat_inv, mat_mul, rank, vec_mat
+from .exact import dot, mat_mul, rank, scaled_inverse, vec_mat
 from .rootdata import NUM_POS_ROOTS, cartan_data, star_involution
 
 
@@ -53,15 +53,20 @@ def knit_rep_ar(Q):
     """Knit the AR quiver of rep(Q) from the projectives forward."""
     cd = cartan_data(Q)
     n = Q.n
-    einv = mat_inv(cd.euler)
+    # the rows of D_Q E^-1 and of D_Q E^-T are the dimension vectors of the
+    # P_i and I_i; with E^-1 = Y / den they are the rows of D_Q Y over den
+    den, einv = scaled_inverse(cd.euler)
     dmat = cd.D
     proj_rows = mat_mul(dmat, einv)
     inj_rows = mat_mul(dmat, [list(r) for r in zip(*einv)])
     projectives = {}
     injectives = {}
     for i in range(1, n + 1):
-        pd = tuple(int(x) for x in proj_rows[i - 1])
-        idim = tuple(int(x) for x in inj_rows[i - 1])
+        if any(x % den for x in proj_rows[i - 1] + inj_rows[i - 1]):
+            raise RuntimeError("P%d or I%d has a non-integral dimension"
+                               % (i, i))
+        pd = tuple(x // den for x in proj_rows[i - 1])
+        idim = tuple(x // den for x in inj_rows[i - 1])
         if any(x < 0 for x in pd + idim):
             raise RuntimeError("negative dimension in P%d or I%d" % (i, i))
         projectives[i] = Module(pd)

@@ -26,11 +26,11 @@ compare it against.
 import sys
 from array import array
 from collections import deque
-from math import ceil, floor, gcd
+from math import ceil, floor
 from operator import mul, sub
 
 from .exact import (dot, integer_row_solution, lcm, left_kernel_lattice,
-                    lp_min, row_hnf)
+                    lp_min, row_hnf, scaled_inverse)
 
 
 def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
@@ -84,29 +84,6 @@ class UnboundedSliceError(ValueError):
 def _ceil_div(n, d):
     """ceil(n / d) for ints with d > 0."""
     return -((-n) // d)
-
-
-def _scaled_inverse(p):
-    """(D, Y) with Y = D p^-1 an integer matrix and D > 0 the least such,
-    for p square and upper triangular with a positive diagonal (the top of
-    a full-rank row HNF).  Row i of det(p) p^-1 solves x p = det(p) e_i by
-    forward substitution, in ints, as det(p) p^-1 is integral."""
-    n = len(p)
-    det = 1
-    for i in range(n):
-        det *= p[i][i]
-    rows = []
-    for i in range(n):
-        x = [0] * n
-        for j in range(i, n):
-            q, r = divmod((det if j == i else 0)
-                          - sum(x[k] * p[k][j] for k in range(i, j)), p[j][j])
-            if r:
-                raise RuntimeError("det(p) p^-1 is not integral")
-            x[j] = q
-        rows.append(x)
-    g = gcd(det, *(x for row in rows for x in row))
-    return det // g, [[x // g for x in row] for row in rows]
 
 
 def _pack(values, r):
@@ -252,8 +229,8 @@ class SliceFamily:
     must have full column rank.
 
     Everything else is linear in the target t.  With D = y_den and
-    Y = D * H_top^-1 (y_map, by forward substitution on the square top of
-    H), t is on the slice lattice exactly when D divides t . Y, and then
+    Y = D * H_top^-1 (y_map, exact.scaled_inverse of the square top of H),
+    t is on the slice lattice exactly when D divides t . Y, and then
     y = t . Y / D gives the particular solution g0 = y . U_top.  Each
     cone column's right-hand side is a form q_i over y, so the constant
     rows (constant_forms) are sign tests y . q_i <= 0, the functionals
@@ -305,7 +282,7 @@ class SliceFamily:
         # the linear maps of the target t (see the class docstring): y_map
         # holds the columns of Y = y_den * H_top^-1, and forms[i] is q_i =
         # -U_top h_i, so that column i's right-hand side -g0 . h_i is y . q_i
-        self.y_den, ymat = _scaled_inverse(h[:self.width])
+        self.y_den, ymat = scaled_inverse(h[:self.width])
         self.y_map = [list(col) for col in zip(*ymat)]
         # summed over the nonzero entries of h_i and of U_top's columns
         ucols = [[(r, row[k]) for r, row in enumerate(u[:self.width])

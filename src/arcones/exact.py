@@ -1,9 +1,11 @@
 """Exact linear algebra helpers over the rationals and the integers.
 
 Everything here works on plain lists of lists holding ints or Fractions.
-Row reduction (rank, nullspace, rref, mat_inv) runs one fraction-free
-Gauss-Jordan elimination on int rows kept primitive by their gcd; only
-rref and mat_inv turn its rows into Fractions, at the end.  The linear
+Row reduction (rank, nullspace, scaled_inverse) runs one fraction-free
+Gauss-Jordan elimination on int rows kept primitive by their gcd, and
+returns ints: scaled_inverse gives a^-1 as an integer matrix over its least
+denominator.  This is the only module that imports fractions: Fraction is
+an accepted input type and the type of lp_min's solution.  The linear
 programs of lp_min are solved by a fraction-free integer simplex: its
 tableau holds only ints over one common denominator, and the columns of a
 wide tableau are built only as far as Bland's rule scans them.  Lattice
@@ -79,31 +81,25 @@ def _gauss_jordan(a, reduce=True):
     return rows[:i], pivots
 
 
-def rref(a):
-    """Reduced row echelon form over Fraction, read off _gauss_jordan.
-
-    Returns (R, pivots) where pivots is the list of pivot column indices;
-    R has the rows of a, its zero rows last.  The input is not modified.
-    """
-    rows, pivots = _gauss_jordan(a)
-    n = len(a[0]) if a else 0
-    r = [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
-    return r + [[Fraction(0)] * n for _ in range(len(a) - len(r))], pivots
-
-
 def rank(a):
     return len(_gauss_jordan(a, reduce=False)[1])
 
 
-def mat_inv(a):
-    """Inverse of a square matrix, entries Fraction."""
+def scaled_inverse(a):
+    """(D, Y) with Y = D a^-1 an integer matrix and D > 0 the least such,
+    for a square matrix a; raises ValueError if a is singular.  Row i of
+    _gauss_jordan on [a | I] is p_i (e_i | row i of a^-1), primitive, so p_i
+    is the least denominator of row i of a^-1 and D = lcm of the p_i."""
     n = len(a)
     rows, pivots = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
                                   for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]]
-            for i, row in enumerate(rows)]
+    den = 1
+    for i, row in enumerate(rows):
+        den = lcm(den, row[i])
+    return den, [[x * (den // row[i]) for x in row[n:]]
+                 for i, row in enumerate(rows)]
 
 
 def nullspace(a):

@@ -21,9 +21,9 @@ height with ties broken by lam, whichever factor comes first.
 """
 
 from collections import namedtuple
-from functools import cache, reduce
+from functools import cache
 
-from .exact import dot, lcm, mat_inv, vec_mat
+from .exact import dot, scaled_inverse, vec_mat
 from .rootdata import positive_roots
 
 _memo = {}
@@ -34,24 +34,23 @@ _Forms = namedtuple("_Forms", "den gram roots height mirrors")
 def _forms(cd):
     """The integer forms of the Cartan datum C of cd, built once.
 
-    den is the lcm of the denominators of C^-1, and gram[i][j] =
-    den (C^-1)_ij d_j, so den (lam, mu) = mu . gram . lam.  roots pairs
-    each positive root alpha (fundamental-weight coordinates) with r_alpha
-    = alpha . gram, so den (lam, alpha) = r_alpha . lam.  height . w, with
-    height[i] = den sum_j (C^-1)_ij, is den times the height of w.
+    den is the least denominator of C^-1 (exact.scaled_inverse), and
+    gram[i][j] = den (C^-1)_ij d_j, so den (lam, mu) = mu . gram . lam.
+    roots pairs each positive root alpha (fundamental-weight coordinates)
+    with r_alpha = alpha . gram, so den (lam, alpha) = r_alpha . lam.
+    height . w, with height[i] = den sum_j (C^-1)_ij, is den times the
+    height of w.
     mirrors[i] lists the (j, C_ij) with j != i and C_ij != 0: the simple
     reflection s_i maps w to w - w_i alpha_i, which negates w_i and moves
     only those w_j.
     """
     key = ("forms", cd.Q.letter, cd.Q.n)
     if key not in _memo:
-        inv = mat_inv(cd.cartan)
-        den = reduce(lcm, (x.denominator for row in inv for x in row), 1)
-        gram = tuple(tuple(int(x * den) * d for x, d in zip(row, cd.Q.d))
-                     for row in inv)
+        den, inv = scaled_inverse(cd.cartan)
+        gram = tuple(tuple(x * d for x, d in zip(row, cd.Q.d)) for row in inv)
         roots = tuple((alpha, tuple(vec_mat(alpha, gram)))
                       for _, alpha in positive_roots(cd))
-        height = tuple(int(sum(row) * den) for row in inv)
+        height = tuple(sum(row) for row in inv)
         mirrors = tuple(tuple((j, c) for j, c in enumerate(row)
                               if j != i and c)
                         for i, row in enumerate(cd.cartan))

@@ -12,10 +12,9 @@ quiver representations T_v attached to the frozen vertices of the ice quiver.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .exact import mat_inv, mat_mul, nullspace, rank
+from .exact import mat_mul, nullspace, rank
 
 
 @dataclass(frozen=True)
@@ -350,6 +349,9 @@ def reduce_for_counting(rep):
     standard configuration (1,0), (0,1), (1,1) by an honest base change.
     Entries that are nonzero over Q then stay nonzero mod 2 and mod 3, so
     finite-field subrepresentation enumeration sees the true constraints.
+    The base change and its inverse are taken in ints, each up to a nonzero
+    scalar (the inverse as the 2x2 adjugate); every matrix is divided by
+    its leading entry at the end, so the scalars cancel.
     """
     iq = rep.iq
     n = len(iq.vertices)
@@ -378,24 +380,27 @@ def reduce_for_counting(rep):
             for cand in ((1, 0), (0, 1)):
                 if len(lines) < 2:
                     _add_line(lines, cand)
-        h = [[Fraction(lines[0][0]), Fraction(lines[1][0])],
-             [Fraction(lines[0][1]), Fraction(lines[1][1])]]
-        hinv = mat_inv(h)
+        # h has the first two lines as its columns; they are distinct
+        # primitive lines, so det(h) != 0
+        h = [[lines[0][0], lines[1][0]], [lines[0][1], lines[1][1]]]
         if len(lines) == 3:
-            a = hinv[0][0] * lines[2][0] + hinv[0][1] * lines[2][1]
-            b = hinv[1][0] * lines[2][0] + hinv[1][1] * lines[2][1]
+            # det(h) times the coordinates of the third line in the basis
+            # of the first two, read off the adjugate of h
+            x, y = lines[2]
+            a = h[1][1] * x - h[0][1] * y
+            b = h[0][0] * y - h[1][0] * x
             if not a or not b:
                 raise RuntimeError("degenerate third line")
             h = [[h[0][0] * a, h[0][1] * b], [h[1][0] * a, h[1][1] * b]]
         ginv[k] = h
-        g[k] = mat_inv(h)
+        g[k] = [[h[1][1], -h[0][1]], [-h[1][0], h[0][0]]]
     mats = []
     for (s, d, _v, _t), m in zip(iq.arrows, rep.mats):
         if m is None:
             mats.append(None)
             continue
         si, di = iq.index[s], iq.index[d]
-        mm = [[Fraction(x) for x in row] for row in m]
+        mm = m
         if g[di] is not None:
             mm = [[sum(g[di][i][j] * mm[j][c] for j in range(2))
                    for c in range(len(mm[0]))] for i in range(2)]
@@ -405,15 +410,14 @@ def reduce_for_counting(rep):
         flat = [x for row in mm for x in row]
         if any(flat):
             if len(flat) == 1:
-                mm = [[Fraction(1)]]
+                mm = [[1]]
             else:
                 lead = next(x for x in flat if x)
-                mm = [[x / lead for x in row] for row in mm]
-                flat = [x for row in mm for x in row]
-                if any(x.denominator != 1 or abs(x) > 1 for x in flat):
+                if any(x not in (0, lead, -lead) for x in flat):
                     raise RuntimeError("entries not in {-1,0,1} after "
-                                       "reduction: %s" % (mm,))
-        mats.append(tuple(tuple(int(x) for x in row) for row in mm))
+                                       "reduction: %s / %d" % (mm, lead))
+                mm = [[x // lead for x in row] for row in mm]
+        mats.append(tuple(tuple(row) for row in mm))
     return RepZ(iq, dims, tuple(mats))
 
 

@@ -7,11 +7,9 @@ root alpha_i corresponds to row i of the Cartan matrix.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
 from math import gcd
 
-from .exact import lcm, mat_mul
+from .exact import mat_mul
 
 NUM_POS_ROOTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -69,22 +67,24 @@ def symmetrizer(cartan):
     """Minimal positive integer d with C * diag(d) symmetric."""
     n = len(cartan)
     d = [None] * n
-    d[0] = Fraction(1)
+    d[0] = 1
     changed = True
     while changed:
         changed = False
         for i in range(n):
             for j in range(n):
                 if i != j and cartan[i][j] != 0 and d[i] is not None and d[j] is None:
-                    # C[i][j] d_j = C[j][i] d_i
-                    d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                    # C[i][j] d_j = C[j][i] d_i; scale the d found so far
+                    # so that d_j is an int
+                    num, den = d[i] * cartan[j][i], cartan[i][j]
+                    s = abs(den) // gcd(num, den)
+                    d = [None if x is None else x * s for x in d]
+                    d[j] = num * s // den
                     changed = True
     if any(x is None for x in d):
         raise ValueError("Dynkin diagram is not connected")
-    den = reduce(lcm, (x.denominator for x in d), 1)
-    ints = [int(x * den) for x in d]
-    g = reduce(gcd, ints)
-    return [x // g for x in ints]
+    g = gcd(*d)
+    return [x // g for x in d]
 
 
 @dataclass(frozen=True)

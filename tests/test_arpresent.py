@@ -216,3 +216,31 @@ def test_rank_deficient_sigma_raises(flags):
                          env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "not full rank 3n" in res.stdout
+
+
+FRACTIONAL_DIMENSION = """
+    import sys
+    from arcones import arpresent, exact
+    from arcones.rootdata import build_dynkin
+    # E^-1 planted with denominator 2: the rows of D_Q Y are not divisible
+    # by it, so P_i and I_i would have fractional dimensions
+    real = exact.scaled_inverse
+    arpresent.scaled_inverse = lambda a: (2, real(a)[1])
+    try:
+        arpresent.knit_rep_ar(build_dynkin("A", 3))
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        sys.exit("fractional dimension vector accepted")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_fractional_dimension_raises(flags):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arcones.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, *flags, "-c",
+                          textwrap.dedent(FRACTIONAL_DIMENSION)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "non-integral dimension" in res.stdout

@@ -20,22 +20,30 @@ small_mat = st.lists(
 )
 
 
-def test_rref_identity():
-    r, piv = exact.rref(exact.identity(3))
-    assert r == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert piv == [0, 1, 2]
-
-
-def test_mat_inv():
+def test_scaled_inverse_unimodular():
     a = [[2, 1], [1, 1]]
-    inv = exact.mat_inv(a)
-    assert exact.mat_mul(a, inv) == [[1, 0], [0, 1]]
+    den, y = exact.scaled_inverse(a)
+    assert (den, y) == (1, [[1, -1], [-1, 2]])
+    assert exact.mat_mul(a, y) == [[1, 0], [0, 1]]
+
+
+def test_scaled_inverse_diagonal():
+    assert exact.scaled_inverse(exact.identity(3)) == (1, exact.identity(3))
+    # D is the lcm of the diagonal, not its product 24
+    den, y = exact.scaled_inverse([[2, 0, 0], [0, 3, 0], [0, 0, 4]])
+    assert (den, y) == (12, [[6, 0, 0], [0, 4, 0], [0, 0, 3]])
+    assert all(type(x) is int for row in y for x in row)
+
+
+def test_scaled_inverse_singular():
+    with pytest.raises(ValueError, match="singular"):
+        exact.scaled_inverse([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
 
 
 def _solve(a, b):
     """One solution x of a x = b over Fraction, or None if inconsistent."""
     n = len(a[0]) if a else 0
-    r, pivots = exact.rref([list(row) + [y] for row, y in zip(a, b)])
+    r, pivots = _rref_reference([list(row) + [y] for row, y in zip(a, b)])
     if n in pivots:
         return None
     x = [Fraction(0)] * n
@@ -152,21 +160,35 @@ def elimination_input(draw):
 @settings(max_examples=300, deadline=None)
 def test_elimination_matches_fraction_reference(a):
     r, pivots = _rref_reference(a)
-    got_r, got_pivots = exact.rref(a)
+    # row i of _gauss_jordan over its pivot entry is row i of the RREF
+    rows, got_pivots = exact._gauss_jordan(a)
+    assert all(type(x) is int for row in rows for x in row)
+    assert all(row[p] > 0 and math.gcd(*row) == 1
+               for row, p in zip(rows, got_pivots))
+    n = len(a[0]) if a else 0
+    got_r = [[Fraction(x, row[p]) for x in row]
+             for row, p in zip(rows, got_pivots)]
+    got_r += [[Fraction(0)] * n for _ in range(len(a) - len(rows))]
     assert (got_r, got_pivots) == (r, pivots)
-    assert all(type(x) is Fraction for row in got_r for x in row)
     assert exact.rank(a) == len(pivots)
     assert exact.nullspace(a) == [_clear_denominators(v)
                                   for v in _nullspace_reference(a)]
-    # mat_inv on the leading square block
-    k = min(len(a), len(a[0]) if a else 0)
+    # scaled_inverse on the leading square block: the least D with
+    # D * a^-1 integral, and Y = D * a^-1
+    k = min(len(a), n)
     sq = [row[:k] for row in a[:k]]
     want = _mat_inv_reference(sq)
     if want is None:
         with pytest.raises(ValueError, match="singular"):
-            exact.mat_inv(sq)
+            exact.scaled_inverse(sq)
     else:
-        assert exact.mat_inv(sq) == want
+        den = 1
+        for x in itertools.chain.from_iterable(want):
+            den = exact.lcm(den, x.denominator)
+        got_den, y = exact.scaled_inverse(sq)
+        assert all(type(x) is int for row in y for x in row)
+        assert got_den == den
+        assert y == [[x * den for x in row] for row in want]
 
 
 @given(small_mat)

@@ -8,7 +8,9 @@
 - no read of a _private attribute of anything but self or cls: a module
   reaches another object's state only through its public names;
 - no floating point outside cli.py (which times suites): no float literal,
-  no use of the name float, and from math only integer functions.
+  no use of the name float, and from math only integer functions;
+- no import of fractions outside exact.py, whose lp_min returns Fractions
+  and which accepts them as input: everything else works in ints.
 """
 
 import ast
@@ -121,3 +123,13 @@ def test_no_floats(name):
                 node.value.id in math_names and node.attr not in INTEGER_MATH:
             found.append((node.lineno, "math." + node.attr))
     assert not found, "%s: floating point %s" % (name, found)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "exact.py"])
+def test_no_fractions_import(name):
+    found = [node.lineno for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "fractions" for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "fractions"]
+    assert not found, "%s: fractions imported on lines %s" % (name, found)

@@ -334,12 +334,12 @@ def test_oracle_uses_no_fraction(monkeypatch):
     assert all(type(x) is int for _, r in forms.roots for x in r)
     assert all(type(x) is int for x in forms.height)
     assert not hasattr(lieoracle, "Fraction")
+    assert not hasattr(rootdata, "Fraction")
 
     def no_fraction(*_args):
         raise AssertionError("Fraction on the oracle's per-call path")
 
     monkeypatch.setattr(exact, "Fraction", no_fraction)
-    monkeypatch.setattr(rootdata, "Fraction", no_fraction)
     c, pairs, _, digest = PINNED["D4"]
     assert _decomposition_digest(c, pairs) == digest
 

@@ -173,19 +173,25 @@ def test_bruteforce_route_pinned(letter, n, orient):
 
 
 def test_construction_makes_no_fraction(monkeypatch):
-    # PathAlg's Hom spaces and module realizations, and sigma's rank check,
-    # eliminate in ints only
-    iq = System("D", 4).ice()
-    want = arpresent.weight_configuration(iq)
+    # the AR knitting, PathAlg's Hom spaces and module realizations,
+    # sigma's rank check and reduce_for_counting in the brute-force T_v
+    # sets eliminate in ints only, in both D4 orientations
+    systems = [System("D", 4), System("D", 4, D4_MINIMAL)]
+    want = [(s.ar, arpresent.weight_configuration(s.ice()),
+             cone.tv_strict_sets(s.ice(), "bruteforce")) for s in systems]
+    assert not hasattr(pathalg, "Fraction")
 
     def no_fraction(*_args):
         raise AssertionError("Fraction in the construction")
 
     monkeypatch.setattr(exact, "Fraction", no_fraction)
-    monkeypatch.setattr(pathalg, "Fraction", no_fraction)
-    alg = pathalg.PathAlg(iq)
-    assert all(alg.hom_basis(p, p).dim == 1 for p in iq.vertices)
-    assert arpresent.weight_configuration(iq) == want
+    for s, (ar, sigma, tv) in zip(systems, want):
+        iq = s.ice()
+        assert arpresent.knit_rep_ar(s.quiver) == ar
+        alg = pathalg.PathAlg(iq)
+        assert all(alg.hom_basis(p, p).dim == 1 for p in iq.vertices)
+        assert arpresent.weight_configuration(iq) == sigma
+        assert cone.tv_strict_sets(iq, "bruteforce") == tv
 
 
 @pytest.mark.parametrize("delta", [1, -1])

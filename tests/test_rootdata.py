@@ -1,5 +1,5 @@
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -39,6 +39,9 @@ def test_cartan_symmetrizable(letter, rank):
     cd = rootdata.cartan_data(Q)
     cd_sym = mat_mul(cd.cartan, cd.D)
     assert cd_sym == [list(col) for col in zip(*cd_sym)]
+    # the symmetrizer is made of positive ints, and minimal
+    assert all(type(x) is int and x > 0 for x in Q.d)
+    assert gcd(*Q.d) == 1
     # Euler identity E(Q) = E_l D = D E_r is asserted inside cartan_data.
 
 
