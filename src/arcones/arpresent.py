@@ -24,6 +24,14 @@ class Module:
     """Indecomposable representation, identified by its dimension vector."""
 
     dim: tuple
+    # the dataclass's own hash, computed once for the catalog's dict keys
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.dim,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def name(self):
@@ -203,6 +211,14 @@ class Presentation:
     kind: str                     # negative | positive | neutral | module
     index: int = 0                # i for O_i^-, O_i^+, Id_i; 0 for modules
     module: Module = None         # the presented module, for kind "module"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.kind, self.index, self.module)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def label(self):

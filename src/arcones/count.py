@@ -25,7 +25,6 @@ compare it against.
 
 import sys
 from array import array
-from collections import deque
 from math import ceil, floor
 from operator import mul, sub
 
@@ -247,10 +246,17 @@ class SliceFamily:
     right-hand sides, and then kept: it reads hi[k] where the row's entry
     at k is positive and lo[k] where it is negative, so the watch lists
     watch_hi[k] and watch_lo[k], the (row, |entry|) pairs of those rows,
-    say whose slack a moved bound lowers and by how much.  A negative
-    slack ends the node at once, and a row is queued only while its slack
-    is below amax * wmax (its largest |entry| times the widest range of
-    the box), below which it may still tighten a bound.  Every leaf is
+    say whose slack a moved bound lowers and by how much.  Propagation
+    reads row j through its entry tables, built once: raise_lo[j] holds
+    (k, a_jk, watch_lo[k]) for each positive entry, which raises lo[k], and
+    lower_hi[j] holds (k, |a_jk|, watch_hi[k]) for each negative one, which
+    lowers hi[k].  A negative slack ends the node at once, and a row is
+    queued only while its slack is below its threshold amax * wmax (its
+    largest |entry| times the widest range of the box, one vector per
+    propagation), below which it may still tighten a bound.  A branch
+    (_branch) fixes c_k = v on copies of the node, lowers the slacks on the
+    watch lists of the bounds it moves and propagates over their row
+    indices, lo_rows[k] and hi_rows[k].  Every leaf is
     re-checked against all rows from scratch, from the packed rows and
     the root's packed right-hand sides: one sum of m products tests every
     row, never reading the kept slacks.
@@ -303,15 +309,7 @@ class SliceFamily:
         self.constant = [i for i, a in enumerate(avecs) if not any(a)]
         self.constant_forms = [forms[i] for i in self.constant]
         self.active = [(a, i) for i, a in enumerate(avecs) if any(a)]
-        # active inequality a . c >= b as parallel lists of the indices and
-        # coefficients of its positive entries, then of the indices and
-        # absolute values of its negative entries
-        self.rows = [
-            (tuple(k for k, x in enumerate(a) if x > 0),
-             tuple(x for x in a if x > 0),
-             tuple(k for k, x in enumerate(a) if x < 0),
-             tuple(-x for x in a if x < 0)) for a, _i in self.active]
-        # the same rows packed column by column into ints, with their
+        # the active rows packed column by column into ints, with their
         # right-hand sides as the forms q_i over y, for the root slacks and
         # the leaf certificate
         self.packed = PackedRows([a for a, _i in self.active], self.m,
@@ -321,14 +319,22 @@ class SliceFamily:
         self.amax = [max(map(abs, a)) for a, _i in self.active]
         # watch lists: the (row, |entry|) pairs of the rows whose slack
         # reads each bound; a positive entry at k reads hi[k], a negative
-        # one lo[k]
-        self.watch_hi = [[] for _k in range(self.m)]
-        self.watch_lo = [[] for _k in range(self.m)]
-        for j, (kp, cp, kn, cn) in enumerate(self.rows):
-            for k, x in zip(kp, cp):
-                self.watch_hi[k].append((j, x))
-            for k, x in zip(kn, cn):
-                self.watch_lo[k].append((j, x))
+        # one lo[k]; lo_rows[k] and hi_rows[k] are their row indices
+        self.watch_hi = [[(j, a[k]) for j, (a, _i) in enumerate(self.active)
+                          if a[k] > 0] for k in range(self.m)]
+        self.watch_lo = [[(j, -a[k]) for j, (a, _i) in enumerate(self.active)
+                          if a[k] < 0] for k in range(self.m)]
+        self.lo_rows = [[j for j, _x in w] for w in self.watch_lo]
+        self.hi_rows = [[j for j, _x in w] for w in self.watch_hi]
+        # entry tables: row j's positive entries as (k, a_jk, watch_lo[k]),
+        # which raise lo[k] and so lower the slacks on watch_lo[k], and its
+        # negative ones as (k, |a_jk|, watch_hi[k]), which lower hi[k]
+        self.raise_lo = [tuple((k, x, self.watch_lo[k])
+                               for k, x in enumerate(a) if x > 0)
+                         for a, _i in self.active]
+        self.lower_hi = [tuple((k, -x, self.watch_hi[k])
+                               for k, x in enumerate(a) if x < 0)
+                         for a, _i in self.active]
         # most-constrained-first enumeration order
         touch = [sum(1 for a, _i in self.active if a[k])
                  for k in range(self.m)]
@@ -446,8 +452,7 @@ class SliceFamily:
         # every leaf lies in the root box, which sized start's fields
         holds = self.packed.certificate(start)
         m, order = self.m, self.order
-        watch_lo, watch_hi = self.watch_lo, self.watch_hi
-        propagate = self._propagate
+        branch = self._branch
 
         def rec(lo, hi, slack, depth):
             # lo, hi, slack: a node at its propagation fixpoint
@@ -459,25 +464,34 @@ class SliceFamily:
                                        "a checked constraint")
                 return 1
             k = order[depth]
-            lk, hk = lo[k], hi[k]
             total = 0
-            for v in range(lk, hk + 1):
-                # fixing c_k = v raises lo[k] by v - lk and lowers hi[k]
-                # by hk - v; each row that reads a moved bound loses
-                # |a_k| times the move from its slack
-                l2, h2, s2 = list(lo), list(hi), list(slack)
-                l2[k] = h2[k] = v
-                moved = []
-                for watch, d in ((watch_lo[k], v - lk), (watch_hi[k], hk - v)):
-                    if d:
-                        for j, x in watch:
-                            s2[j] -= x * d
-                            moved.append(j)
-                if propagate(l2, h2, s2, moved):
-                    total += rec(l2, h2, s2, depth + 1)
+            for v in range(lo[k], hi[k] + 1):
+                child = branch(lo, hi, slack, k, v)
+                if child is not None:
+                    total += rec(*child, depth + 1)
             return total
 
         return rec(lo, hi, slack, 0)
+
+    def _branch(self, lo, hi, slack, k, v):
+        """The child c_k = v of a node at its propagation fixpoint with
+        lo[k] < hi[k]: its (lo, hi, slack) at the fixpoint, on copies, or
+        None when propagation empties it.  Each row that reads a moved bound
+        loses |a_jk| times the move from its slack and is propagated."""
+        dl, dh = v - lo[k], hi[k] - v
+        lo, hi, slack = list(lo), list(hi), list(slack)
+        lo[k] = hi[k] = v
+        if dl:
+            for j, x in self.watch_lo[k]:
+                slack[j] -= x * dl
+        if dh:
+            for j, x in self.watch_hi[k]:
+                slack[j] -= x * dh
+        rows = (self.hi_rows[k] if not dl else self.lo_rows[k] if not dh
+                else self.lo_rows[k] + self.hi_rows[k])
+        if self._propagate(lo, hi, slack, rows):
+            return lo, hi, slack
+        return None
 
     def _root(self, target):
         """The slice at target as the search's root: (start, lo, hi, slack),
@@ -520,46 +534,46 @@ class SliceFamily:
         have fallen since the last fixpoint.  Returns False as soon as a
         slack is negative, that is when the box holds no solution.
         """
-        sparse, amax = self.rows, self.amax
-        watch_lo, watch_hi = self.watch_lo, self.watch_hi
+        raise_lo, lower_hi = self.raise_lo, self.lower_hi
         # a row with slack s bounds c_k by s // |a_k| from the end of its
         # range that attains the max, which moves the other end only if
-        # s < |a_k| * (hi[k] - lo[k]); widths only shrink, so a row whose
-        # slack is at least amax * wmax cannot tighten and is not queued
+        # s < |a_k| * (hi[k] - lo[k]); widths only shrink, so row j is not
+        # queued while its slack is at least thr[j] = amax[j] * wmax
         wmax = max(map(sub, hi, lo), default=0)
+        thr = [a * wmax for a in self.amax]
         pending = [False] * len(slack)
-        work = deque()
+        work = []
         for j in rows:
             s = slack[j]
-            if s < amax[j] * wmax:
+            if s < thr[j]:
                 if s < 0:
                     return False
                 pending[j] = True
                 work.append(j)
-        while work:
-            j = work.popleft()
+        # a FIFO queue: the for loop reads work by index, so it also visits
+        # the rows appended while it runs, in turn
+        for j in work:
             pending[j] = False
             s = slack[j]
-            kp, cp, kn, cn = sparse[j]
-            for k, x in zip(kp, cp):
+            for k, x, watch in raise_lo[j]:
                 d = hi[k] - s // x - lo[k]
                 if d > 0:
                     lo[k] += d
-                    for r, y in watch_lo[k]:
+                    for r, y in watch:
                         t = slack[r] = slack[r] - y * d
-                        if t < amax[r] * wmax:
+                        if t < thr[r]:
                             if t < 0:
                                 return False
                             if not pending[r]:
                                 pending[r] = True
                                 work.append(r)
-            for k, x in zip(kn, cn):
+            for k, x, watch in lower_hi[j]:
                 d = hi[k] - lo[k] - s // x
                 if d > 0:
                     hi[k] -= d
-                    for r, y in watch_hi[k]:
+                    for r, y in watch:
                         t = slack[r] = slack[r] - y * d
-                        if t < amax[r] * wmax:
+                        if t < thr[r]:
                             if t < 0:
                                 return False
                             if not pending[r]:

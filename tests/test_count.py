@@ -184,21 +184,17 @@ def test_watch_lists_match_row_signs(letter, n, orient):
                                    in enumerate(fam.active) if a[k] < 0]
 
 
-def _swept_root(fam, target):
-    """The root box of the slice at target narrowed by sweeping every row
-    until no bound moves, with the row slacks there; None when the slice
-    is empty by then.  The reference for the worklist propagation."""
-    b = fam._slice_rhs(target)
-    if b is None:
-        return None
-    den = fam.box_den
-    lo = [-(-sum(n * b[h] for h, n in form) // den)
-          for form in fam.lower_form]
-    hi = [-sum(n * b[h] for h, n in form) // den for form in fam.upper_form]
-    if any(l > u for l, u in zip(lo, hi)):
-        return None
-    # each row as its nonzero (index, entry) pairs
-    rows = [[(k, x) for k, x in enumerate(a) if x] for a, _i in fam.active]
+def _sparse_rows(fam):
+    """Each active row of fam as its nonzero (index, entry) pairs."""
+    return [[(k, x) for k, x in enumerate(a) if x] for a, _i in fam.active]
+
+
+def _sweep(rows, b, lo, hi):
+    """The box lo..hi narrowed by sweeping every row a . c >= b, given by
+    _sparse_rows, until no bound moves, with the row slacks there, on
+    copies; None when the box is empty by then.  The reference for the
+    worklist propagation."""
+    lo, hi = list(lo), list(hi)
 
     def slack(row, bj):
         return sum(x * (hi[k] if x > 0 else lo[k]) for k, x in row) - bj
@@ -218,16 +214,50 @@ def _swept_root(fam, target):
     return lo, hi, [slack(row, bj) for row, bj in zip(rows, b)]
 
 
+def _swept_root(fam, target):
+    """The root box of the slice at target narrowed by _sweep, with the row
+    slacks there; None when the slice is empty by then."""
+    b = fam._slice_rhs(target)
+    if b is None:
+        return None
+    den = fam.box_den
+    lo = [-(-sum(n * b[h] for h, n in form) // den)
+          for form in fam.lower_form]
+    hi = [-sum(n * b[h] for h, n in form) // den for form in fam.upper_form]
+    if any(l > u for l, u in zip(lo, hi)):
+        return None
+    return _sweep(_sparse_rows(fam), b, lo, hi)
+
+
+def _spy_propagate(fam):
+    """Wrap fam._propagate so that it still runs the real kernel and
+    records each call as ((lo, hi) handed to it, (lo, hi, slack) it
+    returned True with, or None); returns the list of records."""
+    propagate, calls = fam._propagate, []
+
+    def spy(lo, hi, slack, rows):
+        box = list(lo), list(hi)
+        ok = propagate(lo, hi, slack, rows)
+        calls.append((box, (list(lo), list(hi), list(slack)) if ok else None))
+        return ok
+    fam._propagate = spy
+    return calls
+
+
 @pytest.mark.parametrize("letter, n, orient", [
-    ("D", 4, None), ("D", 4, [(2, 1), (3, 2), (4, 2)]), ("D", 5, None),
-], ids=["D4", "D4:2>1,3>2,4>2", "D5"])
+    ("A", 3, None), ("D", 4, None), ("D", 4, [(2, 1), (3, 2), (4, 2)]),
+    ("D", 5, None),
+], ids=["A3", "D4", "D4:2>1,3>2,4>2", "D5"])
 def test_root_fixpoint_matches_full_sweeps(letter, n, orient):
     # the root that count searches from is the fixpoint of the plain
-    # sweep, bound for bound, and its kept slacks are the fresh ones; on
-    # D4 over the targets of `count --grid 1`, on D5 over every lambda of
-    # the pairs from {0, omega_i} and the zero-valued targets
+    # sweep, bound for bound, and its kept slacks are the fresh ones; so is
+    # every node of the search, swept from the box handed to propagation
+    # (the fixpoint is unique, so this pins each DFS tree), and propagation
+    # empties a node exactly when the sweep does.  On A3 and D4 over the
+    # targets of `count --grid 1`, on D5 over every lambda of the pairs
+    # from {0, omega_i} and the zero-valued targets
     s = System(letter, n, orient)
-    if n == 4:
+    if n < 5:
         targets = [mu + nu + lam for mu, nu, lam in cli._grid_targets(
             s.cd, "full2", None, 1, random.Random(0), {})]
     else:
@@ -236,12 +266,42 @@ def test_root_fixpoint_matches_full_sweeps(letter, n, orient):
                    for lam in lieoracle.tensor_decomposition(s.cd, mu, nu)]
         targets += _D5_ZEROS
     fam = s.family()
-    empty = 0
+    rows = _sparse_rows(fam)
+    calls = _spy_propagate(fam)
+    empty = children = 0
     for t in targets:
         root = fam._root(t)
         assert (None if root is None else root[1:]) == _swept_root(fam, t), t
         empty += root is None
+        calls.clear()
+        fam.count(t)
+        b = fam._slice_rhs(t)
+        # calls[0] is count's own _root, checked above
+        for (lo, hi), got in calls[1:]:
+            assert got == _sweep(rows, b, lo, hi), t
+        children += len(calls[1:])
     assert 0 < empty < len(targets)
+    assert children > 0
+
+
+def test_branch_keeps_fresh_slacks():
+    # every child that _branch returns on D4 c^rho_{rho rho} = 32 keeps
+    # the slacks that the packed rows compute afresh on its box
+    fam = System("D", 4).family()
+    target = (1,) * 12
+    start = fam._root(target)[0]
+    branch, children = fam._branch, []
+
+    def spy(lo, hi, slack, k, v):
+        child = branch(lo, hi, slack, k, v)
+        if child is not None:
+            children.append(child)
+        return child
+    fam._branch = spy
+    assert fam.count(target) == 32
+    assert len(children) > 32
+    for lo, hi, slack in children:
+        assert slack == fam.packed.slacks(start, lo, hi)
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,10 @@
 - no floating point outside cli.py (which times suites): no float literal,
   no use of the name float, and from math only integer functions;
 - no import of fractions outside exact.py, whose lp_min returns Fractions
-  and which accepts them as input: everything else works in ints.
+  and which accepts them as input: everything else works in ints;
+- state is declared: outside __init__ and __post_init__ a method stores
+  only the attributes that those or a dataclass field declare, and no code
+  stores an attribute on anything but self or cls.
 """
 
 import ast
@@ -133,3 +136,63 @@ def test_no_fractions_import(name):
              or isinstance(node, ast.ImportFrom)
              and (node.module or "").split(".")[0] == "fractions"]
     assert not found, "%s: fractions imported on lines %s" % (name, found)
+
+
+def _setattr_target(node):
+    """(object node, attribute name or None) for a call of setattr(obj,
+    name, value) or object.__setattr__(obj, name, value), else None."""
+    if not isinstance(node, ast.Call) or len(node.args) < 2:
+        return None
+    func = node.func
+    if not (isinstance(func, ast.Name) and func.id == "setattr"
+            or isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "object"):
+        return None
+    name = node.args[1]
+    return node.args[0], (name.value if isinstance(name, ast.Constant)
+                          else None)
+
+
+def _stores(tree):
+    """Every attribute store under tree: (line, object node, name), for
+    assignment targets and setattr calls alike; name is None when a
+    setattr call computes it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.lineno, node.value, node.attr
+        else:
+            target = _setattr_target(node)
+            if target is not None:
+                yield (node.lineno,) + target
+
+
+def _is_self(node):
+    return isinstance(node, ast.Name) and node.id in ("self", "cls")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_state_is_declared(name):
+    # caches are declared fields: a method other than __init__ or
+    # __post_init__ stores only attributes that __init__ or a dataclass
+    # field declares, and nothing stores attributes on another object
+    tree = _tree(name)
+    found = [(line, ast.unparse(obj), attr)
+             for line, obj, attr in _stores(tree) if not _is_self(obj)]
+    for cls in (node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)):
+        methods = [node for node in cls.body
+                   if isinstance(node, ast.FunctionDef)]
+        declared = {node.target.id for node in cls.body
+                    if isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)}
+        for method in methods:
+            if method.name in ("__init__", "__post_init__"):
+                declared |= {attr for _line, obj, attr in _stores(method)
+                             if _is_self(obj) and attr}
+        for method in methods:
+            if method.name not in ("__init__", "__post_init__"):
+                found += [(line, "self", attr)
+                          for line, obj, attr in _stores(method)
+                          if _is_self(obj) and attr not in declared]
+    assert not found, "%s: undeclared attribute stores %s" % (name, found)
