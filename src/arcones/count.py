@@ -223,7 +223,8 @@ class SliceFamily:
     read off the HNF transform is skewed and the search meets far more
     dead ends), the inequality vectors in c-coordinates, and
     per-coordinate bounding functionals expressing each +-c_i as a
-    nonnegative combination of the inequality vectors.  sigma is the list
+    nonnegative combination of the inequality vectors, one lp_min each.
+    Both are read over their nonzero entries only.  sigma is the list
     of rows of the weight configuration, one per vertex of the cone, and
     must have full column rank.
 
@@ -303,7 +304,17 @@ class SliceFamily:
             forms.append(q)
         self.kernel = left_kernel_lattice(self.hnf)
         self.m = len(self.kernel)
-        avecs = [tuple(dot(k, h) for k in self.kernel) for h in self.hcols]
+        # a_i[j] = kernel[j] . h_i, over the nonzero entries only
+        kcols = [[(j, k[t]) for j, k in enumerate(self.kernel) if k[t]]
+                 for t in range(self.d)]
+        avecs = []
+        for hc in self.hcols:
+            a = [0] * self.m
+            for t, x in enumerate(hc):
+                if x:
+                    for j, v in kcols[t]:
+                        a[j] += x * v
+            avecs.append(tuple(a))
         # inequalities whose c-part vanishes reduce to a sign test on the
         # particular solution, y . q_i <= 0; keep them apart
         self.constant = [i for i, a in enumerate(avecs) if not any(a)]
@@ -364,7 +375,8 @@ class SliceFamily:
         if self.unbounded_ray is None:
             for lam in self.lower_mult + self.upper_mult:
                 for x in lam:
-                    self.box_den = lcm(self.box_den, x.denominator)
+                    if x:
+                        self.box_den = lcm(self.box_den, x.denominator)
             self.lower_form = [self._integer_form(l) for l in self.lower_mult]
             self.upper_form = [self._integer_form(l) for l in self.upper_mult]
             qs = self.packed.forms      # q of each active row, by index h

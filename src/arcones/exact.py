@@ -5,17 +5,19 @@ Row reduction (rank, nullspace, scaled_inverse) runs one fraction-free
 Gauss-Jordan elimination on int rows kept primitive by their gcd, and
 returns ints: scaled_inverse gives a^-1 as an integer matrix over its least
 denominator.  This is the only module that imports fractions: Fraction is
-an accepted input type and the type of lp_min's solution.  The linear
-programs of lp_min are solved by a fraction-free integer simplex: its
-tableau holds only ints over one common denominator, and the columns of a
-wide tableau are built only as far as Bland's rule scans them.  Lattice
-bases are reduced by lll_reduce, Cohen's integral LLL, which keeps its
-Gram-Schmidt data as ints with exact divisions.  No floating point is used
-anywhere.
+an accepted input type and the type of the nonzero entries of lp_min's
+solution.  The linear programs of lp_min are solved by a fraction-free
+integer simplex: its tableau holds only ints over one common denominator,
+a unit pivot over a unit denominator is one subtraction per row, and the
+columns of a wide tableau are built only as far as Bland's rule scans
+them.  Lattice bases are reduced by lll_reduce, Cohen's integral LLL,
+which keeps its Gram-Schmidt data as ints with exact divisions.  No
+floating point is used anywhere.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 
 def identity(n):
@@ -303,10 +305,17 @@ def _integer_row(v):
 
 
 def _eliminate(row, pr, col, p, d):
-    """One row of a fraction-free pivot: (p*x - f*y) // d, exact."""
+    """One row of a fraction-free pivot: (p*x - f*y) // d, exact; x - f*y
+    where p = d = 1, but x - f*y/p where p = d != 1."""
     f = row[col]
     if not f:
         return row if p == d else [p * x // d for x in row]
+    if p == 1 and d == 1:
+        if f == 1:
+            return list(map(sub, row, pr))
+        if f == -1:
+            return list(map(add, row, pr))
+        return [x - f * y for x, y in zip(row, pr)]
     return [(p * x - f * y) // d for x, y in zip(row, pr)]
 
 
@@ -323,10 +332,13 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
     preserving pivot of Edmonds (1967) and Bareiss (1968).  The tableau
     holds ints over one common denominator D > 0, the last pivot; a pivot on
     p updates every other row x by its pivot-column entry f and the pivot
-    row y as (p*x - f*y) // D, a division that is always exact.  Returns a
-    tuple (status, x, value) with status one of "optimal", "infeasible",
-    "unbounded"; x (Fractions) and value are None unless status is
-    "optimal", and an optimal x is re-checked against every constraint.
+    row y as (p*x - f*y) // D, a division that is always exact.  Where
+    p = D = 1 (nearly every pivot of the cone LPs) that is x - f*y, and a
+    row with f = 0 is left as it is.  Returns a tuple (status, x, value)
+    with status one of "optimal", "infeasible", "unbounded"; x and value
+    are None unless status is "optimal".  x is read off the basic rows: a
+    Fraction for each nonzero entry, the int 0 for the others.  An optimal
+    x is re-checked against every constraint over its nonzero entries.
 
     Columns are built on demand (partial pricing).  Beside its right-hand
     side each row keeps its part of the block M = D * B^-1, the artificial
@@ -386,12 +398,14 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
     def pivot(col, rowi, obj):
         nonlocal d
         pr = tab[rowi]
-        p = pr[base + col]
-        for k, row in enumerate(tab):
-            if k != rowi:
-                tab[k] = _eliminate(row, pr, base + col, p, d)
+        k = base + col
+        p = pr[k]
+        # with p = d a row that is 0 in the pivot column stays as it is
+        for i, row in enumerate(tab):
+            if i != rowi and (row[k] or p != d):
+                tab[i] = _eliminate(row, pr, k, p, d)
         if obj is not None:
-            obj[:] = _eliminate(obj, pr, base + col, p, d)
+            obj[:] = _eliminate(obj, pr, k, p, d)
         basis[rowi] = col
         d = p
 
@@ -486,9 +500,10 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
             obj2 = [o - f * t for o, t in zip(obj2, row)]
     if solve_phase(obj2, cost) != "optimal":
         return ("unbounded", None, None)
-    xs = [Fraction(0)] * nv
+    # a non-basic variable is the int 0; only the basic rows make Fractions
+    xs = [0] * nv
     for row, bi in zip(tab, basis):
-        if bi < nv:
+        if bi < nv and row[0]:
             xs[bi] = Fraction(row[0], d)
     x = xs if nonneg else [xs[j] - xs[n + j] for j in range(n)]
     # the value and an exact feasibility certificate, over the nonzero

@@ -22,7 +22,8 @@ this one.
 """
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,12 @@ def mutate_dual_state(state, step):
     negative exponent or coefficient, no constant term 1), and
     NotImplementedError if an exponent exceeds 255: an 8-bit field of the
     packed keys cannot hold it, and it must not carry into the next one.
+    A step that leaves the state as it is (_quiet) returns it after the
+    same checks.
     """
+    if _quiet(state, step):
+        _check_fpoly(state.fpoly)
+        return state
     u = step.u
     g = state.gdual
     gu = g[u]
@@ -206,11 +212,31 @@ def mutate_dual_state(state, step):
                     raise _field_overflow(deg)
                 # groups differ off u, so every key is set once
                 newf[key | deg << shift] = c
-    if newf.get(0) != 1:
-        raise RuntimeError("mutated F-polynomial has no constant term 1")
-    if any(c < 0 for c in newf.values()):
-        raise RuntimeError("negative F-polynomial coefficient")
+    _check_fpoly(newf)
     return DualTracked(g2, newf)
+
+
+def _quiet(state, step):
+    """Whether mutating state at step leaves it as it is: g_u = 0 and no
+    exponent has a nonzero byte at u or at a vertex of step.row, read off
+    the OR of the packed keys.  Then beta = beta' = 0, so g^vee is kept,
+    and each term is its own group with t-exponent 0 and q = 0, so F is
+    kept term by term."""
+    if state.gdual[step.u]:
+        return False
+    touched = 0xFF << 8 * step.u
+    for v, _x in step.row:
+        touched |= 0xFF << 8 * v
+    return not reduce(or_, state.fpoly, 0) & touched
+
+
+def _check_fpoly(f):
+    """Raise RuntimeError unless f has constant term 1 and no negative
+    coefficient, as every mutated F-polynomial must."""
+    if f.get(0) != 1:
+        raise RuntimeError("mutated F-polynomial has no constant term 1")
+    if any(c < 0 for c in f.values()):
+        raise RuntimeError("negative F-polynomial coefficient")
 
 
 def _field_overflow(deg):

@@ -126,11 +126,16 @@ def test_strategies_agree_d4():
      "64fa5761cd769886f8f7ca472f565c19d1bcb3df4b9416701f608c4a090308cd"),
     ("D", 5, None,
      "bf7999f82fcf1d70159fda1d39a97afc789d12f26d393ea9d25b33742b4cac59"),
-], ids=["D4", "D4:2>1,3>2,4>2", "D5"])
+    ("D", 6, None,
+     "593393e49abfbc038cbcf6dc89b13ddd1fd2986a66a81919e841995ff2c339b3"),
+], ids=["D4", "D4:2>1,3>2,4>2", "D5", "D6"])
 def test_bounding_functionals_pinned(letter, n, orient, digest):
     # the lambda of every coordinate bound, as SliceFamily keeps them: a
     # simplex that pivots differently finds other optimal lambda and other
-    # boxes (and so other search trees) with the same counts
+    # boxes (and so other search trees) with the same counts.  D6's LPs
+    # over 625 columns build them on demand, and about 5% of their pivots
+    # are not p = D = 1, so D6 reaches the general pivot that D4 and D5
+    # barely do
     fam = System(letter, n, orient).family()
     got = repr((fam.lower_form, fam.upper_form, fam.box_den))
     assert hashlib.sha256(got.encode()).hexdigest() == digest
@@ -182,6 +187,21 @@ def test_watch_lists_match_row_signs(letter, n, orient):
                                    in enumerate(fam.active) if a[k] > 0]
         assert fam.watch_lo[k] == [(j, -a[k]) for j, (a, _i)
                                    in enumerate(fam.active) if a[k] < 0]
+
+
+@pytest.mark.parametrize("letter, n, orient", [
+    ("A", 3, None), ("D", 4, None), ("D", 4, [(2, 1), (3, 2), (4, 2)]),
+    ("D", 5, None),
+], ids=["A3", "D4", "D4:2>1,3>2,4>2", "D5"])
+def test_inequality_vectors_match_dense_products(letter, n, orient):
+    # init sums each inequality vector over the nonzero entries only; the
+    # active rows and constant columns are those of the dense products
+    # k . h of every kernel vector k with every cone column h
+    fam = System(letter, n, orient).family()
+    avecs = [tuple(exact.dot(k, h) for k in fam.kernel) for h in fam.hcols]
+    assert fam.active == [(a, i) for i, a in enumerate(avecs) if any(a)]
+    assert fam.constant == [i for i, a in enumerate(avecs) if not any(a)]
+    assert all(type(x) is int for a, _i in fam.active for x in a)
 
 
 def _sparse_rows(fam):

@@ -588,8 +588,40 @@ def wide_lp(draw):
             [r for r, _b in eq], [b for _r, b in eq], kind == "functional")
 
 
+# LPs that reach the cases of _eliminate's unit-pivot path that a wrong
+# shortcut breaks (test_lp_min_examples_reach_their_pivots): a pivot p
+# over D = p != 1 on a row with f != 0, where the row is x - f*y/p and not
+# x - f*y, and pivots p = D = 1 on rows with f = 1, f = -1 and f = -2.
+# Taking x - f*y for every p = D, or swapping the subtraction and the
+# addition of f = +-1, finds the first or the second infeasible.
+LP_PIVOT_P_EQ_D = ([-3], [[0]], [1], [[-2]], [1], False)
+LP_PIVOT_UNIT = ([1], [[1], [1]], [-3, -2], [], [], False)
+
+
+@pytest.mark.parametrize("lp,case", [
+    (LP_PIVOT_P_EQ_D, lambda p, d, f: p == d != 1 and f),
+    (LP_PIVOT_UNIT, lambda p, d, f: p == d == 1 and f == 1),
+    (LP_PIVOT_UNIT, lambda p, d, f: p == d == 1 and f == -1),
+    (LP_PIVOT_UNIT, lambda p, d, f: p == d == 1 and f not in (0, 1, -1)),
+], ids=["p=d!=1", "p=d=1,f=1", "p=d=1,f=-1", "p=d=1,f=-2"])
+def test_lp_min_examples_reach_their_pivots(lp, case, monkeypatch):
+    # each example of test_lp_min_matches_eager_tableau reaches the pivot
+    # case it is there for
+    real, seen = exact._eliminate, []
+
+    def spy(row, pr, col, p, d):
+        seen.append((p, d, row[col]))
+        return real(row, pr, col, p, d)
+
+    monkeypatch.setattr(exact, "_eliminate", spy)
+    exact.lp_min(*lp[:5], nonneg=lp[5])
+    assert any(case(*pdf) for pdf in seen), seen
+
+
 @pytest.mark.parametrize("width", [0, exact.LAZY_WIDTH])
 @given(lp=wide_lp())
+@example(lp=LP_PIVOT_P_EQ_D)
+@example(lp=LP_PIVOT_UNIT)
 @example(lp=([0] * 12, [], [], [[1] * 12, [2] * 12], [1, 2], True))
 @example(lp=([0] * 12, [], [], [[1] * 12, [1] * 12], [1, 2], True))
 @example(lp=([-1, 0, 0], [[1, 1, 1]], [3], [], [], False))

@@ -585,6 +585,81 @@ def test_fpoly_work_pinned(key, i, term_steps, largest, monkeypatch):
     assert work == [term_steps, largest]
 
 
+# (steps _quiet takes, steps taken) by tv_subreps_via_fpoly over every T_v
+QUIET_STEPS = {"A2": (0, 8), "A3": (14, 48), "A4": (72, 160),
+               "A5": (220, 400), "A6": (520, 840), "D4": (52, 144),
+               "D4:2>1,3>2,4>2": (56, 144), "D5": (252, 510),
+               "D6": (548, 1080)}
+
+
+@pytest.mark.parametrize("key", WALK_KEYS + ["D6"])
+def test_quiet_steps_match_full_expansion(key, monkeypatch):
+    # every step _quiet takes returns the state the full group expansion
+    # returns, and it takes exactly the steps that leave the state as it is
+    real_quiet = mutation._quiet
+    real = mutation.mutate_dual_state
+    seen = [0, 0]
+
+    def both(state, step):
+        quiet = real_quiet(state, step)
+        out = real(state, step)
+        monkeypatch.setattr(mutation, "_quiet", lambda _state, _step: False)
+        try:
+            full = real(state, step)
+        finally:
+            monkeypatch.setattr(mutation, "_quiet", real_quiet)
+        assert out == full
+        assert quiet == (full == state)
+        seen[0] += quiet
+        seen[1] += 1
+        return out
+
+    monkeypatch.setattr(mutation, "mutate_dual_state", both)
+    iq = _ice(key)
+    for i in range(1, iq.n + 1):
+        mutation.tv_subreps_via_fpoly(iq, i)
+    assert tuple(seen) == QUIET_STEPS[key]
+
+
+# quiet steps (g_u = 0, and no exponent at u or at a vertex of row u) on
+# states that are no F-polynomial: the state is returned only after the
+# checks of the full route
+QUIET_INVALID = [
+    (mutation.DualTracked([0, 0], {P((0, 1)): 1}), "no constant term 1"),
+    (mutation.DualTracked([0, 0], {0: 1, P((0, 1)): -1}),
+     "negative F-polynomial coefficient"),
+]
+
+
+@pytest.mark.parametrize("state,message", QUIET_INVALID,
+                         ids=["no constant term", "negative coefficient"])
+def test_quiet_step_checks_output(state, message):
+    step = mutation.Step.at([[0, 0], [0, 0]], 0)
+    assert mutation._quiet(state, step)
+    with pytest.raises(RuntimeError, match=message):
+        mutation.mutate_dual_state(state, step)
+
+
+def test_quiet_step_check_survives_python_O():
+    # the QUIET_INVALID states
+    out = _run_python_O("""
+        P = mutation.pack_exponents
+        step = mutation.Step.at([[0, 0], [0, 0]], 0)
+        for state in (mutation.DualTracked([0, 0], {P((0, 1)): 1}),
+                      mutation.DualTracked([0, 0], {0: 1, P((0, 1)): -1})):
+            if not mutation._quiet(state, step):
+                sys.exit("not a quiet step")
+            try:
+                mutation.mutate_dual_state(state, step)
+            except RuntimeError as exc:
+                print(exc)
+            else:
+                sys.exit("invalid F-polynomial accepted")
+    """)
+    assert "no constant term 1" in out
+    assert "negative F-polynomial coefficient" in out
+
+
 def _swap_dependent(steps, order):
     """order with its first adjacent pair of dependent steps swapped: the
     later of the two in the paper's order at the same vertex as the
