@@ -218,17 +218,37 @@ def prune_redundant(spec):
     remaining columns (with a box normalization) gives 0; by exact LP
     duality this holds iff h is a nonnegative combination of the remaining
     columns, which is the smaller Farkas feasibility problem solved here.
+    The columns are tested in order, each against the ones still kept.
+    Columns are dimension vectors, and a nonnegative combination of
+    nonnegative vectors uses only those with support inside the sum's.  So
+    the LP runs over the kept columns with support inside supp(h), on the
+    rows of supp(h) only, and h is kept without one when they do not cover
+    supp(h); the decision is that over every column and row.  A zero column
+    is redundant whenever another column is kept.  Raises RuntimeError on
+    a negative entry.
     """
     cols = [list(c) for _v, c in spec.columns]
+    if any(x < 0 for c in cols for x in c):
+        raise RuntimeError("prune_redundant needs nonnegative columns")
+    # supports as bit masks: bit k is set where the column is nonzero
+    supp = [sum(1 << k for k, x in enumerate(c) if x) for c in cols]
     keep = [True] * len(cols)
-    d = spec.dim
-    for i in range(len(cols)):
-        others = [cols[j] for j in range(len(cols)) if keep[j] and j != i]
-        if not others:
+    for i, s in enumerate(supp):
+        if not s:
+            keep[i] = not any(k for j, k in enumerate(keep) if j != i)
             continue
-        a_eq = [[c[k] for c in others] for k in range(d)]
-        status, _x, _value = lp_min([0] * len(others), a_eq=a_eq,
-                                    b_eq=cols[i], nonneg=True)
+        inside = [j for j, t in enumerate(supp)
+                  if keep[j] and j != i and not t & ~s]
+        cover = 0
+        for j in inside:
+            cover |= supp[j]
+        if cover != s:
+            continue
+        rows = [k for k, x in enumerate(cols[i]) if x]
+        a_eq = [[cols[j][k] for j in inside] for k in rows]
+        status, _x, _value = lp_min([0] * len(inside), a_eq=a_eq,
+                                    b_eq=[cols[i][k] for k in rows],
+                                    nonneg=True)
         if status == "optimal":
             keep[i] = False
     kept = [j for j in range(len(cols)) if keep[j]]

@@ -28,8 +28,8 @@ from array import array
 from math import ceil, floor
 from operator import mul, sub
 
-from .exact import (dot, integer_row_solution, lcm, left_kernel_lattice,
-                    lp_min, row_hnf, scaled_inverse)
+from .exact import (LPStart, dot, integer_row_solution, lcm,
+                    left_kernel_lattice, lp_min, row_hnf, scaled_inverse)
 
 
 def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
@@ -353,11 +353,14 @@ class SliceFamily:
         self.lower_mult = []        # lambda >= 0 with sum lambda_h a_h = e_i
         self.upper_mult = []        # lambda >= 0 with sum lambda_h a_h = -e_i
         self.unbounded_ray = None   # recession ray in g-coordinates, if any
-        # the active rows as the columns of every functional's LP
-        a_eq = [list(col) for col in zip(*(a for a, _i in self.active))]
+        # the active rows as the columns of every functional's LP, whose
+        # integer starting rows the 2m LPs share
+        start = LPStart(a_eq=[list(col) for col in
+                              zip(*(a for a, _i in self.active))],
+                        nonneg=True)
         for i in range(self.m):
-            self.lower_mult.append(self._bounding_functional(a_eq, i, 1))
-            self.upper_mult.append(self._bounding_functional(a_eq, i, -1))
+            self.lower_mult.append(self._bounding_functional(start, i, 1))
+            self.upper_mult.append(self._bounding_functional(start, i, -1))
             if self.unbounded_ray is not None:
                 break
         # the functionals as sparse integer forms over one denominator:
@@ -389,16 +392,16 @@ class SliceFamily:
         den = self.box_den
         return [(h, int(x * den)) for h, x in enumerate(lam) if x]
 
-    def _bounding_functional(self, a_eq, i, sign):
+    def _bounding_functional(self, start, i, sign):
         """Nonnegative lambda with sum_h lambda_h a_h = sign * e_i, or None
-        (in which case a recession ray with c_i != 0 is recorded).  a_eq
-        holds the active rows a_h as its columns."""
+        (in which case a recession ray with c_i != 0 is recorded).  start
+        holds the active rows a_h as the columns of its equality rows."""
         if not self.active:
             self._record_ray(i, sign)
             return None
         b_eq = [sign if k == i else 0 for k in range(self.m)]
-        status, lam, _v = lp_min([0] * len(self.active), a_eq=a_eq,
-                                 b_eq=b_eq, nonneg=True)
+        status, lam, _v = lp_min([0] * len(self.active), b_eq=b_eq,
+                                 start=start)
         if status == "optimal":
             return lam
         self._record_ray(i, sign)

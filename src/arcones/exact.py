@@ -8,11 +8,12 @@ denominator.  This is the only module that imports fractions: Fraction is
 an accepted input type and the type of the nonzero entries of lp_min's
 solution.  The linear programs of lp_min are solved by a fraction-free
 integer simplex: its tableau holds only ints over one common denominator,
-a unit pivot over a unit denominator is one subtraction per row, and the
+a unit pivot over a unit denominator is one subtraction per row, the
 columns of a wide tableau are built only as far as Bland's rule scans
-them.  Lattice bases are reduced by lll_reduce, Cohen's integral LLL,
-which keeps its Gram-Schmidt data as ints with exact divisions.  No
-floating point is used anywhere.
+them, and LPs over the same constraint rows share their integer starting
+rows (LPStart).  Lattice bases are reduced by lll_reduce, Cohen's
+integral LLL, which keeps its Gram-Schmidt data as ints with exact
+divisions.  No floating point is used anywhere.
 """
 
 from fractions import Fraction
@@ -324,7 +325,32 @@ def _eliminate(row, pr, col, p, d):
 LAZY_WIDTH = 8
 
 
-def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
+class LPStart:
+    """The constraint rows a_ub and a_eq of LPs that differ only in c, b_ub
+    and b_eq, with the row of the starting tableau T0 of each int row, built
+    once for every lp_min given this as start (None for a rational row)."""
+
+    def __init__(self, a_ub=None, a_eq=None, nonneg=False):
+        self.a_ub = a_ub or []
+        self.a_eq = a_eq or []
+        self.nonneg = nonneg
+        self.rows = [self.row(i, a, 0)[0] if set(map(type, a)) <= {int}
+                     else None for i, a in enumerate([*self.a_ub, *self.a_eq])]
+
+    def row(self, i, a, b):
+        """(T0 row, right-hand side) of constraint row i, a, scaled to ints
+        with its right-hand side b: x split as u - w unless nonneg, then
+        the slack columns, with 1 at its slack if it is an inequality."""
+        *a, b = _integer_row([*a, b])
+        nslack = len(self.a_ub)
+        r = a + ([] if self.nonneg else [-x for x in a]) + [0] * nslack
+        if i < nslack:
+            r[len(r) - nslack + i] = 1
+        return r, b
+
+
+def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
+           start=None):
     """Exact linear program: minimize c.x subject to a_ub.x <= b_ub and
     a_eq.x == b_eq, over free variables x (or x >= 0 when nonneg is True).
 
@@ -353,31 +379,35 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False):
     Once every column is built the block is dropped.  A tableau with at
     most LAZY_WIDTH columns per row, where the block would cost more than
     the columns it spares, is built whole at once.  The pivots, and so the
-    results, are those of the whole tableau.
+    results, are those of the whole tableau.  start, an LPStart, replaces
+    a_ub, a_eq and nonneg, so LPs over the same rows build T0 rows once.
     """
-    a_ub = a_ub or []
+    if start is None:
+        start = LPStart(a_ub, a_eq, nonneg)
+    elif a_ub is not None or a_eq is not None or nonneg:
+        raise ValueError("lp_min takes its constraint rows either in start "
+                         "or as a_ub, a_eq and nonneg")
+    a_ub, a_eq, nonneg = start.a_ub, start.a_eq, start.nonneg
     b_ub = b_ub or []
-    a_eq = a_eq or []
     b_eq = b_eq or []
+    if len(b_ub) != len(a_ub) or len(b_eq) != len(a_eq):
+        raise ValueError("lp_min needs one right-hand side per constraint "
+                         "row")
     n = len(c)
     # free variables split as x = u - w with u, w >= 0; with nonneg no
     # splitting is needed
     nv = n if nonneg else 2 * n
-    rows = ([(a, b, False) for a, b in zip(a_ub, b_ub)] +
-            [(a, b, True) for a, b in zip(a_eq, b_eq)])
-    nslack = sum(1 for _a, _b, is_eq in rows if not is_eq)
-    m = len(rows)
+    nslack = len(a_ub)
+    m = nslack + len(a_eq)
     # T0's columns: variables, then slacks.  Every row starts with an
     # artificial basic variable, numbered ncol + i; phase 1 never lets one
     # enter, so their columns are not built.
     ncol = nv + nslack
     t0, b0 = [], []
-    for i, (a, b, is_eq) in enumerate(rows):
-        a = _integer_row(list(a) + [b])
-        b = a.pop()
-        r = a + ([] if nonneg else [-x for x in a]) + [0] * nslack
-        if not is_eq:
-            r[nv + i] = 1
+    for i, (a, b) in enumerate(zip([*a_ub, *a_eq], [*b_ub, *b_eq])):
+        r = start.rows[i]
+        if r is None or type(b) is not int:
+            r, b = start.row(i, a, b)
         if b < 0:
             r = [-x for x in r]
             b = -b

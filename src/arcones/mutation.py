@@ -21,8 +21,10 @@ largest F-polynomial has 103 916 terms in the paper's order and 3 626 in
 this one.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from math import comb
 from operator import itemgetter, or_
 
 
@@ -44,28 +46,28 @@ class Step:
 
     def apply(self, b):
         """Fomin-Zelevinsky mutation of b, the matrix this step was taken
-        from; returns a new matrix.
+        from, in place.
 
         Row u and column u change sign; any other entry b[v][w] changes only
         if b[v][u] and b[u][w] are nonzero with the same sign.
         """
         u = self.u
-        out = [list(r) for r in b]
-        bu = out[u]
+        bu = b[u]
         for w, buw in self.row:
             bu[w] = -buw
         for v, bvu in self.col:
-            bv = out[v]
+            bv = b[v]
             bv[u] = -bvu
             for w, buw in self.row:
                 if (bvu > 0) == (buw > 0):
                     bv[w] += abs(bvu) * buw
-        return out
 
 
 def mutate_b(b, u):
     """Fomin-Zelevinsky matrix mutation at index u; returns a new matrix."""
-    return Step.at(b, u).apply(b)
+    out = [list(r) for r in b]
+    Step.at(b, u).apply(out)
+    return out
 
 
 def mutate_g(g, b, u):
@@ -138,43 +140,40 @@ def mutate_dual_state(state, step):
     # (1+t)^q * sum c * t^(beta + sp - e_u) in t = y'_u.
     shift = 8 * u
     clear = ~(0xFF << shift)
-    pos = [(8 * v, x) for v, x in step.row if x > 0]
-    neg = [(8 * v, x) for v, x in step.row if x < 0]
-    dq = beta2 - beta
+    fpoly = state.fpoly
+    keys = list(map(clear.__and__, fpoly))
+    # the groups of one term, counted at C speed, build no list
+    size = Counter(keys)
+    # sp and sn read only the bytes of row u's vertices: (top, q) and the
+    # binomial row of (1+t)^q once per pattern of those bytes
+    rowmask = 0
+    for v, _x in step.row:
+        rowmask |= 0xFF << 8 * v
+    spq = {pat: _pattern(pat, step.row, beta, beta2 - beta)
+           for pat in set(map(rowmask.__and__, keys))}
     groups = {}
-    for e, c in state.fpoly.items():
-        key = e & clear
-        terms = groups.get(key)
-        if terms is None:
-            groups[key] = [(e >> shift & 0xFF, c)]
-        else:
-            terms.append((e >> shift & 0xFF, c))
     newf = {}
-    for key, terms in groups.items():
-        sp = 0
-        for sv, x in pos:
-            sp += (key >> sv & 0xFF) * x
-        sn = 0
-        for sv, x in neg:
-            sn += (key >> sv & 0xFF) * x
-        q = dq - sp - sn
-        top = beta + sp
-        if len(terms) == 1 and q >= 0:
-            # c * t^p * (1+t)^q: the binomial row, with no division
-            eu, c = terms[0]
-            p = top - eu
-            if p < 0:
-                raise RuntimeError("negative exponent in mutated "
-                                   "F-polynomial")
-            if p + q > 0xFF:
-                raise _field_overflow(p + q)
-            k = key | p << shift
-            one = 1 << shift
-            for j in range(q + 1):
-                newf[k] = c
-                c = c * (q - j) // (j + 1)
-                k += one
+    one = 1 << shift
+    for key, e, c in zip(keys, fpoly, fpoly.values()):
+        top, q, row = spq[key & rowmask]
+        if q < 0 or size[key] > 1:
+            groups.setdefault(key, []).append((e >> shift & 0xFF, c))
             continue
+        # c * t^p * (1+t)^q: the binomial row times c
+        p = top - (e >> shift & 0xFF)
+        if p < 0:
+            raise RuntimeError("negative exponent in mutated F-polynomial")
+        if p + q > 0xFF:
+            raise _field_overflow(p + q)
+        k = key | p << shift
+        if q:
+            for b in row:
+                newf[k] = c * b
+                k += one
+        else:
+            newf[k] = c
+    for key, terms in groups.items():
+        top, q, row = spq[key & rowmask]
         hi = lo = top - terms[0][0]
         for eu, _ in terms:
             p = top - eu
@@ -182,17 +181,15 @@ def mutate_dual_state(state, step):
                 lo = p
             elif p > hi:
                 hi = p
-        # expand sum c * t^p * (1+t)^(q+s), all powers nonneg after the shift
-        s = -q if q < 0 else 0
-        n = q + s
-        arr = [0] * (hi - lo + n + 1)
+        # sum c * t^p * (1+t)^q; for q < 0, sum c * t^p divided by (1+t)^-q
+        arr = [0] * (hi - lo + max(q, 0) + 1)
         for eu, c in terms:
-            binom = c
-            k0 = top - eu - lo
-            for k in range(n + 1):
-                arr[k0 + k] += binom
-                binom = binom * (n - k) // (k + 1)
-        for _ in range(s):
+            if q < 0:
+                arr[top - eu - lo] += c
+            else:
+                for k, b in enumerate(row, top - eu - lo):
+                    arr[k] += c * b
+        for _ in range(-q):
             # synthetic division by (1 + t)
             quot = []
             prev = 0
@@ -216,6 +213,19 @@ def mutate_dual_state(state, step):
     return DualTracked(g2, newf)
 
 
+def _pattern(pat, row, beta, dq):
+    """(top, q, the binomial row of (1+t)^q) of the groups whose keys have
+    the bytes pat at the vertices v of row, the (v, b_uv) of row u."""
+    sp = sn = 0
+    for v, x in row:
+        if x > 0:
+            sp += (pat >> 8 * v & 0xFF) * x
+        else:
+            sn += (pat >> 8 * v & 0xFF) * x
+    q = dq - sp - sn
+    return beta + sp, q, [comb(q, j) for j in range(q + 1)]
+
+
 def _quiet(state, step):
     """Whether mutating state at step leaves it as it is: g_u = 0 and no
     exponent has a nonzero byte at u or at a vertex of step.row, read off
@@ -235,7 +245,8 @@ def _check_fpoly(f):
     coefficient, as every mutated F-polynomial must."""
     if f.get(0) != 1:
         raise RuntimeError("mutated F-polynomial has no constant term 1")
-    if any(c < 0 for c in f.values()):
+    # f is not empty: it has the constant term
+    if min(f.values()) < 0:
         raise RuntimeError("negative F-polynomial coefficient")
 
 
@@ -314,16 +325,17 @@ def b_walk(iq):
     pi = [index[cat.pi(v)] for v in iq.vertices]
     pi_sqrt_l = [pi[u] for u in sqrt_l]
     b0 = iq.bmat_full
-    b = b0
+    # one working matrix, mutated in place and copied at each quarter start
+    b = [list(r) for r in b0]
     quarters = []
     starts = []
     for seq in (sqrt_l, pi_sqrt_l, sqrt_l, pi_sqrt_l):
-        starts.append(b)
+        starts.append([list(r) for r in b])
         quarters.append([])
         for u in seq:
             step = Step.at(b, u)
             quarters[-1].append(step)
-            b = step.apply(b)
+            step.apply(b)
     b_sqrt_l, b_l, b_l2 = starts[1], starts[2], b
     quarters[0] = _reordered(quarters[0], b0, b_sqrt_l)
     quarters[3] = _reordered(quarters[3], starts[3], b_l2)
@@ -345,10 +357,11 @@ def _latest_first(steps):
     q = len(steps)
     waits = [0] * q
     after = [[] for _ in range(q)]
+    # each step's vertex with the vertices of its row
+    near = [{s.u} | {v for v, _x in s.row} for s in steps]
     for j, sj in enumerate(steps):
         for k in range(j):
-            sk = steps[k]
-            if sk.u == sj.u or any(v == sj.u for v, _ in sk.row):
+            if sj.u in near[k]:
                 waits[j] += 1
                 after[k].append(j)
     # q <= 90 (E6) on every quiver built here, so a scan picks the latest
@@ -382,13 +395,14 @@ def _reordered(steps, b, end):
     paper's step at that vertex (same row and column) and it ends at end.
     """
     out = []
+    b = [list(r) for r in b]
     for j in _latest_first(steps):
         step = Step.at(b, steps[j].u)
         if step != steps[j]:
             raise RuntimeError("reordered quarter meets step %d at vertex %d "
                                "with another row or column" % (j, step.u))
         out.append(step)
-        b = step.apply(b)
+        step.apply(b)
     if b != end:
         raise RuntimeError("reordered quarter ends at another B-matrix")
     return out

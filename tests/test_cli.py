@@ -414,6 +414,21 @@ def test_verify_structural_d4_report(tmp_path):
         assert s["orientation"] == [[2, 1], [3, 2], [4, 2]], orient
 
 
+@pytest.mark.parametrize("type_,columns,after_prune", [
+    ("D5", 192, 182), ("D6", 625, 560)])
+def test_verify_structural_d5_d6_exit_1(tmp_path, type_, columns,
+                                        after_prune):
+    # the suite passes only if prune drops no column, and prune drops some
+    # on D5 and D6 (ROADMAP item 5)
+    out = tmp_path / "report.json"
+    res = run("verify", "structural", "--type", type_, "--out", str(out))
+    assert res.exit_code == 1, res.output
+    assert "FAIL" in res.output
+    s = json.load(open(out))["suites"]["structural"]
+    assert not s["passed"]
+    assert (s["columns"], s["after_prune"]) == (columns, after_prune)
+
+
 @pytest.mark.parametrize("args", [
     ("verify", "structural", "--type", "G2"),
     ("verify", "kostant", "--type", "B2", "--max", "1"),

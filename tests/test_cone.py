@@ -1,6 +1,14 @@
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
 
-from arcones import cone, lieoracle, pathalg
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import arcones
+from arcones import cone, exact, lieoracle, pathalg
 from arcones.system import System
 
 
@@ -79,10 +87,21 @@ def test_d4_cone_44_and_prune():
     assert len(pruned.columns) == 44
 
 
+# D6's dropped columns were read off the prune that solved one LP over every
+# kept column and every coordinate (9.8 s)
+D6_DROPPED = [152, 153, 154, 164, 165, 167, 168, 176, 179, 181, 207, 208,
+              215, 217, 239, 240, 247, 249, 261, 262, 267, 269, 289, 306, 312,
+              313, 314, 315, 318, 319, 320, 321, 325, 326, 327, 331, 350, 352,
+              353, 359, 361, 362, 365, 390, 401, 409, 425, 426, 429, 448, 459,
+              467, 483, 484, 487, 497, 503, 504, 507, 547, 548, 551, 552, 553,
+              557]
+
+
 @pytest.mark.parametrize("letter, n, ncols, dropped", [
     ("D", 4, 64, [46]),
     ("D", 5, 192, [88, 89, 96, 98, 115, 129, 137, 153, 154, 157]),
-], ids=["D4", "D5"])
+    ("D", 6, 625, D6_DROPPED),
+], ids=["D4", "D5", "D6"])
 def test_prune_kept_columns_pinned(letter, n, ncols, dropped):
     # prune tests the columns in order against the ones still kept, so the
     # columns it keeps depend on every earlier LP's status
@@ -90,6 +109,148 @@ def test_prune_kept_columns_pinned(letter, n, ncols, dropped):
     assert len(spec.columns) == ncols
     kept = [c for i, c in enumerate(spec.columns) if i not in dropped]
     assert cone.prune_redundant(spec).columns == kept
+
+
+def _prune_reference(spec):
+    """The columns prune_redundant keeps, by one LP over every kept other
+    column and every coordinate per column, in the same order."""
+    cols = [list(c) for _v, c in spec.columns]
+    keep = [True] * len(cols)
+    for i in range(len(cols)):
+        others = [cols[j] for j in range(len(cols)) if keep[j] and j != i]
+        if not others:
+            continue
+        a_eq = [[c[k] for c in others] for k in range(spec.dim)]
+        status, _x, _v = exact.lp_min([0] * len(others), a_eq=a_eq,
+                                      b_eq=cols[i], nonneg=True)
+        if status == "optimal":
+            keep[i] = False
+    return [c for c, k in zip(spec.columns, keep) if k]
+
+
+def _spec(cols):
+    """A ConeSpec over len(cols[0]) coordinates with the columns cols, the
+    first half in group u and the rest in group r."""
+    half = len(cols) // 2
+    groups = {"u": list(range(half)), "r": list(range(half, len(cols)))}
+    return cone.ConeSpec("full2", list(range(len(cols[0]))),
+                         [(k, tuple(c)) for k, c in enumerate(cols)],
+                         {g: ix for g, ix in groups.items() if ix})
+
+
+@st.composite
+def column_sets(draw):
+    """Small nonnegative column sets with duplicates, positive multiples,
+    zero columns and sums of other columns among them, in random order."""
+    d = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    cols = draw(st.lists(vec, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["duplicate", "multiple", "zero", "sum"]))
+        a = draw(st.sampled_from(cols))
+        b = draw(st.sampled_from(cols))
+        cols.append({"duplicate": a, "multiple": [2 * x for x in a],
+                     "zero": [0] * d,
+                     "sum": [x + y for x, y in zip(a, b)]}[kind])
+    return draw(st.permutations(cols))
+
+
+@given(column_sets())
+@example([[1, 0], [1, 0]])                        # a duplicate
+@example([[0, 0], [1, 1]])                        # a zero column first
+@example([[0, 0]])                                # a lone zero column
+@example([[1, 1, 0], [1, 0, 0], [0, 1, 1]])       # a cover missing one row
+@example([[2, 2], [1, 1], [1, 0], [0, 1]])        # multiple, then a sum
+@settings(max_examples=200, deadline=None)
+def test_prune_by_support_matches_reference(cols):
+    # the support argument and the cover check keep exactly the columns an
+    # LP over every kept column and coordinate keeps, and every LP prune
+    # solves has only rows in the column's support, each of them covered
+    spec = _spec(cols)
+    lps = []
+
+    def spy(c, a_eq=None, b_eq=None, nonneg=False):
+        lps.append((a_eq, b_eq))
+        return exact.lp_min(c, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
+
+    cone.lp_min = spy
+    try:
+        pruned = cone.prune_redundant(spec)
+    finally:
+        cone.lp_min = exact.lp_min
+    assert pruned.columns == _prune_reference(spec)
+    for a_eq, b_eq in lps:
+        assert all(b > 0 for b in b_eq)
+        assert all(any(row) for row in a_eq)
+    kept = {c for c in pruned.columns}
+    assert {g: [pruned.columns[i] for i in ix]
+            for g, ix in pruned.groups.items()} == \
+        {g: [spec.columns[i] for i in ix if spec.columns[i] in kept]
+         for g, ix in spec.groups.items()
+         if any(spec.columns[i] in kept for i in ix)}
+
+
+_ALL_VARIANTS = ["full2", "u", "sharp", "l", "r"]
+
+
+@pytest.mark.parametrize("variant", _ALL_VARIANTS)
+@pytest.mark.parametrize("letter,n,orient", [
+    ("A", 2, None), ("A", 3, None), ("A", 4, None), ("D", 4, None),
+    ("D", 4, [(2, 1), (3, 2), (4, 2)])],
+    ids=["A2", "A3", "A4", "D4", "D4:2>1,3>2,4>2"])
+def test_prune_variants_match_reference(letter, n, orient, variant):
+    spec = System(letter, n, orient).cone(variant)
+    assert cone.prune_redundant(spec).columns == _prune_reference(spec)
+
+
+# LPs prune solves per cone: only where the columns with support inside
+# the tested column's cover it
+PRUNE_LPS = {"A2": 0, "A3": 0, "A4": 0, "D4:2>1,3>2,4>2": 4, "D5": 110}
+
+
+@pytest.mark.parametrize("key", list(PRUNE_LPS))
+def test_prune_lp_count_pinned(key, monkeypatch):
+    letter, n = key[0], int(key[1])
+    orient = [(2, 1), (3, 2), (4, 2)] if ":" in key else None
+    spec = System(letter, n, orient).cone()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exact.lp_min(*args, **kwargs)
+
+    monkeypatch.setattr(cone, "lp_min", counted)
+    cone.prune_redundant(spec)
+    assert len(calls) == PRUNE_LPS[key]
+
+
+def test_prune_refuses_negative_column():
+    spec = _spec([[1, 0], [1, -1]])
+    with pytest.raises(RuntimeError, match="nonnegative columns"):
+        cone.prune_redundant(spec)
+
+
+def test_prune_negative_column_survives_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from arcones import cone
+        if __debug__:
+            sys.exit("not running under -O")
+        spec = cone.ConeSpec("full2", [0, 1], [(0, (1, 0)), (1, (1, -1))],
+                             {"u": [0, 1]})
+        try:
+            cone.prune_redundant(spec)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("negative column pruned")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arcones.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "nonnegative columns" in res.stdout
 
 
 def test_a2_u_variant_columns():

@@ -637,3 +637,40 @@ def test_lp_min_matches_eager_tableau(width, lp):
     finally:
         exact.LAZY_WIDTH = saved
     assert got == _lp_min_eager(*lp)
+
+
+@given(lp=wide_lp(), data=st.data())
+@example(lp=([1, 1], [[Fraction(1, 2), 1]], [1], [[1, Fraction(2, 3)]], [2],
+             False), data=None)
+@settings(max_examples=100, deadline=None)
+def test_lp_start_shared_matches_eager(lp, data):
+    # one LPStart shared by LPs that differ in their right-hand sides gives
+    # each the result of the whole tableau: the right-hand sides may have
+    # denominators the rows lack, and the rows may be rational
+    c, a_ub, b_ub, a_eq, b_eq, nonneg = lp
+    if data is not None and data.draw(st.booleans()):
+        half = Fraction(1, 2)
+        a_ub = [[half * x for x in r] for r in a_ub]
+        a_eq = [[half * x for x in r] for r in a_eq]
+    start = exact.LPStart(a_ub, a_eq, nonneg)
+    rhs = [(b_ub, b_eq), ([Fraction(b, 3) for b in b_ub],
+                          [Fraction(-b, 2) for b in b_eq])]
+    if data is not None:
+        ints = st.integers(-3, 3)
+        rhs.append((data.draw(st.lists(ints, min_size=len(a_ub),
+                                       max_size=len(a_ub))),
+                    data.draw(st.lists(ints, min_size=len(a_eq),
+                                       max_size=len(a_eq)))))
+    for bu, be in rhs:
+        assert exact.lp_min(c, b_ub=bu, b_eq=be, start=start) == \
+            _lp_min_eager(c, a_ub, bu, a_eq, be, nonneg)
+
+
+def test_lp_min_refuses_mixed_or_short_constraints():
+    start = exact.LPStart(a_eq=[[1, 1]], nonneg=True)
+    with pytest.raises(ValueError, match="either in start"):
+        exact.lp_min([0, 0], a_eq=[[1, 1]], b_eq=[1], start=start)
+    with pytest.raises(ValueError, match="one right-hand side"):
+        exact.lp_min([0, 0], b_eq=[1, 2], start=start)
+    with pytest.raises(ValueError, match="one right-hand side"):
+        exact.lp_min([0, 0], a_ub=[[1, 1]], b_ub=[])

@@ -21,6 +21,16 @@ def test_mutate_b_basic():
     assert mutation.mutate_b([[0, 1], [-1, 0]], 0) == [[0, -1], [1, 0]]
 
 
+def test_step_apply_in_place():
+    # Step.apply mutates the matrix it is given; mutate_b copies first
+    b = [[0, 1, 0], [-1, 0, 2], [0, -2, 0]]
+    before = [list(r) for r in b]
+    out = mutation.mutate_b(b, 1)
+    assert b == before and out != b
+    mutation.Step.at(b, 1).apply(b)
+    assert b == out
+
+
 def test_mutate_b_path():
     # path 1 -> 2 -> 3, mutate at the middle
     b = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
@@ -127,7 +137,7 @@ def test_mutate_dual_involutive(key, data):
                               max_size=7))
     for u in walk:
         step = mutation.Step.at(b, u)
-        b_u = step.apply(b)
+        b_u = mutation.mutate_b(b, u)
         mutated = mutation.mutate_dual_state(state, step)
         back = mutation.mutate_dual_state(mutated, mutation.Step.at(b_u, u))
         assert back == state
@@ -156,7 +166,7 @@ def test_mutate_dual_relabel_equivariant(key, data):
         assert mutation.mutate_dual_state(
             mutation.relabel_dual_state(state, perm), moved) == \
             mutation.relabel_dual_state(mutated, perm)
-        state, b = mutated, step.apply(b)
+        state, b = mutated, mutation.mutate_b(b, u)
 
 
 def _run_python_O(body):
@@ -534,7 +544,7 @@ def _paper_quarters(iq):
         for u in seq:
             step = mutation.Step.at(b, u)
             quarters[-1].append(step)
-            b = step.apply(b)
+            b = mutation.mutate_b(b, u)
     return quarters
 
 
