@@ -68,18 +68,6 @@ def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
     return "optimal", x, got
 
 
-class UnboundedSliceError(ValueError):
-    """Raised when a weight slice is an unbounded polyhedron.
-
-    The offending recession ray (in ambient g-coordinates) is stored in the
-    .ray attribute.
-    """
-
-    def __init__(self, message, ray):
-        super().__init__(message)
-        self.ray = ray
-
-
 def _ceil_div(n, d):
     """ceil(n / d) for ints with d > 0."""
     return -((-n) // d)
@@ -228,6 +216,11 @@ class SliceFamily:
     of rows of the weight configuration, one per vertex of the cone, and
     must have full column rank.
 
+    Every slice is a polytope: its recession cone is the slice at target
+    0, which counts the degree-0 piece of the upper cluster algebra, the
+    constants, and so is {0}.  Every +-c_i therefore has a functional, and
+    init raises RuntimeError where an LP finds none.
+
     Everything else is linear in the target t.  With D = y_den and
     Y = D * H_top^-1 (y_map, exact.scaled_inverse of the square top of H),
     t is on the slice lattice exactly when D divides t . Y, and then
@@ -264,9 +257,8 @@ class SliceFamily:
     count_lp, the reference the tests compare count against, brackets each
     coordinate by exact LPs instead, and reads the target through
     _slice_rhs: one back-substitution through the HNF for g0, then
-    b = -g0 . h for each column h.  Both routes share the width check and,
-    on a cone with a recession ray, the LP that tells an empty slice from
-    an unbounded one (_checked).
+    b = -g0 . h for each column h.  Both routes share the width check
+    (_checked).
     """
 
     def __init__(self, cone, sigma):
@@ -350,94 +342,67 @@ class SliceFamily:
         touch = [sum(1 for a, _i in self.active if a[k])
                  for k in range(self.m)]
         self.order = sorted(range(self.m), key=lambda k: -touch[k])
-        self.lower_mult = []        # lambda >= 0 with sum lambda_h a_h = e_i
-        self.upper_mult = []        # lambda >= 0 with sum lambda_h a_h = -e_i
-        self.unbounded_ray = None   # recession ray in g-coordinates, if any
         # the active rows as the columns of every functional's LP, whose
         # integer starting rows the 2m LPs share
         start = LPStart(a_eq=[list(col) for col in
                               zip(*(a for a, _i in self.active))],
                         nonneg=True)
-        for i in range(self.m):
-            self.lower_mult.append(self._bounding_functional(start, i, 1))
-            self.upper_mult.append(self._bounding_functional(start, i, -1))
-            if self.unbounded_ray is not None:
-                break
+        lower_mult = [self._bounding_functional(start, i, 1)
+                      for i in range(self.m)]
+        upper_mult = [self._bounding_functional(start, i, -1)
+                      for i in range(self.m)]
         # the functionals as sparse integer forms over one denominator:
         # D * lower_mult[i] is the (active index, numerator) pairs
         # lower_form[i], so c_i >= ceil(sum n * b / D), likewise c_i <=
         # floor(-sum n * b / D) with upper_form[i]
         self.box_den = 1
-        self.lower_form = []
-        self.upper_form = []
+        for lam in lower_mult + upper_mult:
+            for x in lam:
+                if x:
+                    self.box_den = lcm(self.box_den, x.denominator)
+        self.lower_form = [self._integer_form(l) for l in lower_mult]
+        self.upper_form = [self._integer_form(l) for l in upper_mult]
         # the same bounds as forms over y, a (lower, upper) pair per
         # coordinate: c_i >= ceil(lower . y / box_den) and c_i <=
         # floor(-upper . y / box_den), with lower = sum n * q_h over the
         # pairs (h, n) of lower_form[i]
-        self.box_forms = []
-        if self.unbounded_ray is None:
-            for lam in self.lower_mult + self.upper_mult:
-                for x in lam:
-                    if x:
-                        self.box_den = lcm(self.box_den, x.denominator)
-            self.lower_form = [self._integer_form(l) for l in self.lower_mult]
-            self.upper_form = [self._integer_form(l) for l in self.upper_mult]
-            qs = self.packed.forms      # q of each active row, by index h
-            self.box_forms = [
-                tuple([sum(n * qs[h][k] for h, n in form)
-                       for k in range(self.width)] for form in pair)
-                for pair in zip(self.lower_form, self.upper_form)]
+        qs = self.packed.forms      # q of each active row, by index h
+        self.box_forms = [
+            tuple([sum(n * qs[h][k] for h, n in form)
+                   for k in range(self.width)] for form in pair)
+            for pair in zip(self.lower_form, self.upper_form)]
 
     def _integer_form(self, lam):
         den = self.box_den
         return [(h, int(x * den)) for h, x in enumerate(lam) if x]
 
     def _bounding_functional(self, start, i, sign):
-        """Nonnegative lambda with sum_h lambda_h a_h = sign * e_i, or None
-        (in which case a recession ray with c_i != 0 is recorded).  start
-        holds the active rows a_h as the columns of its equality rows."""
-        if not self.active:
-            self._record_ray(i, sign)
-            return None
-        b_eq = [sign if k == i else 0 for k in range(self.m)]
-        status, lam, _v = lp_min([0] * len(self.active), b_eq=b_eq,
-                                 start=start)
-        if status == "optimal":
-            return lam
-        self._record_ray(i, sign)
-        return None
-
-    def _record_ray(self, i, sign):
-        """Find the Farkas-dual recession ray certifying that coordinate i
-        is unbounded in the direction -sign."""
-        a_ub = [[-x for x in a] for a, _i in self.active]
-        a_eq = [[1 if k == i else 0 for k in range(self.m)]]
-        status, c, _v = lp_min([0] * self.m, a_ub, [0] * len(a_ub), a_eq,
-                               [-sign])
-        if status != "optimal":
-            raise RuntimeError("no bounding functional and no ray for "
-                               "coordinate %d" % i)
-        ray = [sum(c[k] * self.kernel[k][j] for k in range(self.m))
-               for j in range(self.d)]
-        self.unbounded_ray = ray
+        """Nonnegative lambda with sum_h lambda_h a_h = sign * e_i, which
+        bounds sign * c_i on every slice; start holds the active rows a_h as
+        the columns of its equality rows.  By Farkas' lemma there is none
+        exactly when some rational c != 0 with sign * c_i < 0 lies in the
+        slice at target 0, the recession cone of every slice (Schrijver
+        1986, 8.2).  That slice counts the degree-0 piece, the constants,
+        so it is {0} and every slice is a polytope: a missing lambda (also
+        with no active row) is a construction fault, and raises."""
+        if self.active:
+            b_eq = [sign if k == i else 0 for k in range(self.m)]
+            status, lam, _v = lp_min([0] * len(self.active), b_eq=b_eq,
+                                     start=start)
+            if status == "optimal":
+                return lam
+        raise RuntimeError("no bounding functional: coordinate %d is "
+                           "unbounded %s on the slice at target 0, which "
+                           "must be a point"
+                           % (i, "below" if sign > 0 else "above"))
 
     def _checked(self, target):
-        """target as a list, or None when an LP finds the slice empty on a
-        cone with an unbounded ray; raises on a bad width and on an
-        unbounded nonempty slice.  The prefix of both _root and _slice_rhs.
-        """
+        """target as a list; raises on a bad width.  The prefix of both
+        _root and _slice_rhs."""
         target = list(target)
         if len(target) != self.width:
             raise ValueError("target has width %d, expected %d"
                              % (len(target), self.width))
-        if self.unbounded_ray is not None:
-            status, _g, _v = lp_bound([0] * self.d, self.hcols, None,
-                                      self.sigma, target)
-            if status == "infeasible":
-                return None
-            raise UnboundedSliceError(
-                "slice is unbounded along the ray %s" % (self.unbounded_ray,),
-                self.unbounded_ray)
         return target
 
     def _slice_rhs(self, target):
@@ -447,10 +412,7 @@ class SliceFamily:
         solution through the HNF: the reference route, which count_lp and
         the tests read, to _root's linear maps of the target.
         """
-        target = self._checked(target)
-        if target is None:
-            return None
-        g0 = integer_row_solution(self.hnf, target)
+        g0 = integer_row_solution(self.hnf, self._checked(target))
         if g0 is None:
             return None
         rhs = [-dot(g0, h) for h in self.hcols]
@@ -516,8 +478,6 @@ class SliceFamily:
         maps of __init__: the lattice test and y, the constant rows, the box
         and the packed right-hand sides."""
         target = self._checked(target)
-        if target is None:
-            return None
         y = [sum(map(mul, target, col)) for col in self.y_map]
         den = self.y_den
         if den > 1:
@@ -614,13 +574,18 @@ class SliceFamily:
                 return 1 if all(dot(a, c) >= b
                                 for a, b in zip(rows, rhs)) else 0
             obj = [1] + [0] * (m - depth - 1)
-            st, _x, vmin = lp_bound(obj, free, rest, sense="min")
-            if st != "optimal":
-                return 0
-            st, _x, vmax = lp_bound(obj, free, rest, sense="max")
-            if st != "optimal":
-                return 0
             k = order[depth]
+            bracket = []
+            for sense in ("min", "max"):
+                st, _x, v = lp_bound(obj, free, rest, sense=sense)
+                if st == "infeasible":
+                    return 0
+                if st != "optimal":
+                    raise RuntimeError("count_lp: the %s of coordinate %d "
+                                       "is %s, but init certified every "
+                                       "slice bounded" % (sense, k, st))
+                bracket.append(v)
+            vmin, vmax = bracket
             tails = [a[1:] for a in free]
             total = 0
             for v in range(ceil(vmin), floor(vmax) + 1):

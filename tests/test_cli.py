@@ -5,7 +5,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from arcones import cli, cone, lieoracle, mutation
+from arcones import cli, cone, count, lieoracle, mutation
 from arcones.system import System
 
 
@@ -400,33 +400,63 @@ def test_verify_fpoly_mismatch_exit_1(monkeypatch):
 
 
 def test_verify_structural_d4_report(tmp_path):
-    # the verdict depends on the quiver only: the default orientation
-    # spelled out is searched like the default
+    # the suite judges the system it was given: every graded variant counts
+    # its zero slice once; prune's columns are reported, not judged
     out = tmp_path / "report.json"
-    for orient in ([], ["--orient", "1>2,3>2,4>2"]):
+    for orient, columns, after_prune in [
+            ([], 64, 63), (["--orient", "2>1,3>2,4>2"], 44, 44)]:
         res = run("verify", "structural", "--type", "D4", *orient,
                   "--out", str(out))
-        assert res.exit_code == 0, orient
-        rep = json.load(open(out))
-        s = rep["suites"]["structural"]
-        assert s["passed"] and s["columns"] == 44 and \
-            s["after_prune"] == 44, orient
-        assert s["orientation"] == [[2, 1], [3, 2], [4, 2]], orient
+        assert res.exit_code == 0, (orient, res.output)
+        s = json.load(open(out))["suites"]["structural"]
+        assert s["passed"], orient
+        assert s["zero_counts"] == {"full2": 1, "sharp": 1, "u": 1}, orient
+        assert (s["columns"], s["after_prune"]) == (columns, after_prune)
+        assert "orientation" not in s, orient
 
 
 @pytest.mark.parametrize("type_,columns,after_prune", [
     ("D5", 192, 182), ("D6", 625, 560)])
-def test_verify_structural_d5_d6_exit_1(tmp_path, type_, columns,
+def test_verify_structural_d5_d6_exit_0(tmp_path, type_, columns,
                                         after_prune):
-    # the suite passes only if prune drops no column, and prune drops some
-    # on D5 and D6 (ROADMAP item 5)
+    # prune drops columns on D5 and D6, which the suite reports only
     out = tmp_path / "report.json"
     res = run("verify", "structural", "--type", type_, "--out", str(out))
+    assert res.exit_code == 0, res.output
+    s = json.load(open(out))["suites"]["structural"]
+    assert s["passed"]
+    assert s["zero_counts"] == {"full2": 1, "sharp": 1, "u": 1}
+    assert (s["columns"], s["after_prune"]) == (columns, after_prune)
+
+
+def test_verify_structural_planted_zero_count_exit_1(monkeypatch, tmp_path):
+    # a family whose zero slice counts 2 is not a polytope family
+    real = count.SliceFamily.count
+    monkeypatch.setattr(count.SliceFamily, "count",
+                        lambda self, t: real(self, t) + (not any(t)))
+    out = tmp_path / "report.json"
+    res = run("verify", "structural", "--type", "A2", "--out", str(out))
     assert res.exit_code == 1, res.output
     assert "FAIL" in res.output
     s = json.load(open(out))["suites"]["structural"]
-    assert not s["passed"]
-    assert (s["columns"], s["after_prune"]) == (columns, after_prune)
+    assert s["zero_counts"] == {"full2": 2, "sharp": 2, "u": 2}
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "structural", "--type", "A2"),
+    ("count", "--type", "A2", "--triple", "1,0", "0,1", "1,1"),
+], ids=["verify structural", "count"])
+def test_missing_bounding_functional_exit_3(monkeypatch, args):
+    # the bounding-functional LPs (the only lp_min calls given a start)
+    # planted to fail: an unbounded slice is an internal fault, not a count
+    real = count.lp_min
+    monkeypatch.setattr(count, "lp_min", lambda *a, **kw: (
+        ("infeasible", None, None) if "start" in kw else real(*a, **kw)))
+    res = run(*args)
+    assert res.exit_code == 3, res.output
+    assert "internal error: no bounding functional: coordinate 0 is " \
+        "unbounded below" in res.output
+    assert "pass" not in res.output and ",count" not in res.output
 
 
 @pytest.mark.parametrize("args", [

@@ -39,11 +39,10 @@ def test_lp_bound_infeasible_negative_lambda():
 def test_lp_bound_d4_brackets_finite():
     s = System("D", 4)
     spec, sig = s.cone(), s.sigma()
-    # the bounding functionals certify every coordinate bracket finite ...
-    fam = s.family()
-    assert fam.unbounded_ray is None
-    assert all(l is not None for l in fam.lower_mult + fam.upper_mult)
-    # ... and a few direct LP brackets confirm it on the example target
+    # init finds both bounding functionals of every coordinate, or raises
+    # ...
+    s.family()
+    # ... and a few direct LP brackets confirm them on the example target
     target = [0, 1, 0, 0] * 3
     for k in (0, spec.dim // 2, spec.dim - 1):
         obj = [1 if j == k else 0 for j in range(spec.dim)]
@@ -706,23 +705,77 @@ class _V:
     label = "x"
 
 
-def test_unbounded_slice_raises_with_ray(monkeypatch):
-    # g_1 = target and g_1 >= 0, with g_2 free: no box exists, so an LP on
-    # the target tells an empty slice (count 0) from an unbounded one
-    spec = cone.ConeSpec("full2", [_V(), _V()], [(_V(), [1, 0])])
-    sigma = [[1], [0]]
-    fam = count.SliceFamily(spec, sigma)
-    lps = []
-    real = count.lp_bound
+# sigma = [[1], [0]] grades by g_1, so c = g_2: the column (1, 0) leaves
+# no active row, and (0, 1) bounds c from one side only
+_OPEN_CONES = [[[1, 0]], [[0, 1]]]
+
+
+@pytest.mark.parametrize("columns", _OPEN_CONES, ids=["no active row",
+                                                     "one side"])
+def test_missing_bounding_functional_raises(columns):
+    # the slice at target 0 is not a point, so no slice is a polytope:
+    # init raises, naming the coordinate and its open side
+    spec = cone.ConeSpec("full2", [_V(), _V()],
+                         [(_V(), h) for h in columns])
+    with pytest.raises(RuntimeError, match=r"no bounding functional: "
+                       r"coordinate 0 is unbounded (below|above)"):
+        count.SliceFamily(spec, [[1], [0]])
+
+
+def test_missing_bounding_functional_survives_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from arcones import cone, count
+        if __debug__:
+            sys.exit("not running under -O")
+        class V:
+            label = "x"
+        for columns in %r:
+            spec = cone.ConeSpec("full2", [V(), V()],
+                                 [(V(), h) for h in columns])
+            try:
+                count.SliceFamily(spec, [[1], [0]])
+            except RuntimeError as exc:
+                print(exc)
+            else:
+                sys.exit("unbounded family built")
+    """ % (_OPEN_CONES,))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arcones.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.count("no bounding functional") == 2
+
+
+def test_count_lp_refuses_unbounded_bracket(monkeypatch):
+    # init certified every slice bounded, so an unbounded LP bracket is a
+    # fault in the reference, not an empty slice
+    fam = System("A", 2).family()
+    assert fam.count_lp((1, 1, 1, 1, 1, 1)) == 2
     monkeypatch.setattr(count, "lp_bound",
-                        lambda *args: lps.append(args) or real(*args))
-    assert fam.count((-1,)) == fam.count_lp((-1,)) == 0
-    with pytest.raises(count.UnboundedSliceError) as exc:
-        fam.count((0,))
-    assert len(lps) == 3
-    ray = exc.value.ray
-    assert any(ray)
-    assert sum(r * s[0] for r, s in zip(ray, sigma)) == 0
+                        lambda *args, **kw: ("unbounded", None, None))
+    with pytest.raises(RuntimeError, match="count_lp: the min of "
+                       "coordinate .* is unbounded"):
+        fam.count_lp((1, 1, 1, 1, 1, 1))
+
+
+_ZERO_SLICE_SYSTEMS = [("A", n, None) for n in range(1, 7)] + [
+    ("D", 4, None), ("D", 4, [(2, 1), (3, 2), (4, 2)]), ("D", 5, None),
+    ("D", 6, None), ("E", 6, None)]
+
+
+@pytest.mark.parametrize("letter, n, orient", _ZERO_SLICE_SYSTEMS,
+                         ids=["A1", "A2", "A3", "A4", "A5", "A6", "D4",
+                              "D4:2>1,3>2,4>2", "D5", "D6", "E6"])
+def test_zero_slice_is_a_point(letter, n, orient):
+    # the degree-0 piece holds the constants only: c^0_00 = 1, the weight 0
+    # of L(0) once, and p(0) = 1; this slice is the recession cone of every
+    # slice, so each family's init certified all of them bounded
+    s = System(letter, n, orient)
+    for variant in ("full2", "sharp", "u"):
+        fam = s.family(variant)
+        assert fam.count([0] * fam.width) == 1, variant
 
 
 def test_rank_deficient_sigma_refused():
