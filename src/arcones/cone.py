@@ -29,11 +29,22 @@ def subreps_bruteforce(rep, q):
     NotImplementedError for inputs the enumeration does not handle: total
     dimension above DEFAULT_CAP, or a shape reduce_for_counting refuses.
     """
+    return _subreps_reduced(_reduced(rep), q)
+
+
+def _reduced(rep):
+    """rep canonicalized by pathalg.reduce_for_counting, for the
+    enumeration over any field; refuses a total dimension above DEFAULT_CAP
+    before reducing."""
     if sum(rep.dims) > DEFAULT_CAP:
         raise NotImplementedError(
             "total dimension %d exceeds cap %d; use the F-polynomial route"
             % (sum(rep.dims), DEFAULT_CAP))
-    rep = pathalg.reduce_for_counting(rep)
+    return pathalg.reduce_for_counting(rep)
+
+
+def _subreps_reduced(rep, q):
+    """subreps_bruteforce of a rep that _reduced returned."""
     iq = rep.iq
     n = len(iq.vertices)
     support = [k for k in range(n) if rep.dims[k]]
@@ -81,9 +92,10 @@ def _closure_table(m, src, dst, q):
 
 
 def strict_subreps(rep, q):
-    """Nonzero strict subrepresentation dimension vectors over GF(q)."""
+    """Nonzero strict subrepresentation dimension vectors over GF(q) of a
+    rep that _reduced returned, so that one reduction serves every field."""
     full = tuple(rep.dims)
-    return {dv for dv in subreps_bruteforce(rep, q) if dv != full}
+    return {dv for dv in _subreps_reduced(rep, q) if dv != full}
 
 
 @cache
@@ -165,7 +177,7 @@ def tv_strict_sets(iq, source="bruteforce"):
         for v in iq.vertices:
             if not iq.frozen[v]:
                 continue
-            rep = alg.build_tv(v)
+            rep = _reduced(alg.build_tv(v))
             s2 = strict_subreps(rep, 2)
             s3 = strict_subreps(rep, 3)
             if s2 != s3:

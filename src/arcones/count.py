@@ -17,7 +17,10 @@ precomputed there, and the rest is linear in the target: the slice
 lattice test, the right-hand sides, the constant rows and the root box
 are integer maps of it fixed at set-up (the parametric view of the slice
 family, as in Verdoolaege et al. 2007), so SliceFamily.count uses ints
-only and no per-target back-substitution.
+only and no per-target back-substitution.  These maps are packed the way
+the rows are (PackedForms), so the root reads the target in two big-int
+products: one over the target for the particular solution y, and one
+over y for every right-hand side, box bound and constant row at once.
 SliceFamily.count_lp, which brackets every coordinate by exact LPs and
 reads the target through the HNF instead, is the reference the tests
 compare it against.
@@ -26,7 +29,7 @@ compare it against.
 import sys
 from array import array
 from math import ceil, floor
-from operator import mul, sub
+from operator import gt, mul, sub
 
 from .exact import (LPStart, dot, integer_row_solution, lcm,
                     left_kernel_lattice, lp_min, row_hnf, scaled_inverse)
@@ -68,11 +71,6 @@ def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
     return "optimal", x, got
 
 
-def _ceil_div(n, d):
-    """ceil(n / d) for ints with d > 0."""
-    return -((-n) // d)
-
-
 def _pack(values, r):
     """The ints values as one int with a field of 64 r bits each, the first
     lowest; a field holds its value modulo 2^(64 r), as two's complement.
@@ -102,50 +100,107 @@ def _unpack(x, r, n):
     return fields.tolist()
 
 
+def _width(bound):
+    """The width r, in 64-bit words, of the narrowest fields that hold
+    every value v with |v| <= bound as two's complement: the smallest r
+    with bound < 2^(64 r - 1).  Every packed table picks its width by this
+    one rule, from a bound on all it holds."""
+    return bound.bit_length() // 64 + 1
+
+
+def _bias(fields, r):
+    """2^(64 r - 1) in each of fields fields of 64 r bits."""
+    return int.from_bytes((bytes(8 * r - 1) + b"\x80") * fields, "little")
+
+
+class PackedForms:
+    """Integer forms f_i of length n packed coordinate by coordinate into
+    ints, so that f_i . x for every form i at once takes n big-int
+    multiply-adds, not one dot product per form (SIMD within a register:
+    Lamport 1975, "Multiple byte processing with full-word instructions").
+
+    The table of width r gives each form a field of W = 64 r bits, the
+    first form lowest.  It holds cols[k] = sum_i f_ik 2^(W i) for each
+    coordinate k, and bias, 2^(W-1) in every field, so that at x
+
+        bias + sum_k x_k cols[k] = sum_i (2^(W-1) + f_i . x) 2^(W i).
+
+    While every |f_i . x| < 2^(W-1), each term stays in its own field and
+    values reads them back.  bound(x) bounds every |f_i . x| and every
+    |f_ik|; the table of width 1 is built with the forms when its fields
+    hold every |f_ik|, and wider ones on first use, each kept in tables
+    under its r.
+    """
+
+    def __init__(self, forms, n):
+        self.forms = forms
+        self.n = n
+        # the largest |f_ik|, which bounds |f_i . x| by sum_k |x_k| times it
+        self.norm = max((abs(v) for f in forms for v in f), default=0)
+        self.tables = {}    # r -> (cols, bias)
+        if self.norm < 1 << 63:
+            self.table(1)
+
+    def table(self, r):
+        """The table of width r, (cols, bias), built on first use; its
+        fields must hold every |f_ik|."""
+        table = self.tables.get(r)
+        if table is None:
+            bias = _bias(len(self.forms), r)
+            # flipping each field's top bit turns f_ik's two's complement
+            # into 2^(W-1) + f_ik, as |f_ik| < 2^(W-1)
+            cols = [(_pack([f[k] for f in self.forms], r) ^ bias) - bias
+                    for k in range(self.n)]
+            table = self.tables[r] = (cols, bias)
+        return table
+
+    def bound(self, x):
+        """A bound on every |f_i . x| and every |f_ik|: norm times
+        1 + sum_k |x_k|."""
+        return self.norm * (sum(map(abs, x)) + 1)
+
+    def values(self, x, r):
+        """[f_i . x for every form i], in the table of width r, whose
+        fields must hold bound(x)."""
+        cols, bias = self.table(r)
+        return _unpack(sum(map(mul, x, cols), bias) ^ bias, r,
+                       len(self.forms))
+
+
 class PackedRows:
     """Integer rows a_j of length m packed column by column into ints, so
     that a_j . c for every row j at once takes m big-int multiply-adds, not
-    one dot product per row (SIMD within a register: Lamport 1975,
-    "Multiple byte processing with full-word instructions").  Row j's
-    right-hand side is b_j = q_j . y, the form q_j of length n read at a
-    vector y, so the right-hand sides are packed the same way.
+    one dot product per row, as PackedForms packs forms.
 
     The table of width r gives each row a field of W = 64 r bits, the first
     row lowest.  For each coordinate k it holds column k of the rows as
     three ints: ppos[k] of the positive parts, pneg[k] of the absolute
     values of the negative parts and pa[k] = ppos[k] - pneg[k], which is
-    sum_j a_jk 2^(W j); likewise pq[k] = sum_j q_jk 2^(W j) for each
-    coordinate k of y; bias holds 2^(W-1) in every field.  For y,
-    base = bias - sum_k y_k pq[k] = bias - sum_j b_j 2^(W j), and
+    sum_j a_jk 2^(W j); bias holds 2^(W-1) in every field.  A search reads
+    the rows a_j . c >= b_j from start = (r, base), with the right-hand
+    sides b_j in base = bias - sum_j b_j 2^(W j), and
 
         base + sum_k c_k pa[k] = sum_j (2^(W-1) + a_j . c - b_j) 2^(W j).
 
     While every |a_j . c - b_j| < 2^(W-1), each term stays in its own
     field, with no carry out of it, and the field's top bit is set exactly
-    when a_j . c >= b_j.  start picks the smallest r for which a bound on
-    that holds over a whole box; the table of width 1 is built with the
-    rows and wider ones on first use, each kept in tables under its r.
+    when a_j . c >= b_j.  So r must bound that over the whole box the
+    search reads; norm, the largest l1 norm of a row, bounds |a_j . c| by
+    the largest |c_k| and every |a_jk|.  The table of width 1 is built with
+    the rows when its fields hold norm, and wider ones on first use, each
+    kept in tables under its r.
     """
 
-    def __init__(self, rows, m, forms, n):
+    def __init__(self, rows, m):
         self.rows = rows
-        self.forms = forms
         self.m = m
-        self.n = n
-        # qmax[k], the largest |q_jk|, bounds |b_j| by sum_k |y_k| qmax[k];
-        # norm is at least the largest l1 norm of a row, which bounds
-        # |a_j . c| by the largest |c_k|, and every |q_jk|, so a table
-        # whose fields hold norm holds every entry
-        self.qmax = [max((abs(q[k]) for q in forms), default=0)
-                     for k in range(n)]
-        self.norm = max([sum(map(abs, a)) for a in rows] + self.qmax,
-                        default=0)
-        self.tables = {}    # r -> (ppos, pneg, pa, pq, bias)
+        self.norm = max([sum(map(abs, a)) for a in rows], default=0)
+        self.tables = {}    # r -> (ppos, pneg, pa, bias)
         if self.norm < 1 << 63:
             self.table(1)
 
     def table(self, r):
-        """The table of width r, (ppos, pneg, pa, pq, bias), built on first
+        """The table of width r, (ppos, pneg, pa, bias), built on first
         use; r must satisfy norm < 2^(64 r - 1)."""
         table = self.tables.get(r)
         if table is None:
@@ -155,42 +210,26 @@ class PackedRows:
                 ppos.append(_pack([max(x, 0) for x in column], r))
                 pneg.append(_pack([max(-x, 0) for x in column], r))
             pa = [p - q for p, q in zip(ppos, pneg)]
-            bias = int.from_bytes((bytes(8 * r - 1) + b"\x80")
-                                  * len(self.rows), "little")
-            # flipping each field's top bit turns q_jk's two's complement
-            # into 2^(W-1) + q_jk, as |q_jk| < 2^(W-1)
-            pq = [(_pack([q[k] for q in self.forms], r) ^ bias) - bias
-                  for k in range(self.n)]
-            table = self.tables[r] = (ppos, pneg, pa, pq, bias)
+            table = self.tables[r] = (ppos, pneg, pa,
+                                      _bias(len(self.rows), r))
         return table
-
-    def start(self, y, lo, hi):
-        """(r, base) for the right-hand sides at y and the box lo..hi: the
-        smallest r with norm * reach + sum_k |y_k| qmax[k] < 2^(64 r - 1),
-        which bounds every |a_j . c - b_j| over the box, and base in the
-        table of width r."""
-        reach = max(1, max(hi, default=0), -min(lo, default=0))
-        bound = self.norm * reach + sum(map(mul, map(abs, y), self.qmax))
-        r = bound.bit_length() // 64 + 1
-        _ppos, _pneg, _pa, pq, bias = self.table(r)
-        return r, bias - sum(map(mul, y, pq))
 
     def slacks(self, start, lo, hi):
         """For every row j, the max of a_j . c over the box lo..hi less b_j,
-        given start = self.start(y, lo, hi): it reads hi[k] where a_jk > 0
-        and lo[k] where a_jk < 0."""
+        given start = (r, base) sized for the box: it reads hi[k] where
+        a_jk > 0 and lo[k] where a_jk < 0."""
         r, base = start
-        ppos, pneg, _pa, _pq, bias = self.table(r)
+        ppos, pneg, _pa, bias = self.table(r)
         s = sum(map(mul, hi, ppos), base) - sum(map(mul, lo, pneg))
         # flipping each field's top bit leaves the slack's two's complement
         return _unpack(s ^ bias, r, len(self.rows))
 
     def certificate(self, start):
-        """A test of points c of the box that start = self.start(y, lo, hi)
-        was sized for: whether a_j . c >= b_j for every row j, computed
-        afresh from the packed rows at each call."""
+        """A test of points c of the box that start = (r, base) was sized
+        for: whether a_j . c >= b_j for every row j, computed afresh from
+        the packed rows at each call."""
         r, base = start
-        _ppos, _pneg, pa, _pq, bias = self.table(r)
+        _ppos, _pneg, pa, bias = self.table(r)
         top = 64 * r * len(self.rows)
 
         def holds(c):
@@ -226,12 +265,20 @@ class SliceFamily:
     t is on the slice lattice exactly when D divides t . Y, and then
     y = t . Y / D gives the particular solution g0 = y . U_top.  Each
     cone column's right-hand side is a form q_i over y, so the constant
-    rows (constant_forms) are sign tests y . q_i <= 0, the functionals
-    become the box forms over y (box_forms, from lower_form and upper_form
-    over one common denominator), and the active rows are packed together
-    with their forms (packed, a PackedRows), which reads every right-hand
-    side at once.  Everything a count reads is kept as ints, so the
-    per-target path does integer arithmetic only.
+    rows are sign tests y . q_i <= 0 and the functionals, over one common
+    denominator (lower_form and upper_form over box_den), become forms of
+    the box bounds' numerators over y.  _root reads all of it in two
+    packed products (PackedForms): target_map packs the columns of Y, so
+    one product over t gives t . Y; rhs_map packs, one int per coordinate
+    of y, the active rows' right-hand sides in the low fields, laid out as
+    the base of the packed rows (packed, a PackedRows), and the box
+    numerators and the constant rows in the high fields, so one product
+    over y gives them all.  Both pick their field width by one rule
+    (_width), the second from a bound on the root box's reach read off
+    the box numerators' bound, so that its width also holds every
+    |a_j . c - b_j| over the box, as the leaf certificate needs.
+    Everything a count reads is kept as ints, so the per-target path does
+    integer arithmetic only.
 
     count is a depth-first search over the box that narrows the bounds by
     propagation at every node (queue-based AC-3, Mackworth 1977).  Each
@@ -246,8 +293,8 @@ class SliceFamily:
     lower_hi[j] holds (k, |a_jk|, watch_hi[k]) for each negative one, which
     lowers hi[k].  A negative slack ends the node at once, and a row is
     queued only while its slack is below its threshold amax * wmax (its
-    largest |entry| times the widest range of the box, one vector per
-    propagation), below which it may still tighten a bound.  A branch
+    largest |entry| times the widest range of the box, formed where the
+    row is read), below which it may still tighten a bound.  A branch
     (_branch) fixes c_k = v on copies of the node, lowers the slacks on the
     watch lists of the bounds it moves and propagates over their row
     indices, lo_rows[k] and hi_rows[k].  Every leaf is
@@ -283,6 +330,9 @@ class SliceFamily:
         # -U_top h_i, so that column i's right-hand side -g0 . h_i is y . q_i
         self.y_den, ymat = scaled_inverse(h[:self.width])
         self.y_map = [list(col) for col in zip(*ymat)]
+        # the columns of Y as forms over t, packed, for y_den * y in one
+        # product
+        self.target_map = PackedForms(self.y_map, self.width)
         # summed over the nonzero entries of h_i and of U_top's columns
         ucols = [[(r, row[k]) for r, row in enumerate(u[:self.width])
                   if row[k]] for k in range(self.d)]
@@ -310,14 +360,10 @@ class SliceFamily:
         # inequalities whose c-part vanishes reduce to a sign test on the
         # particular solution, y . q_i <= 0; keep them apart
         self.constant = [i for i, a in enumerate(avecs) if not any(a)]
-        self.constant_forms = [forms[i] for i in self.constant]
         self.active = [(a, i) for i, a in enumerate(avecs) if any(a)]
-        # the active rows packed column by column into ints, with their
-        # right-hand sides as the forms q_i over y, for the root slacks and
-        # the leaf certificate
-        self.packed = PackedRows([a for a, _i in self.active], self.m,
-                                 [forms[i] for _a, i in self.active],
-                                 self.width)
+        # the active rows packed column by column into ints, for the root
+        # slacks and the leaf certificate
+        self.packed = PackedRows([a for a, _i in self.active], self.m)
         # each row's largest |entry|, for the queue filter
         self.amax = [max(map(abs, a)) for a, _i in self.active]
         # watch lists: the (row, |entry|) pairs of the rows whose slack
@@ -362,15 +408,23 @@ class SliceFamily:
                     self.box_den = lcm(self.box_den, x.denominator)
         self.lower_form = [self._integer_form(l) for l in lower_mult]
         self.upper_form = [self._integer_form(l) for l in upper_mult]
-        # the same bounds as forms over y, a (lower, upper) pair per
-        # coordinate: c_i >= ceil(lower . y / box_den) and c_i <=
-        # floor(-upper . y / box_den), with lower = sum n * q_h over the
-        # pairs (h, n) of lower_form[i]
-        qs = self.packed.forms      # q of each active row, by index h
-        self.box_forms = [
-            tuple([sum(n * qs[h][k] for h, n in form)
-                   for k in range(self.width)] for form in pair)
-            for pair in zip(self.lower_form, self.upper_form)]
+        # everything else _root reads off y, as forms over y packed for
+        # one product: lowest each active row's slack at c = 0, -q_h . y =
+        # -b_h, then the box numerators, c_i >= ceil(lower . y / box_den)
+        # and c_i <= floor(upper . y / box_den), with lower = sum n * q_h
+        # over the pairs (h, n) of lower_form[i] and upper = -sum n * q_h
+        # over those of upper_form[i], and last the constant rows' slacks
+        # -q_i . y, each of which must be >= 0
+        qs = [forms[i] for _a, i in self.active]
+
+        def over_y(form, sign):
+            return [sign * sum(n * qs[h][k] for h, n in form)
+                    for k in range(self.width)]
+        self.rhs_map = PackedForms(
+            [[-x for x in q] for q in qs]
+            + [over_y(form, 1) for form in self.lower_form]
+            + [over_y(form, -1) for form in self.upper_form]
+            + [[-x for x in forms[i]] for i in self.constant], self.width)
 
     def _integer_form(self, lam):
         den = self.box_den
@@ -473,30 +527,39 @@ class SliceFamily:
     def _root(self, target):
         """The slice at target as the search's root: (start, lo, hi, slack),
         its box and row slacks at the propagation fixpoint and start =
-        packed.start(y, lo, hi) of the box before propagation, or None when
-        the slice is empty by then.  It reads the target through the linear
-        maps of __init__: the lattice test and y, the constant rows, the box
-        and the packed right-hand sides."""
+        (r, base) sized for the box before propagation, or None when the
+        slice is empty by then.  It reads the target through the packed
+        linear maps of __init__, in two products: t . Y for the lattice
+        test and y, then at y the packed right-hand sides, base, the box
+        bounds' numerators and the constant rows' slacks."""
         target = self._checked(target)
-        y = [sum(map(mul, target, col)) for col in self.y_map]
+        tmap = self.target_map
+        y = tmap.values(target, _width(tmap.bound(target)))
         den = self.y_den
         if den > 1:
             if any(x % den for x in y):
                 return None
             y = [x // den for x in y]
-        for form in self.constant_forms:
-            if sum(map(mul, y, form)) > 0:
-                return None
-        den = self.box_den
-        lo, hi = [], []
-        for lower, upper in self.box_forms:
-            l = _ceil_div(sum(map(mul, y, lower)), den)
-            u = -sum(map(mul, y, upper)) // den
-            if l > u:
-                return None
-            lo.append(l)
-            hi.append(u)
-        start = self.packed.start(y, lo, hi)
+        # the fields hold every value read at y, and every |a_j . c - b_j|
+        # over the box, whose bounds are at most the largest numerator over
+        # box_den, plus one, in absolute value
+        rmap, den = self.rhs_map, self.box_den
+        mag = rmap.bound(y)
+        r = _width(self.packed.norm * (mag // den + 1) + mag)
+        cols, bias = rmap.table(r)
+        s = sum(map(mul, y, cols), bias)
+        shift = 64 * r * len(self.active)
+        start = r, s & ((1 << shift) - 1)
+        m = self.m
+        high = _unpack((s ^ bias) >> shift, r, 2 * m + len(self.constant))
+        if self.constant and min(high[2 * m:]) < 0:
+            return None
+        lo, hi = high[:m], high[m:2 * m]
+        if den > 1:
+            lo = [-(-l // den) for l in lo]
+            hi = [u // den for u in hi]
+        if any(map(gt, lo, hi)):
+            return None
         slack = self.packed.slacks(start, lo, hi)
         if not self._propagate(lo, hi, slack, range(len(slack))):
             return None
@@ -509,18 +572,18 @@ class SliceFamily:
         have fallen since the last fixpoint.  Returns False as soon as a
         slack is negative, that is when the box holds no solution.
         """
-        raise_lo, lower_hi = self.raise_lo, self.lower_hi
+        raise_lo, lower_hi, amax = self.raise_lo, self.lower_hi, self.amax
         # a row with slack s bounds c_k by s // |a_k| from the end of its
         # range that attains the max, which moves the other end only if
         # s < |a_k| * (hi[k] - lo[k]); widths only shrink, so row j is not
-        # queued while its slack is at least thr[j] = amax[j] * wmax
+        # queued while its slack is at least amax[j] * wmax, computed where
+        # it is read, as a branch hands over only a few rows
         wmax = max(map(sub, hi, lo), default=0)
-        thr = [a * wmax for a in self.amax]
         pending = [False] * len(slack)
         work = []
         for j in rows:
             s = slack[j]
-            if s < thr[j]:
+            if s < amax[j] * wmax:
                 if s < 0:
                     return False
                 pending[j] = True
@@ -536,7 +599,7 @@ class SliceFamily:
                     lo[k] += d
                     for r, y in watch:
                         t = slack[r] = slack[r] - y * d
-                        if t < thr[r]:
+                        if t < amax[r] * wmax:
                             if t < 0:
                                 return False
                             if not pending[r]:
@@ -548,7 +611,7 @@ class SliceFamily:
                     hi[k] -= d
                     for r, y in watch:
                         t = slack[r] = slack[r] - y * d
-                        if t < thr[r]:
+                        if t < amax[r] * wmax:
                             if t < 0:
                                 return False
                             if not pending[r]:

@@ -331,3 +331,27 @@ def test_field_mismatch_raises(monkeypatch):
     monkeypatch.setattr(cone, "strict_subreps", planted)
     with pytest.raises(RuntimeError, match="differ between GF"):
         cone.tv_strict_sets(System("A", 3).ice(), "bruteforce")
+
+
+def test_bruteforce_reduces_each_tv_once(monkeypatch):
+    # tv_strict_sets reduces each T_v once for both fields, and the cap
+    # refuses an oversized T_v before any reduction
+    calls = []
+    real = pathalg.reduce_for_counting
+
+    def spy(rep):
+        calls.append(rep)
+        return real(rep)
+
+    monkeypatch.setattr(pathalg, "reduce_for_counting", spy)
+    iq = System("D", 4).ice()
+    frozen = [v for v in iq.vertices if iq.frozen[v]]
+    sets = cone.tv_strict_sets(iq, "bruteforce")
+    assert len(calls) == len(sets) == len(frozen) > 0
+    calls.clear()
+    iq = System("D", 6).ice()
+    v = max((v for v in iq.vertices if iq.frozen[v]),
+            key=lambda v: sum(iq.tv_dim(v)))
+    with pytest.raises(NotImplementedError, match="exceeds cap"):
+        cone.subreps_bruteforce(pathalg.PathAlg(iq).build_tv(v), 2)
+    assert calls == []

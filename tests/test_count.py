@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arcones
@@ -236,7 +237,12 @@ def _sweep(rows, b, lo, hi):
 def _swept_root(fam, target):
     """The root box of the slice at target narrowed by _sweep, with the row
     slacks there; None when the slice is empty by then."""
-    b = fam._slice_rhs(target)
+    return _swept_box(fam, _sparse_rows(fam), fam._slice_rhs(target))
+
+
+def _swept_box(fam, rows, b):
+    """_swept_root of the slice whose right-hand sides _slice_rhs gave as
+    b, with fam's rows given by _sparse_rows."""
     if b is None:
         return None
     den = fam.box_den
@@ -245,7 +251,7 @@ def _swept_root(fam, target):
     hi = [-sum(n * b[h] for h, n in form) // den for form in fam.upper_form]
     if any(l > u for l, u in zip(lo, hi)):
         return None
-    return _sweep(_sparse_rows(fam), b, lo, hi)
+    return _sweep(rows, b, lo, hi)
 
 
 def _spy_propagate(fam):
@@ -289,12 +295,15 @@ def test_root_fixpoint_matches_full_sweeps(letter, n, orient):
     calls = _spy_propagate(fam)
     empty = children = 0
     for t in targets:
+        # the rows are read once per family and the right-hand sides once
+        # per target, through the same reference as _swept_root
+        b = fam._slice_rhs(t)
         root = fam._root(t)
-        assert (None if root is None else root[1:]) == _swept_root(fam, t), t
+        assert (None if root is None else root[1:]) == _swept_box(fam, rows,
+                                                                  b), t
         empty += root is None
         calls.clear()
         fam.count(t)
-        b = fam._slice_rhs(t)
         # calls[0] is count's own _root, checked above
         for (lo, hi), got in calls[1:]:
             assert got == _sweep(rows, b, lo, hi), t
@@ -352,6 +361,42 @@ def test_linear_prefix_matches_reference(letter, n, orient, entries):
         assert base == bias - sum(bj << 64 * r * j for j, bj in enumerate(b))
 
 
+@pytest.mark.parametrize("letter, n, orient", [
+    ("A", 3, None), ("D", 4, None), ("D", 4, ((2, 1), (3, 2), (4, 2))),
+    ("D", 5, None),
+], ids=["A3", "D4", "D4:2>1,3>2,4>2", "D5"])
+@given(weights=st.lists(st.integers(0, 1), min_size=10, max_size=10),
+       scale=st.sampled_from([2 ** 62, 2 ** 62 + 1, 2 ** 66, 2 ** 70 - 1,
+                              2 ** 70]),
+       entries=st.one_of(st.just((0,) * 15),
+                         st.lists(st.integers(-1, 2), min_size=15,
+                                  max_size=15)))
+@example(weights=[1] * 10, scale=2 ** 70, entries=(0,) * 15)
+@settings(max_examples=40, deadline=None)
+def test_linear_prefix_matches_reference_on_wide_targets(letter, n, orient,
+                                                         weights, scale,
+                                                         entries):
+    # targets with entries near 2^62..2^70: scale times a Cartan component
+    # (mu, nu, mu + nu), which is nonempty, plus small entries, which move
+    # some off the slice lattice or empty them.  Both packed maps need
+    # fields of 128 bits, and _root still agrees with the HNF reference
+    fam = _family(letter, n, orient)
+    mu, nu = weights[:n], weights[n:2 * n]
+    mu[0] = 1
+    cartan = mu + nu + [a + b for a, b in zip(mu, nu)]
+    target = tuple(scale * x + e for x, e in zip(cartan, entries))
+    assert count._width(fam.target_map.bound(target)) == 2
+    root = fam._root(target)
+    assert (None if root is None else root[1:]) == _swept_root(fam, target)
+    if not any(entries):
+        assert root is not None
+    if root is not None:
+        (r, base), b = root[0], fam._slice_rhs(target)
+        assert r == 2
+        bias = fam.packed.table(r)[-1]
+        assert base == bias - sum(bj << 64 * r * j for j, bj in enumerate(b))
+
+
 def test_negative_slack_ends_propagation_at_once():
     # a row handed to propagation with a negative slack empties the box
     # before any bound moves
@@ -393,25 +438,37 @@ def _packed_systems(draw):
     return rows, m, forms, y, lo, hi, points
 
 
+def _packed_base(forms, y, r):
+    """The packed int bias + sum_k y_k cols[k] of forms (a PackedForms) at
+    y in its table of width r: for the negated right-hand-side forms, the
+    base of start = (r, base), as _root reads it."""
+    cols, bias = forms.table(r)
+    return sum(map(operator.mul, y, cols), bias)
+
+
 @given(_packed_systems())
 @settings(max_examples=200, deadline=None)
 def test_packed_rows_match_dense(system):
     # the packed right-hand sides, slacks and leaf verdicts are the plain
-    # per-row ones, at the smallest field width that holds the bound on
-    # every |a_j . c - b_j| in the box
+    # per-row ones, at the width the one width rule gives for a bound on
+    # every |a_j . c - b_j| in the box and every value and entry packed;
+    # its fields hold the bound, and no narrower ones do
     rows, m, forms, y, lo, hi, points = system
     b = [sum(x * v for x, v in zip(q, y)) for q in forms]
-    packed = count.PackedRows(rows, m, forms, len(y))
-    start = packed.start(y, lo, hi)
-    r, base = start
+    packed = count.PackedRows(rows, m)
+    neg = count.PackedForms([[-x for x in q] for q in forms], len(y))
     reach = max([1] + [abs(x) for x in lo + hi])
-    qmax = [max([0] + [abs(q[k]) for q in forms]) for k in range(len(y))]
-    norm = max([0] + [sum(map(abs, a)) for a in rows] + qmax)
-    bound = norm * reach + sum(abs(v) * q for v, q in zip(y, qmax))
+    bound = packed.norm * reach + neg.bound(y)
+    assert all(abs(x) <= neg.bound(y) for x in b)
+    assert all(abs(x) <= neg.bound(y) for q in forms for x in q)
+    r = count._width(bound)
     assert bound < 2 ** (64 * r - 1)
     assert r == 1 or bound >= 2 ** (64 * r - 65)
+    assert neg.values(y, r) == [-bj for bj in b]
+    base = _packed_base(neg, y, r)
     bias = packed.table(r)[-1]
     assert base == bias - sum(bj << 64 * r * j for j, bj in enumerate(b))
+    start = r, base
     assert packed.slacks(start, lo, hi) == [
         sum(x * (h if x > 0 else l) for x, l, h in zip(a, lo, hi)) - bj
         for a, bj in zip(rows, b)]
@@ -420,26 +477,36 @@ def test_packed_rows_match_dense(system):
         assert holds(c) == all(sum(x * z for x, z in zip(a, c)) >= bj
                                for a, bj in zip(rows, b)), c
     assert 1 in packed.tables or packed.norm >= 2 ** 63
-    assert r in packed.tables
+    assert 1 in neg.tables or neg.norm >= 2 ** 63
+    assert r in packed.tables and r in neg.tables
+
+
+def test_width_rule_is_minimal():
+    # the smallest r whose 64 r-bit fields hold the bound
+    assert [count._width(v) for v in (0, 1, 2 ** 63 - 1, 2 ** 63,
+                                      2 ** 127 - 1, 2 ** 127)] == [
+        1, 1, 1, 2, 2, 3]
 
 
 def test_packed_rows_widen_past_64_bits():
     # one entry of 2^62 on a box reaching 4 needs fields of 128 bits; the
-    # wide table is kept beside the 64-bit one, which stays as it was; the
-    # forms are the identity, so y is b
-    identity = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    packed = count.PackedRows([(2 ** 62, -1), (0, 0), (-3, 1)], 2,
-                              identity, 3)
-    narrow = packed.tables[1]
+    # wide tables are kept beside the 64-bit ones, which stay as they were;
+    # the forms are the identity, so y is b
+    packed = count.PackedRows([(2 ** 62, -1), (0, 0), (-3, 1)], 2)
+    neg = count.PackedForms([(-1, 0, 0), (0, -1, 0), (0, 0, -1)], 3)
+    narrow = packed.tables[1], neg.tables[1]
     b, lo, hi = [2 ** 64, -1, -20], [-4, 0], [4, 2]
-    start = packed.start(b, lo, hi)
-    assert start[0] == 2
+    r = count._width(packed.norm * 4 + neg.bound(b))
+    assert r == 2
+    start = r, _packed_base(neg, b, r)
     assert packed.slacks(start, lo, hi) == [0, 1, 34]
     holds = packed.certificate(start)
     assert holds([4, 0]) and not holds([3, 0]) and not holds([4, 2])
-    assert sorted(packed.tables) == [1, 2] and packed.tables[1] is narrow
-    small = packed.start([0, 0, 0], [0, 0], [1, 1])
-    assert small[0] == 1
+    assert sorted(packed.tables) == sorted(neg.tables) == [1, 2]
+    assert packed.tables[1] is narrow[0] and neg.tables[1] is narrow[1]
+    r = count._width(packed.norm + neg.bound([0, 0, 0]))
+    assert r == 1
+    small = r, _packed_base(neg, [0, 0, 0], r)
     assert packed.slacks(small, [0, 0], [1, 1]) == [2 ** 62, 0, 1]
 
 
@@ -449,7 +516,8 @@ def test_packed_rows_without_active_rows():
     s = System("A", 1)
     fam = s.family()
     assert fam.m == 0 and fam.active == [] and len(fam.constant) == 3
-    start = fam.packed.start([0, 0, 0], [], [])
+    start, lo, hi, slack = fam._root([0, 0, 0])
+    assert start == (1, 0) and lo == hi == slack == []
     assert fam.packed.slacks(start, [], []) == []
     assert fam.packed.certificate(start)([])
     for mu, nu in itertools.product(range(3), repeat=2):
@@ -459,16 +527,22 @@ def test_packed_rows_without_active_rows():
 
 
 def test_huge_targets_count_in_wide_fields():
-    # entries near 2^70 need fields of 128 bits; the wide table is kept
-    # under its width and a small target still counts in 64-bit fields
+    # entries near 2^70 need fields of 128 bits in the target map, the
+    # right-hand sides and the rows alike; each wide table is kept under its
+    # width beside its 64-bit sibling, and a small target still counts in
+    # 64-bit fields
     s = System("A", 2)
     fam = s.family()
+    tables = fam.target_map, fam.rhs_map, fam.packed
+    narrow = [t.tables[1] for t in tables]
     big = 2 ** 70
     for target in [(big, 0, 0, big, 0, 0), (big, 0, 0, big, big, big)]:
         assert fam.count(target) == fam.count_lp(target) == 1
-    assert sorted(fam.packed.tables) == [1, 2]
+    for t, table in zip(tables, narrow):
+        assert sorted(t.tables) == [1, 2] and t.tables[1] is table
     want = lieoracle.tensor_decomposition(s.cd, (1, 1), (1, 1))[(1, 1)]
     assert fam.count((1, 1, 1, 1, 1, 1)) == want == 2
+    assert fam._root((1, 1, 1, 1, 1, 1))[0][0] == 1
 
 
 def test_planted_leaf_violation_raises():
