@@ -6,7 +6,8 @@ LLL-reduced basis of the left kernel lattice of sigma and enumerates by a
 depth-first search that propagates bounds at every node, keeping each
 inequality's slack and updating it as the bounds move.  The root slacks and
 the check of every leaf read all inequalities at once, packed column by
-column into one int per coordinate with a field per inequality (PackedRows).
+column into one int per coordinate with a field per inequality, by the one
+packing class, PackedForms.
 All arithmetic is exact and no floating point is used anywhere.  The 2m
 LPs that set up a SliceFamily, one per coordinate bound, are solved by
 lp_min's fraction-free integer simplex, which builds the columns of these
@@ -17,8 +18,8 @@ precomputed there, and the rest is linear in the target: the slice
 lattice test, the right-hand sides, the constant rows and the root box
 are integer maps of it fixed at set-up (the parametric view of the slice
 family, as in Verdoolaege et al. 2007), so SliceFamily.count uses ints
-only and no per-target back-substitution.  These maps are packed the way
-the rows are (PackedForms), so the root reads the target in two big-int
+only and no per-target back-substitution.  These maps are packed as the
+rows are, so the root reads the target in two big-int
 products: one over the target for the particular solution y, and one
 over y for every right-hand side, box bound and constant row at once.
 SliceFamily.count_lp, which brackets every coordinate by exact LPs and
@@ -167,76 +168,32 @@ class PackedForms:
                        len(self.forms))
 
 
-class PackedRows:
-    """Integer rows a_j of length m packed column by column into ints, so
-    that a_j . c for every row j at once takes m big-int multiply-adds, not
-    one dot product per row, as PackedForms packs forms.
+def slacks(rows, pos, start, lo, hi):
+    """For every row a_j of the packed rows (a PackedForms), the max of
+    a_j . c over the box lo..hi less b_j, given pos, their positive parts
+    packed alike, and start = (r, base) sized for the box, with base =
+    bias - sum_j b_j 2^(W j): lo . a_j plus (hi - lo) . max(a_j, 0)."""
+    r, base = start
+    cols, bias = rows.table(r)
+    s = sum(map(mul, map(sub, hi, lo), pos.table(r)[0]),
+            sum(map(mul, lo, cols), base))
+    # flipping each field's top bit leaves the slack's two's complement
+    return _unpack(s ^ bias, r, len(rows.forms))
 
-    The table of width r gives each row a field of W = 64 r bits, the first
-    row lowest.  For each coordinate k it holds column k of the rows as
-    three ints: ppos[k] of the positive parts, pneg[k] of the absolute
-    values of the negative parts and pa[k] = ppos[k] - pneg[k], which is
-    sum_j a_jk 2^(W j); bias holds 2^(W-1) in every field.  A search reads
-    the rows a_j . c >= b_j from start = (r, base), with the right-hand
-    sides b_j in base = bias - sum_j b_j 2^(W j), and
 
-        base + sum_k c_k pa[k] = sum_j (2^(W-1) + a_j . c - b_j) 2^(W j).
+def certificate(rows, start):
+    """A test of points c of the box that start = (r, base) was sized for:
+    whether a_j . c >= b_j for every row a_j of the packed rows (a
+    PackedForms), computed afresh from them at each call."""
+    r, base = start
+    cols, bias = rows.table(r)
+    top = 64 * r * len(rows.forms)
 
-    While every |a_j . c - b_j| < 2^(W-1), each term stays in its own
-    field, with no carry out of it, and the field's top bit is set exactly
-    when a_j . c >= b_j.  So r must bound that over the whole box the
-    search reads; norm, the largest l1 norm of a row, bounds |a_j . c| by
-    the largest |c_k| and every |a_jk|.  The table of width 1 is built with
-    the rows when its fields hold norm, and wider ones on first use, each
-    kept in tables under its r.
-    """
-
-    def __init__(self, rows, m):
-        self.rows = rows
-        self.m = m
-        self.norm = max([sum(map(abs, a)) for a in rows], default=0)
-        self.tables = {}    # r -> (ppos, pneg, pa, bias)
-        if self.norm < 1 << 63:
-            self.table(1)
-
-    def table(self, r):
-        """The table of width r, (ppos, pneg, pa, bias), built on first
-        use; r must satisfy norm < 2^(64 r - 1)."""
-        table = self.tables.get(r)
-        if table is None:
-            ppos, pneg = [], []
-            for k in range(self.m):
-                column = [a[k] for a in self.rows]
-                ppos.append(_pack([max(x, 0) for x in column], r))
-                pneg.append(_pack([max(-x, 0) for x in column], r))
-            pa = [p - q for p, q in zip(ppos, pneg)]
-            table = self.tables[r] = (ppos, pneg, pa,
-                                      _bias(len(self.rows), r))
-        return table
-
-    def slacks(self, start, lo, hi):
-        """For every row j, the max of a_j . c over the box lo..hi less b_j,
-        given start = (r, base) sized for the box: it reads hi[k] where
-        a_jk > 0 and lo[k] where a_jk < 0."""
-        r, base = start
-        ppos, pneg, _pa, bias = self.table(r)
-        s = sum(map(mul, hi, ppos), base) - sum(map(mul, lo, pneg))
-        # flipping each field's top bit leaves the slack's two's complement
-        return _unpack(s ^ bias, r, len(self.rows))
-
-    def certificate(self, start):
-        """A test of points c of the box that start = (r, base) was sized
-        for: whether a_j . c >= b_j for every row j, computed afresh from
-        the packed rows at each call."""
-        r, base = start
-        _ppos, _pneg, pa, bias = self.table(r)
-        top = 64 * r * len(self.rows)
-
-        def holds(c):
-            s = sum(map(mul, c, pa), base)
-            # every field's top bit set, and no carry past the last field
-            return s & bias == bias and not s >> top
-        return holds
+    def holds(c):
+        s = sum(map(mul, c, cols), base)
+        # every field's top bit set, and no carry past the last field
+        return s & bias == bias and not s >> top
+    return holds
 
 
 class SliceFamily:
@@ -261,31 +218,30 @@ class SliceFamily:
     init raises RuntimeError where an LP finds none.
 
     Everything else is linear in the target t.  With D = y_den and
-    Y = D * H_top^-1 (y_map, exact.scaled_inverse of the square top of H),
+    Y = D * H_top^-1 (exact.scaled_inverse of the square top of H),
     t is on the slice lattice exactly when D divides t . Y, and then
     y = t . Y / D gives the particular solution g0 = y . U_top.  Each
     cone column's right-hand side is a form q_i over y, so the constant
     rows are sign tests y . q_i <= 0 and the functionals, over one common
     denominator (lower_form and upper_form over box_den), become forms of
     the box bounds' numerators over y.  _root reads all of it in two
-    packed products (PackedForms): target_map packs the columns of Y, so
-    one product over t gives t . Y; rhs_map packs, one int per coordinate
-    of y, the active rows' right-hand sides in the low fields, laid out as
-    the base of the packed rows (packed, a PackedRows), and the box
-    numerators and the constant rows in the high fields, so one product
-    over y gives them all.  Both pick their field width by one rule
-    (_width), the second from a bound on the root box's reach read off
-    the box numerators' bound, so that its width also holds every
-    |a_j . c - b_j| over the box, as the leaf certificate needs.
+    packed products: target_map packs the columns of Y, so one product
+    over t gives t . Y; rhs_map packs, one int per coordinate of y, the
+    active rows' right-hand sides in the low fields, one per row as packed
+    packs the rows, and the box numerators and the constant rows in the
+    high fields, so one product over y gives them all.  Both pick their
+    field width by one rule (_width), the second from a bound on the root
+    box's reach read off the box numerators' bound, so that its width also
+    holds every |a_j . c - b_j| over the box, as the leaf certificate needs.
     Everything a count reads is kept as ints, so the per-target path does
     integer arithmetic only.
 
     count is a depth-first search over the box that narrows the bounds by
     propagation at every node (queue-based AC-3, Mackworth 1977).  Each
     row's slack, the max of a . c over the box less b, is computed once at
-    the root, for all rows at once from the packed rows and their packed
-    right-hand sides, and then kept: it reads hi[k] where the row's entry
-    at k is positive and lo[k] where it is negative, so the watch lists
+    the root for all rows at once (slacks, from packed, packed_pos and the
+    packed right-hand sides), and then kept: it reads hi[k] where the row's
+    entry at k is positive and lo[k] where it is negative, so the watch lists
     watch_hi[k] and watch_lo[k], the (row, |entry|) pairs of those rows,
     say whose slack a moved bound lowers and by how much.  Propagation
     reads row j through its entry tables, built once: raise_lo[j] holds
@@ -299,8 +255,8 @@ class SliceFamily:
     watch lists of the bounds it moves and propagates over their row
     indices, lo_rows[k] and hi_rows[k].  Every leaf is
     re-checked against all rows from scratch, from the packed rows and
-    the root's packed right-hand sides: one sum of m products tests every
-    row, never reading the kept slacks.
+    the root's packed right-hand sides (certificate): one sum of m
+    products tests every row, never reading the kept slacks.
     count_lp, the reference the tests compare count against, brackets each
     coordinate by exact LPs instead, and reads the target through
     _slice_rhs: one back-substitution through the HNF for g0, then
@@ -325,14 +281,13 @@ class SliceFamily:
             raise ValueError("sigma has rank %d, less than its width %d"
                              % (rank, self.width))
         self.hcols = [list(c) for _v, c in cone.columns]
-        # the linear maps of the target t (see the class docstring): y_map
-        # holds the columns of Y = y_den * H_top^-1, and forms[i] is q_i =
-        # -U_top h_i, so that column i's right-hand side -g0 . h_i is y . q_i
+        # the linear maps of the target t (see the class docstring):
+        # target_map packs the columns of Y = y_den * H_top^-1 as forms over
+        # t, for y_den * y in one product, and forms[i] is q_i = -U_top h_i,
+        # so that column i's right-hand side -g0 . h_i is y . q_i
         self.y_den, ymat = scaled_inverse(h[:self.width])
-        self.y_map = [list(col) for col in zip(*ymat)]
-        # the columns of Y as forms over t, packed, for y_den * y in one
-        # product
-        self.target_map = PackedForms(self.y_map, self.width)
+        self.target_map = PackedForms([list(col) for col in zip(*ymat)],
+                                      self.width)
         # summed over the nonzero entries of h_i and of U_top's columns
         ucols = [[(r, row[k]) for r, row in enumerate(u[:self.width])
                   if row[k]] for k in range(self.d)]
@@ -361,18 +316,23 @@ class SliceFamily:
         # particular solution, y . q_i <= 0; keep them apart
         self.constant = [i for i, a in enumerate(avecs) if not any(a)]
         self.active = [(a, i) for i, a in enumerate(avecs) if any(a)]
-        # the active rows packed column by column into ints, for the root
-        # slacks and the leaf certificate
-        self.packed = PackedRows([a for a, _i in self.active], self.m)
+        rows = [a for a, _i in self.active]
+        # the active rows and their positive parts packed column by column
+        # into ints, for the root slacks and the leaf certificate; row_norm,
+        # the largest l1 norm of a row, bounds |a_j . c| by the largest |c_k|
+        self.packed = PackedForms(rows, self.m)
+        self.packed_pos = PackedForms([[max(x, 0) for x in a] for a in rows],
+                                      self.m)
+        self.row_norm = max([sum(map(abs, a)) for a in rows], default=0)
         # each row's largest |entry|, for the queue filter
-        self.amax = [max(map(abs, a)) for a, _i in self.active]
+        self.amax = [max(map(abs, a)) for a in rows]
         # watch lists: the (row, |entry|) pairs of the rows whose slack
         # reads each bound; a positive entry at k reads hi[k], a negative
         # one lo[k]; lo_rows[k] and hi_rows[k] are their row indices
-        self.watch_hi = [[(j, a[k]) for j, (a, _i) in enumerate(self.active)
-                          if a[k] > 0] for k in range(self.m)]
-        self.watch_lo = [[(j, -a[k]) for j, (a, _i) in enumerate(self.active)
-                          if a[k] < 0] for k in range(self.m)]
+        self.watch_hi = [[(j, a[k]) for j, a in enumerate(rows) if a[k] > 0]
+                         for k in range(self.m)]
+        self.watch_lo = [[(j, -a[k]) for j, a in enumerate(rows) if a[k] < 0]
+                         for k in range(self.m)]
         self.lo_rows = [[j for j, _x in w] for w in self.watch_lo]
         self.hi_rows = [[j for j, _x in w] for w in self.watch_hi]
         # entry tables: row j's positive entries as (k, a_jk, watch_lo[k]),
@@ -380,19 +340,16 @@ class SliceFamily:
         # negative ones as (k, |a_jk|, watch_hi[k]), which lower hi[k]
         self.raise_lo = [tuple((k, x, self.watch_lo[k])
                                for k, x in enumerate(a) if x > 0)
-                         for a, _i in self.active]
+                         for a in rows]
         self.lower_hi = [tuple((k, -x, self.watch_hi[k])
                                for k, x in enumerate(a) if x < 0)
-                         for a, _i in self.active]
+                         for a in rows]
         # most-constrained-first enumeration order
-        touch = [sum(1 for a, _i in self.active if a[k])
-                 for k in range(self.m)]
+        touch = [sum(1 for a in rows if a[k]) for k in range(self.m)]
         self.order = sorted(range(self.m), key=lambda k: -touch[k])
         # the active rows as the columns of every functional's LP, whose
         # integer starting rows the 2m LPs share
-        start = LPStart(a_eq=[list(col) for col in
-                              zip(*(a for a, _i in self.active))],
-                        nonneg=True)
+        start = LPStart(a_eq=[list(col) for col in zip(*rows)], nonneg=True)
         lower_mult = [self._bounding_functional(start, i, 1)
                       for i in range(self.m)]
         upper_mult = [self._bounding_functional(start, i, -1)
@@ -481,7 +438,7 @@ class SliceFamily:
             return 0
         start, lo, hi, slack = root
         # every leaf lies in the root box, which sized start's fields
-        holds = self.packed.certificate(start)
+        holds = certificate(self.packed, start)
         m, order = self.m, self.order
         branch = self._branch
 
@@ -545,7 +502,7 @@ class SliceFamily:
         # box_den, plus one, in absolute value
         rmap, den = self.rhs_map, self.box_den
         mag = rmap.bound(y)
-        r = _width(self.packed.norm * (mag // den + 1) + mag)
+        r = _width(self.row_norm * (mag // den + 1) + mag)
         cols, bias = rmap.table(r)
         s = sum(map(mul, y, cols), bias)
         shift = 64 * r * len(self.active)
@@ -560,7 +517,7 @@ class SliceFamily:
             hi = [u // den for u in hi]
         if any(map(gt, lo, hi)):
             return None
-        slack = self.packed.slacks(start, lo, hi)
+        slack = slacks(self.packed, self.packed_pos, start, lo, hi)
         if not self._propagate(lo, hi, slack, range(len(slack))):
             return None
         return start, lo, hi, slack

@@ -215,23 +215,21 @@ def _sweep(rows, b, lo, hi):
     copies; None when the box is empty by then.  The reference for the
     worklist propagation."""
     lo, hi = list(lo), list(hi)
-
-    def slack(row, bj):
-        return sum(x * (hi[k] if x > 0 else lo[k]) for k, x in row) - bj
-
     moved = True
     while moved:
-        moved = False
+        moved, slacks = False, []
         for row, bj in zip(rows, b):
-            s = slack(row, bj)
+            s = sum([x * (hi[k] if x > 0 else lo[k]) for k, x in row]) - bj
             if s < 0:
                 return None
+            slacks.append(s)
             for k, x in row:
                 if x > 0 and hi[k] - s // x > lo[k]:
                     lo[k], moved = hi[k] - s // x, True
                 elif x < 0 and lo[k] + s // -x < hi[k]:
                     hi[k], moved = lo[k] + s // -x, True
-    return lo, hi, [slack(row, bj) for row, bj in zip(rows, b)]
+    # no bound moved in the last sweep, so its slacks are the fixpoint's
+    return lo, hi, slacks
 
 
 def _swept_root(fam, target):
@@ -314,10 +312,10 @@ def test_root_fixpoint_matches_full_sweeps(letter, n, orient):
 
 def test_branch_keeps_fresh_slacks():
     # every child that _branch returns on D4 c^rho_{rho rho} = 32 keeps
-    # the slacks that the packed rows compute afresh on its box
+    # the slacks that plain per-row sums compute afresh on its box
     fam = System("D", 4).family()
     target = (1,) * 12
-    start = fam._root(target)[0]
+    b = fam._slice_rhs(target)
     branch, children = fam._branch, []
 
     def spy(lo, hi, slack, k, v):
@@ -329,7 +327,9 @@ def test_branch_keeps_fresh_slacks():
     assert fam.count(target) == 32
     assert len(children) > 32
     for lo, hi, slack in children:
-        assert slack == fam.packed.slacks(start, lo, hi)
+        assert slack == [sum(x * (h if x > 0 else l)
+                             for x, l, h in zip(a, lo, hi)) - bj
+                         for (a, _i), bj in zip(fam.active, b)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -446,39 +446,50 @@ def _packed_base(forms, y, r):
     return sum(map(operator.mul, y, cols), bias)
 
 
+def _packed_rows(rows, m):
+    """rows packed as SliceFamily packs its active rows: (packed, packed_pos,
+    row_norm), the rows and their positive parts as PackedForms, and the
+    largest l1 norm of a row."""
+    return (count.PackedForms(rows, m),
+            count.PackedForms([[max(x, 0) for x in a] for a in rows], m),
+            max([sum(map(abs, a)) for a in rows], default=0))
+
+
 @given(_packed_systems())
 @settings(max_examples=200, deadline=None)
 def test_packed_rows_match_dense(system):
-    # the packed right-hand sides, slacks and leaf verdicts are the plain
-    # per-row ones, at the width the one width rule gives for a bound on
-    # every |a_j . c - b_j| in the box and every value and entry packed;
-    # its fields hold the bound, and no narrower ones do
+    # the packed rows' columns, right-hand sides, slacks and leaf verdicts
+    # are the plain per-row ones, at the width the one width rule gives for
+    # a bound on every |a_j . c - b_j| in the box and every value and entry
+    # packed; its fields hold the bound, and no narrower ones do
     rows, m, forms, y, lo, hi, points = system
     b = [sum(x * v for x, v in zip(q, y)) for q in forms]
-    packed = count.PackedRows(rows, m)
+    packed, pos, norm = _packed_rows(rows, m)
     neg = count.PackedForms([[-x for x in q] for q in forms], len(y))
     reach = max([1] + [abs(x) for x in lo + hi])
-    bound = packed.norm * reach + neg.bound(y)
+    bound = norm * reach + neg.bound(y)
     assert all(abs(x) <= neg.bound(y) for x in b)
     assert all(abs(x) <= neg.bound(y) for q in forms for x in q)
     r = count._width(bound)
     assert bound < 2 ** (64 * r - 1)
     assert r == 1 or bound >= 2 ** (64 * r - 65)
     assert neg.values(y, r) == [-bj for bj in b]
+    cols, bias = packed.table(r)
+    assert cols == [sum(a[k] << 64 * r * j for j, a in enumerate(rows))
+                    for k in range(m)]
     base = _packed_base(neg, y, r)
-    bias = packed.table(r)[-1]
     assert base == bias - sum(bj << 64 * r * j for j, bj in enumerate(b))
     start = r, base
-    assert packed.slacks(start, lo, hi) == [
+    assert count.slacks(packed, pos, start, lo, hi) == [
         sum(x * (h if x > 0 else l) for x, l, h in zip(a, lo, hi)) - bj
         for a, bj in zip(rows, b)]
-    holds = packed.certificate(start)
+    holds = count.certificate(packed, start)
     for c in points:
         assert holds(c) == all(sum(x * z for x, z in zip(a, c)) >= bj
                                for a, bj in zip(rows, b)), c
-    assert 1 in packed.tables or packed.norm >= 2 ** 63
-    assert 1 in neg.tables or neg.norm >= 2 ** 63
-    assert r in packed.tables and r in neg.tables
+    for t in packed, pos, neg:
+        assert 1 in t.tables or t.norm >= 2 ** 63
+        assert r in t.tables
 
 
 def test_width_rule_is_minimal():
@@ -492,22 +503,23 @@ def test_packed_rows_widen_past_64_bits():
     # one entry of 2^62 on a box reaching 4 needs fields of 128 bits; the
     # wide tables are kept beside the 64-bit ones, which stay as they were;
     # the forms are the identity, so y is b
-    packed = count.PackedRows([(2 ** 62, -1), (0, 0), (-3, 1)], 2)
+    packed, pos, norm = _packed_rows([(2 ** 62, -1), (0, 0), (-3, 1)], 2)
     neg = count.PackedForms([(-1, 0, 0), (0, -1, 0), (0, 0, -1)], 3)
-    narrow = packed.tables[1], neg.tables[1]
+    tables = packed, pos, neg
+    narrow = [t.tables[1] for t in tables]
     b, lo, hi = [2 ** 64, -1, -20], [-4, 0], [4, 2]
-    r = count._width(packed.norm * 4 + neg.bound(b))
+    r = count._width(norm * 4 + neg.bound(b))
     assert r == 2
     start = r, _packed_base(neg, b, r)
-    assert packed.slacks(start, lo, hi) == [0, 1, 34]
-    holds = packed.certificate(start)
+    assert count.slacks(packed, pos, start, lo, hi) == [0, 1, 34]
+    holds = count.certificate(packed, start)
     assert holds([4, 0]) and not holds([3, 0]) and not holds([4, 2])
-    assert sorted(packed.tables) == sorted(neg.tables) == [1, 2]
-    assert packed.tables[1] is narrow[0] and neg.tables[1] is narrow[1]
-    r = count._width(packed.norm + neg.bound([0, 0, 0]))
+    for t, table in zip(tables, narrow):
+        assert sorted(t.tables) == [1, 2] and t.tables[1] is table
+    r = count._width(norm + neg.bound([0, 0, 0]))
     assert r == 1
     small = r, _packed_base(neg, [0, 0, 0], r)
-    assert packed.slacks(small, [0, 0], [1, 1]) == [2 ** 62, 0, 1]
+    assert count.slacks(packed, pos, small, [0, 0], [1, 1]) == [2 ** 62, 0, 1]
 
 
 def test_packed_rows_without_active_rows():
@@ -518,8 +530,8 @@ def test_packed_rows_without_active_rows():
     assert fam.m == 0 and fam.active == [] and len(fam.constant) == 3
     start, lo, hi, slack = fam._root([0, 0, 0])
     assert start == (1, 0) and lo == hi == slack == []
-    assert fam.packed.slacks(start, [], []) == []
-    assert fam.packed.certificate(start)([])
+    assert count.slacks(fam.packed, fam.packed_pos, start, [], []) == []
+    assert count.certificate(fam.packed, start)([])
     for mu, nu in itertools.product(range(3), repeat=2):
         want = lieoracle.tensor_decomposition(s.cd, (mu,), (nu,))
         for lam in range(5):

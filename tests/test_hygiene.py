@@ -13,11 +13,15 @@
   and which accepts them as input: everything else works in ints;
 - state is declared: outside __init__ and __post_init__ a method stores
   only the attributes that those or a dataclass field declare, and no code
-  stores an attribute on anything but self or cls.
+  stores an attribute on anything but self or cls;
+- no write-only state: each attribute that an __init__ or __post_init__
+  stores on self is read outside that method, in the package, the bench or
+  the tests.
 """
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
@@ -196,3 +200,42 @@ def test_state_is_declared(name):
                           for line, obj, attr in _stores(method)
                           if _is_self(obj) and attr not in declared]
     assert not found, "%s: undeclared attribute stores %s" % (name, found)
+
+
+
+# where instance state may be read: the package, the bench and the tests
+READERS = [SRC, os.path.join(os.path.dirname(os.path.dirname(SRC)),
+                             "perfbench"), os.path.dirname(__file__)]
+
+
+def _attribute_loads(tree):
+    """The attribute names read anywhere under tree."""
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_no_write_only_state():
+    # every attribute that an __init__ or __post_init__ in the package
+    # stores on self is read somewhere outside that method: in the package,
+    # the bench or the tests
+    loads = Counter()
+    for d in READERS:
+        for f in sorted(os.listdir(d)):
+            if f.endswith(".py"):
+                with open(os.path.join(d, f)) as fh:
+                    loads.update(_attribute_loads(ast.parse(fh.read(), f)))
+    found = []
+    for name in MODULES:
+        for cls in (node for node in ast.walk(_tree(name))
+                    if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if isinstance(method, ast.FunctionDef) and method.name in (
+                        "__init__", "__post_init__"):
+                    inside = _attribute_loads(method)
+                    found += ["%s: %s.%s" % (name, cls.name, attr)
+                              for attr in sorted({attr for _l, obj, attr
+                                                  in _stores(method)
+                                                  if _is_self(obj) and attr})
+                              if loads[attr] == inside.count(attr)]
+    assert not found, "write-only attributes %s" % found
