@@ -258,9 +258,9 @@ def prune_redundant(spec):
             continue
         rows = [k for k, x in enumerate(cols[i]) if x]
         a_eq = [[cols[j][k] for j in inside] for k in rows]
-        status, _x, _value = lp_min([0] * len(inside), a_eq=a_eq,
-                                    b_eq=[cols[i][k] for k in rows],
-                                    nonneg=True)
+        status, _x, _den = lp_min([0] * len(inside), a_eq=a_eq,
+                                  b_eq=[cols[i][k] for k in rows],
+                                  nonneg=True)
         if status == "optimal":
             keep[i] = False
     kept = [j for j in range(len(cols)) if keep[j]]

@@ -12,9 +12,10 @@ All arithmetic is exact and no floating point is used anywhere.  The 2m
 LPs that set up a SliceFamily, one per coordinate bound, are solved by
 lp_min's fraction-free integer simplex, which builds the columns of these
 wide tableaux (one per inequality, m rows) only as far as Bland's rule
-reaches; their Fraction solutions become integer forms over one
-denominator.  Everything that does not depend on the target is
-precomputed there, and the rest is linear in the target: the slice
+reaches; their int solutions, each over its least denominator, become
+integer forms over one common denominator.  Everything that does not
+depend on the target is precomputed there, and the rest is linear in the
+target: the slice
 lattice test, the right-hand sides, the constant rows and the root box
 are integer maps of it fixed at set-up (the parametric view of the slice
 family, as in Verdoolaege et al. 2007), so SliceFamily.count uses ints
@@ -29,7 +30,6 @@ compare it against.
 
 import sys
 from array import array
-from math import ceil, floor
 from operator import gt, mul, sub
 
 from .exact import (LPStart, dot, integer_row_solution, lcm,
@@ -42,8 +42,10 @@ def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
 
         {g : g . row >= rhs for each inequality, g . sigma = target}.
 
-    Returns (status, g, value) with status "optimal", "infeasible" or
-    "unbounded"; the reported optimum is re-verified by substitution.
+    Returns (status, g, den) with status "optimal", "infeasible" or
+    "unbounded": an optimum g / den, with g a list of ints and den > 0 the
+    least denominator, re-verified by substitution; g and den are None
+    unless status is "optimal".
     """
     d = len(objective)
     ineq_rows = [list(r) for r in (ineq_rows or [])]
@@ -57,19 +59,16 @@ def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
             a_eq.append([sigma[k][j] for k in range(d)])
             b_eq.append(target[j])
     c = list(objective) if sense == "min" else [-x for x in objective]
-    status, x, value = lp_min(c, a_ub, b_ub, a_eq, b_eq)
+    status, x, den = lp_min(c, a_ub, b_ub, a_eq, b_eq)
     if status != "optimal":
         return status, None, None
     for r, b in zip(ineq_rows, ineq_rhs):
-        if dot(x, r) < b:
+        if dot(x, r) < b * den:
             raise RuntimeError("lp_bound certificate violates inequality")
     for r, b in zip(a_eq, b_eq):
-        if dot(r, x) != b:
+        if dot(r, x) != b * den:
             raise RuntimeError("lp_bound certificate violates equality")
-    got = dot(objective, x)
-    if got != (value if sense == "min" else -value):
-        raise RuntimeError("lp_bound objective value mismatch")
-    return "optimal", x, got
+    return "optimal", x, den
 
 
 def _pack(values, r):
@@ -267,14 +266,13 @@ class SliceFamily:
     def __init__(self, cone, sigma):
         if sigma is None:
             raise ValueError("this cone variant carries no weight grading")
-        self.cone = cone
-        self.sigma = [list(r) for r in sigma]
-        self.d = cone.dim
-        if len(self.sigma) != self.d:
+        sigma = [list(r) for r in sigma]
+        d = cone.dim
+        if len(sigma) != d:
             raise ValueError("sigma has %d rows for a %d-dimensional cone"
-                             % (len(self.sigma), self.d))
-        self.width = len(self.sigma[0])
-        self.hnf = row_hnf(self.sigma)
+                             % (len(sigma), d))
+        self.width = len(sigma[0])
+        self.hnf = row_hnf(sigma)
         h, u = self.hnf
         rank = sum(1 for row in h if any(row))
         if rank < self.width:
@@ -290,7 +288,7 @@ class SliceFamily:
                                       self.width)
         # summed over the nonzero entries of h_i and of U_top's columns
         ucols = [[(r, row[k]) for r, row in enumerate(u[:self.width])
-                  if row[k]] for k in range(self.d)]
+                  if row[k]] for k in range(d)]
         forms = []
         for hc in self.hcols:
             q = [0] * self.width
@@ -303,7 +301,7 @@ class SliceFamily:
         self.m = len(self.kernel)
         # a_i[j] = kernel[j] . h_i, over the nonzero entries only
         kcols = [[(j, k[t]) for j, k in enumerate(self.kernel) if k[t]]
-                 for t in range(self.d)]
+                 for t in range(d)]
         avecs = []
         for hc in self.hcols:
             a = [0] * self.m
@@ -354,17 +352,15 @@ class SliceFamily:
                       for i in range(self.m)]
         upper_mult = [self._bounding_functional(start, i, -1)
                       for i in range(self.m)]
-        # the functionals as sparse integer forms over one denominator:
-        # D * lower_mult[i] is the (active index, numerator) pairs
-        # lower_form[i], so c_i >= ceil(sum n * b / D), likewise c_i <=
-        # floor(-sum n * b / D) with upper_form[i]
+        # the functionals as sparse integer forms over one denominator D,
+        # the lcm of theirs: D * lower_mult[i] is the (active index,
+        # numerator) pairs lower_form[i], so c_i >= ceil(sum n * b / D),
+        # likewise c_i <= floor(-sum n * b / D) with upper_form[i]
         self.box_den = 1
-        for lam in lower_mult + upper_mult:
-            for x in lam:
-                if x:
-                    self.box_den = lcm(self.box_den, x.denominator)
-        self.lower_form = [self._integer_form(l) for l in lower_mult]
-        self.upper_form = [self._integer_form(l) for l in upper_mult]
+        for _lam, den in lower_mult + upper_mult:
+            self.box_den = lcm(self.box_den, den)
+        self.lower_form = [self._integer_form(*l) for l in lower_mult]
+        self.upper_form = [self._integer_form(*l) for l in upper_mult]
         # everything else _root reads off y, as forms over y packed for
         # one product: lowest each active row's slack at c = 0, -q_h . y =
         # -b_h, then the box numerators, c_i >= ceil(lower . y / box_den)
@@ -383,25 +379,26 @@ class SliceFamily:
             + [over_y(form, -1) for form in self.upper_form]
             + [[-x for x in forms[i]] for i in self.constant], self.width)
 
-    def _integer_form(self, lam):
-        den = self.box_den
-        return [(h, int(x * den)) for h, x in enumerate(lam) if x]
+    def _integer_form(self, lam, den):
+        f = self.box_den // den
+        return [(h, x * f) for h, x in enumerate(lam) if x]
 
     def _bounding_functional(self, start, i, sign):
-        """Nonnegative lambda with sum_h lambda_h a_h = sign * e_i, which
-        bounds sign * c_i on every slice; start holds the active rows a_h as
-        the columns of its equality rows.  By Farkas' lemma there is none
-        exactly when some rational c != 0 with sign * c_i < 0 lies in the
-        slice at target 0, the recession cone of every slice (Schrijver
-        1986, 8.2).  That slice counts the degree-0 piece, the constants,
-        so it is {0} and every slice is a polytope: a missing lambda (also
-        with no active row) is a construction fault, and raises."""
+        """(lam, den): lambda = lam / den, nonnegative with sum_h lambda_h
+        a_h = sign * e_i, which bounds sign * c_i on every slice; start
+        holds the active rows a_h as the columns of its equality rows.  By
+        Farkas' lemma there is none exactly when some rational c != 0 with
+        sign * c_i < 0 lies in the slice at target 0, the recession cone of
+        every slice (Schrijver 1986, 8.2).  That slice counts the degree-0
+        piece, the constants, so it is {0} and every slice is a polytope: a
+        missing lambda (also with no active row) is a construction fault,
+        and raises."""
         if self.active:
             b_eq = [sign if k == i else 0 for k in range(self.m)]
-            status, lam, _v = lp_min([0] * len(self.active), b_eq=b_eq,
-                                     start=start)
+            status, lam, den = lp_min([0] * len(self.active), b_eq=b_eq,
+                                      start=start)
             if status == "optimal":
-                return lam
+                return lam, den
         raise RuntimeError("no bounding functional: coordinate %d is "
                            "unbounded %s on the slice at target 0, which "
                            "must be a point"
@@ -597,18 +594,18 @@ class SliceFamily:
             k = order[depth]
             bracket = []
             for sense in ("min", "max"):
-                st, _x, v = lp_bound(obj, free, rest, sense=sense)
+                st, g, den = lp_bound(obj, free, rest, sense=sense)
                 if st == "infeasible":
                     return 0
                 if st != "optimal":
                     raise RuntimeError("count_lp: the %s of coordinate %d "
                                        "is %s, but init certified every "
                                        "slice bounded" % (sense, k, st))
-                bracket.append(v)
-            vmin, vmax = bracket
+                bracket.append((g[0], den))
+            (nmin, dmin), (nmax, dmax) = bracket
             tails = [a[1:] for a in free]
             total = 0
-            for v in range(ceil(vmin), floor(vmax) + 1):
+            for v in range(-(-nmin // dmin), nmax // dmax + 1):
                 c[k] = v
                 total += rec(depth + 1, tails,
                              [b - a[0] * v for a, b in zip(free, rest)])

@@ -1,22 +1,20 @@
-"""Exact linear algebra helpers over the rationals and the integers.
+"""Exact linear algebra helpers over the integers.
 
-Everything here works on plain lists of lists holding ints or Fractions.
+Everything here works on plain lists of lists of ints, and returns ints.
 Row reduction (rank, nullspace, scaled_inverse) runs one fraction-free
-Gauss-Jordan elimination on int rows kept primitive by their gcd, and
-returns ints: scaled_inverse gives a^-1 as an integer matrix over its least
-denominator.  This is the only module that imports fractions: Fraction is
-an accepted input type and the type of the nonzero entries of lp_min's
-solution.  The linear programs of lp_min are solved by a fraction-free
-integer simplex: its tableau holds only ints over one common denominator,
-a unit pivot over a unit denominator is one subtraction per row, the
-columns of a wide tableau are built only as far as Bland's rule scans
-them, and LPs over the same constraint rows share their integer starting
-rows (LPStart).  Lattice bases are reduced by lll_reduce, Cohen's
-integral LLL, which keeps its Gram-Schmidt data as ints with exact
-divisions.  No floating point is used anywhere.
+Gauss-Jordan elimination on int rows kept primitive by their gcd:
+scaled_inverse gives a^-1 as an integer matrix over its least denominator.
+The linear programs of lp_min are solved by a fraction-free integer
+simplex: its tableau holds only ints over one common denominator, a unit
+pivot over a unit denominator is one subtraction per row, the columns of a
+wide tableau are built only as far as Bland's rule scans them, and LPs
+over the same constraint rows share their integer starting rows
+(LPStart).  Its solution is an int vector over its least denominator.
+Lattice bases are reduced by lll_reduce, Cohen's integral LLL, which keeps
+its Gram-Schmidt data as ints with exact divisions.  No floating point and
+no rational type is used anywhere.
 """
 
-from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
@@ -39,23 +37,22 @@ def dot(u, v):
 
 
 def _gauss_jordan(a, reduce=True):
-    """Fraction-free Gauss-Jordan elimination on the rows of a.
+    """Gauss-Jordan elimination, fraction-free, on the int rows of a.
 
-    Rows are scaled to ints (by the lcm of their denominators) and kept
-    primitive by their gcd, so the elimination makes no Fraction: a pivot
-    on the entry p of row y takes every other row x, with f its entry in
-    the pivot column, to (p*x - f*y) / gcd (Bareiss 1968 keeps the entries
-    integral the same way).  Returns (rows, pivots): the nonzero rows in
-    echelon form, each primitive with a positive leading entry at column
-    pivots[i].  With reduce the rows above a pivot are cleared too, so row
-    i divided by rows[i][pivots[i]] is row i of the unique reduced row
-    echelon form; without it only the rows below are, which is enough for
-    the rank.
+    The rows are kept primitive by their gcd, so the elimination stays in
+    ints: a pivot on the entry p of row y takes every other row x, with f
+    its entry in the pivot column, to (p*x - f*y) / gcd (Bareiss 1968
+    keeps the entries integral the same way).  Returns (rows, pivots): the
+    nonzero rows in echelon form, each primitive with a positive leading
+    entry at column pivots[i].  With reduce the rows above a pivot are
+    cleared too, so row i divided by rows[i][pivots[i]] is row i of the
+    unique reduced row echelon form; without it only the rows below are,
+    which is enough for the rank.
     """
     n = len(a[0]) if a else 0
     rows = []
     for row in a:
-        row = _integer_row(row)
+        row = list(row)
         g = gcd(*row)
         if g:
             rows.append([x // g for x in row] if g > 1 else row)
@@ -294,15 +291,14 @@ def lcm(a, b):
     return a * b // gcd(a, b)
 
 
-def _integer_row(v):
-    """Scale a rational vector by the lcm of its denominators."""
-    if set(map(type, v)) <= {int}:
-        return list(v)
-    den = 1
-    for x in v:
-        if not isinstance(x, int):
-            den = lcm(den, Fraction(x).denominator)
-    return [int(x * den) for x in v]
+def _ints(v, what):
+    """v as a list, which must hold ints only: lp_min's tableau is exact
+    only over ints."""
+    v = list(v)
+    if set(map(type, v)) - {int}:
+        raise TypeError("lp_min takes ints only, but %s holds %r"
+                        % (what, next(x for x in v if type(x) is not int)))
+    return v
 
 
 def _eliminate(row, pr, col, p, d):
@@ -327,26 +323,23 @@ LAZY_WIDTH = 8
 
 class LPStart:
     """The constraint rows a_ub and a_eq of LPs that differ only in c, b_ub
-    and b_eq, with the row of the starting tableau T0 of each int row, built
-    once for every lp_min given this as start (None for a rational row)."""
+    and b_eq, with the row of the starting tableau T0 of each, built once
+    for every lp_min given this as start: x split as u - w unless nonneg,
+    then the slack columns, with 1 at its own slack for an inequality.
+    Raises TypeError on a row entry that is not an int."""
 
     def __init__(self, a_ub=None, a_eq=None, nonneg=False):
         self.a_ub = a_ub or []
         self.a_eq = a_eq or []
         self.nonneg = nonneg
-        self.rows = [self.row(i, a, 0)[0] if set(map(type, a)) <= {int}
-                     else None for i, a in enumerate([*self.a_ub, *self.a_eq])]
-
-    def row(self, i, a, b):
-        """(T0 row, right-hand side) of constraint row i, a, scaled to ints
-        with its right-hand side b: x split as u - w unless nonneg, then
-        the slack columns, with 1 at its slack if it is an inequality."""
-        *a, b = _integer_row([*a, b])
         nslack = len(self.a_ub)
-        r = a + ([] if self.nonneg else [-x for x in a]) + [0] * nslack
-        if i < nslack:
-            r[len(r) - nslack + i] = 1
-        return r, b
+        self.rows = []
+        for i, a in enumerate([*self.a_ub, *self.a_eq]):
+            a = _ints(a, "a constraint row")
+            r = a + ([] if nonneg else [-x for x in a]) + [0] * nslack
+            if i < nslack:
+                r[len(r) - nslack + i] = 1
+            self.rows.append(r)
 
 
 def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
@@ -360,11 +353,14 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
     p updates every other row x by its pivot-column entry f and the pivot
     row y as (p*x - f*y) // D, a division that is always exact.  Where
     p = D = 1 (nearly every pivot of the cone LPs) that is x - f*y, and a
-    row with f = 0 is left as it is.  Returns a tuple (status, x, value)
-    with status one of "optimal", "infeasible", "unbounded"; x and value
-    are None unless status is "optimal".  x is read off the basic rows: a
-    Fraction for each nonzero entry, the int 0 for the others.  An optimal
-    x is re-checked against every constraint over its nonzero entries.
+    row with f = 0 is left as it is.  Returns a tuple (status, x, den)
+    with status one of "optimal", "infeasible", "unbounded"; x and den are
+    None unless status is "optimal".  Then the solution is x / den: x is a
+    list of ints, den > 0 and gcd(den, *x) = 1.  x is read off the basic
+    rows over D and divided by gcd(D, *x), and it is re-checked against
+    every constraint over its nonzero entries, as a . x <= b * den and
+    a . x = b * den.  Every entry of c, b_ub, b_eq and the constraint rows
+    must be an int: anything else raises TypeError.
 
     Columns are built on demand (partial pricing).  Beside its right-hand
     side each row keeps its part of the block M = D * B^-1, the artificial
@@ -388,8 +384,9 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
         raise ValueError("lp_min takes its constraint rows either in start "
                          "or as a_ub, a_eq and nonneg")
     a_ub, a_eq, nonneg = start.a_ub, start.a_eq, start.nonneg
-    b_ub = b_ub or []
-    b_eq = b_eq or []
+    cost = _ints(c, "c")
+    b_ub = _ints(b_ub or [], "b_ub")
+    b_eq = _ints(b_eq or [], "b_eq")
     if len(b_ub) != len(a_ub) or len(b_eq) != len(a_eq):
         raise ValueError("lp_min needs one right-hand side per constraint "
                          "row")
@@ -404,10 +401,7 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
     # enter, so their columns are not built.
     ncol = nv + nslack
     t0, b0 = [], []
-    for i, (a, b) in enumerate(zip([*a_ub, *a_eq], [*b_ub, *b_eq])):
-        r = start.rows[i]
-        if r is None or type(b) is not int:
-            r, b = start.row(i, a, b)
+    for r, b in zip(start.rows, [*b_ub, *b_eq]):
         if b < 0:
             r = [-x for x in r]
             b = -b
@@ -521,7 +515,6 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
     tab[:] = [tab[i] for i in keep]
     basis[:] = [basis[i] for i in keep]
     # phase 2: D * (reduced costs of c)
-    cost = _integer_row(c)
     cost = cost + ([] if nonneg else [-x for x in cost]) + [0] * nslack
     obj2 = [0] * base + [d * x for x in cost[:built]]
     for row, bi in zip(tab, basis):
@@ -530,24 +523,22 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
             obj2 = [o - f * t for o, t in zip(obj2, row)]
     if solve_phase(obj2, cost) != "optimal":
         return ("unbounded", None, None)
-    # a non-basic variable is the int 0; only the basic rows make Fractions
+    # x over D: a non-basic variable is 0; then over its least denominator
     xs = [0] * nv
     for row, bi in zip(tab, basis):
-        if bi < nv and row[0]:
-            xs[bi] = Fraction(row[0], d)
+        if bi < nv:
+            xs[bi] = row[0]
     x = xs if nonneg else [xs[j] - xs[n + j] for j in range(n)]
-    # the value and an exact feasibility certificate, over the nonzero
-    # entries of the returned x as integers over their common denominator
-    den = 1
-    for xj in x:
-        if xj:
-            den = lcm(den, xj.denominator)
-    support = [(j, xj.numerator * (den // xj.denominator))
-               for j, xj in enumerate(x) if xj]
+    g = gcd(d, *x)
+    den = d // g
+    if g > 1:
+        x = [v // g for v in x]
+    # an exact feasibility certificate over the nonzero entries of x
+    support = [(j, v) for j, v in enumerate(x) if v]
     for a, b in zip(a_ub, b_ub):
         if sum(a[j] * v for j, v in support) > b * den:
             raise RuntimeError("lp_min solution violates an inequality")
     for a, b in zip(a_eq, b_eq):
         if sum(a[j] * v for j, v in support) != b * den:
             raise RuntimeError("lp_min solution violates an equality")
-    return ("optimal", x, Fraction(sum(c[j] * v for j, v in support), den))
+    return ("optimal", x, den)

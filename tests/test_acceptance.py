@@ -2,7 +2,9 @@
 mutation identities, and the documented worked examples, with time budgets."""
 
 import itertools
+import os
 import random
+import re
 import time
 
 import pytest
@@ -183,3 +185,18 @@ def test_i_lr_equals_tensor(systems):
         for mu, nu, lam, mult in _tensor_cases(s, bound, rng):
             assert lieoracle.lr_from_weights(s.rank, mu, nu, lam) == mult, \
                 (key, mu, nu, lam)
+
+
+# -- J: the README's library example runs -----------------------------------
+
+def test_j_readme_library_example():
+    # exec the python block under "## Library example", whose asserts
+    # check the count against lieoracle.tensor_multiplicity
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text.split("\n## Library example\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)```", section, re.S).group(1)
+    assert "tensor_multiplicity" in block
+    exec(compile(block, "README.md", "exec"), {})

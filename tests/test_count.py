@@ -24,9 +24,9 @@ def test_lp_bound_zero_slice_pointed():
     spec, sig = s.cone(), s.sigma()
     for k in range(spec.dim):
         obj = [1 if j == k else 0 for j in range(spec.dim)]
-        st, _g, v = count.lp_bound(obj, spec.rows(), None, sig,
-                                   [0] * 6, sense="max")
-        assert (st, v) == ("optimal", 0)
+        st, g, den = count.lp_bound(obj, spec.rows(), None, sig,
+                                    [0] * 6, sense="max")
+        assert (st, g, den) == ("optimal", [0] * spec.dim, 1)
 
 
 def test_lp_bound_infeasible_negative_lambda():
@@ -603,22 +603,15 @@ def _d4_brauer_klimyk(s):
             for lam in itertools.product(range(2), repeat=4)}
 
 
-def test_count_path_uses_no_fraction(monkeypatch):
-    # the per-target path is integers only: every Fraction is made while
-    # the family is built; count itself imports none, and the exact
-    # helpers it calls make none per target
+def test_count_path_uses_no_fraction():
+    # the per-target path reads int forms over an int denominator; that no
+    # module imports fractions is a lint (test_hygiene.py)
     s = System("D", 4)
     fam = s.family()
     want = _d4_brauer_klimyk(s)
-
-    def no_fraction(*_args):
-        raise AssertionError("Fraction on the per-target counting path")
-
     forms = fam.lower_form + fam.upper_form
     assert type(fam.box_den) is int
     assert all(type(n) is int for form in forms for _h, n in form)
-    assert not hasattr(count, "Fraction")
-    monkeypatch.setattr(exact, "Fraction", no_fraction)
     assert {t: fam.count(t) for t in want} == want
     assert any(want.values())
 
@@ -844,6 +837,32 @@ def test_count_lp_refuses_unbounded_bracket(monkeypatch):
     with pytest.raises(RuntimeError, match="count_lp: the min of "
                        "coordinate .* is unbounded"):
         fam.count_lp((1, 1, 1, 1, 1, 1))
+
+
+def test_count_lp_brackets_are_tight(monkeypatch):
+    # the slice 2x + 3y <= t, x, y >= 0 (g = (t, x, y), graded by g_1) has
+    # fractional vertices.  Its projection on a coordinate is that
+    # coordinate's LP bracket, so every integer of [ceil(min), floor(max)]
+    # is the value of a rational point of the slice, and no LP of count_lp
+    # below the root is infeasible; a bracket rounded outward makes some
+    spec = cone.ConeSpec("full2", [_V(), _V(), _V()],
+                         [(_V(), h) for h in ([0, 1, 0], [0, 0, 1],
+                                              [1, -2, -3])])
+    fam = count.SliceFamily(spec, [[1], [0], [0]])
+    real, seen = count.lp_bound, []
+
+    def spy(objective, ineq_rows, ineq_rhs, sense):
+        got = real(objective, ineq_rows, ineq_rhs, sense=sense)
+        seen.append((len(objective), got))
+        return got
+
+    monkeypatch.setattr(count, "lp_bound", spy)
+    for t in range(12):
+        want = sum(1 for x in range(t + 1) for y in range(t + 1)
+                   if 2 * x + 3 * y <= t)
+        assert fam.count([t]) == fam.count_lp([t]) == want, t
+    assert any(den > 1 for _n, (_st, _g, den) in seen)
+    assert all(st == "optimal" for n, (st, _g, _den) in seen if n < fam.m)
 
 
 _ZERO_SLICE_SYSTEMS = [("A", n, None) for n in range(1, 7)] + [

@@ -136,15 +136,13 @@ BIG = 2 ** 70
 @st.composite
 def elimination_input(draw):
     """An m x n matrix, 0 <= m, n <= 6 (wide, tall and empty ones), of ints
-    in [-3, 3], ints within 3 of +-2^70 and Fractions, with some rows
-    zeroed."""
+    in [-3, 3] and ints within 3 of +-2^70, with some rows zeroed."""
     m = draw(st.integers(0, 6))
     n = draw(st.integers(0, 6))
     entry = st.one_of(
         st.integers(-3, 3),
         st.integers(-3, 3).map(lambda k: BIG + k),
-        st.integers(-3, 3).map(lambda k: k - BIG),
-        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+        st.integers(-3, 3).map(lambda k: k - BIG))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                          min_size=m, max_size=m))
     zero = draw(st.lists(st.booleans(), min_size=m, max_size=m))
@@ -156,7 +154,7 @@ def elimination_input(draw):
 @example([[]])
 @example([[0, 0], [0, 0]])
 @example([[BIG, BIG + 1], [BIG - 1, BIG]])
-@example([[Fraction(1, 2), 1, 0], [0, 0, 0], [1, 2, Fraction(-3, 4)]])
+@example([[1, 2, 0], [0, 0, 0], [4, 8, -3]])
 @settings(max_examples=300, deadline=None)
 def test_elimination_matches_fraction_reference(a):
     r, pivots = _rref_reference(a)
@@ -189,6 +187,16 @@ def test_elimination_matches_fraction_reference(a):
         assert all(type(x) is int for row in y for x in row)
         assert got_den == den
         assert y == [[x * den for x in row] for row in want]
+
+
+def test_elimination_refuses_fractions():
+    # the elimination takes int rows only: a Fraction entry raises
+    half = Fraction(1, 2)
+    for a in ([[half, 1, 0]], [[1, 2, 0], [1, half, 0]]):
+        with pytest.raises(TypeError):
+            exact.rank(a)
+        with pytest.raises(TypeError):
+            exact.nullspace(a)
 
 
 @given(small_mat)
@@ -396,6 +404,19 @@ def _lp_by_vertices(c, a_ub, b_ub, a_eq, b_eq, nonneg):
     return "optimal", lo
 
 
+def _solution(result):
+    """(status, x / den as Fractions) of an lp_min result (status, x, den),
+    or (status, None); checks that x holds ints and den > 0 is their least
+    denominator."""
+    status, x, den = result
+    if status != "optimal":
+        assert x is None and den is None
+        return status, None
+    assert all(type(v) is int for v in x) and type(den) is int
+    assert den > 0 and math.gcd(den, *x) == 1
+    return status, [Fraction(v, den) for v in x]
+
+
 @given(tiny_lp())
 @example(([1, 1], [[1, 0], [-1, 0]], [-1, -1], [], [], False))  # infeasible
 @example(([1, -1], [], [], [[1, 1]], [2], True))                # optimal
@@ -405,13 +426,13 @@ def _lp_by_vertices(c, a_ub, b_ub, a_eq, b_eq, nonneg):
 @settings(max_examples=200, deadline=None)
 def test_lp_min_matches_vertex_enumeration(lp):
     c, a_ub, b_ub, a_eq, b_eq, nonneg = lp
-    status, x, value = exact.lp_min(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+    status, x = _solution(exact.lp_min(c, a_ub, b_ub, a_eq, b_eq,
+                                       nonneg=nonneg))
     want, best = _lp_by_vertices(*lp)
     assert status == want
     if status != "optimal":
-        assert x is None and value is None
         return
-    assert value == best == exact.dot(c, x)
+    assert exact.dot(c, x) == best
     assert all(exact.dot(a, x) <= b for a, b in zip(a_ub, b_ub))
     assert all(exact.dot(a, x) == b for a, b in zip(a_eq, b_eq))
     assert not nonneg or all(xi >= 0 for xi in x)
@@ -420,31 +441,44 @@ def test_lp_min_matches_vertex_enumeration(lp):
 def test_lp_min_redundant_equality():
     # the artificial variable of the second row stays basic after phase 1
     for nonneg in (True, False):
-        status, x, value = exact.lp_min([0, 0], a_eq=[[1, 1], [2, 2]],
-                                        b_eq=[1, 2], nonneg=nonneg)
-        assert status == "optimal" and value == 0 and sum(x) == 1
+        status, x = _solution(exact.lp_min([0, 0], a_eq=[[1, 1], [2, 2]],
+                                           b_eq=[1, 2], nonneg=nonneg))
+        assert status == "optimal" and sum(x) == 1
 
 
 def test_lp_min_rational_input():
+    # lp_min and LPStart take ints only: a Fraction anywhere raises, where
+    # the integer pivots would otherwise floor-divide it; the LP in ints
+    # has the solution (13/2, 5/2), over its least denominator
     half = Fraction(1, 2)
-    status, x, value = exact.lp_min([half, 1], a_ub=[[-half, 0], [0, -1]],
-                                    b_ub=[-1, Fraction(-5, 2)])
-    assert (status, x, value) == ("optimal", [2, Fraction(5, 2)],
-                                  Fraction(7, 2))
+    lp = dict(c=[1, 2], a_ub=[[-1, 0], [0, -2]], b_ub=[-2, -5],
+              a_eq=[[1, 1]], b_eq=[9])
+    assert exact.lp_min(**lp) == ("optimal", [13, 5], 2)
+    for key, value in [("c", [half, 2]), ("a_ub", [[-half, 0], [0, -2]]),
+                       ("b_ub", [-2, -half]), ("a_eq", [[1, half]]),
+                       ("b_eq", [half])]:
+        with pytest.raises(TypeError, match="ints only"):
+            exact.lp_min(**dict(lp, **{key: value}))
+    with pytest.raises(TypeError, match="ints only"):
+        exact.LPStart(a_eq=[[1, half]], nonneg=True)
+    start = exact.LPStart(a_eq=[[1, 1]], nonneg=True)
+    with pytest.raises(TypeError, match="ints only"):
+        exact.lp_min([0, 0], b_eq=[half], start=start)
 
 
 def test_lp_min_certificate_survives_python_O():
-    # every Fraction lp_min builds is planted one too large, so the
-    # read-out x is wrong; the check must still fire with asserts stripped
+    # the starting row of x = 2 is planted as 2x = 2, so the read-out
+    # numerator is 1, one too small; the check against the constraint row
+    # must still fire with asserts stripped
     script = textwrap.dedent("""
         import sys
-        from fractions import Fraction
         from arcones import exact
         if __debug__:
             sys.exit("not running under -O")
-        exact.Fraction = lambda *args: Fraction(*args) + 1
+        start = exact.LPStart(a_eq=[[1]], nonneg=True)
+        start.rows[0] = [2]
         try:
-            exact.lp_min([1], a_eq=[[1]], b_eq=[2], nonneg=True)
+            exact.lp_min([1], b_eq=[2], start=start)
         except RuntimeError as exc:
             print(exc)
         else:
@@ -460,13 +494,8 @@ def test_lp_min_certificate_survives_python_O():
 
 def _lp_min_eager(c, a_ub, b_ub, a_eq, b_eq, nonneg):
     """The reference for lp_min: the same two-phase Bland simplex with the
-    same fraction-free pivot, on the whole tableau from the start."""
-    def integer_row(v):
-        den = 1
-        for x in v:
-            den = exact.lcm(den, Fraction(x).denominator)
-        return [int(x * den) for x in v]
-
+    same fraction-free pivot, on the whole tableau from the start.
+    Returns (status, x) with x a list of Fractions, or None."""
     def eliminate(row, pr, col, p, d):
         f = row[col]
         return [(p * x - f * y) // d for x, y in zip(row, pr)]
@@ -480,7 +509,7 @@ def _lp_min_eager(c, a_ub, b_ub, a_eq, b_eq, nonneg):
     ncol = nv + nslack
     tab = []
     for i, (a, b, is_eq) in enumerate(rows):
-        *a, b = integer_row(list(a) + [b])
+        a = list(a)
         r = a + ([] if nonneg else [-x for x in a]) + [0] * nslack + [b]
         if not is_eq:
             r[nv + i] = 1
@@ -522,7 +551,7 @@ def _lp_min_eager(c, a_ub, b_ub, a_eq, b_eq, nonneg):
     obj1 = [-sum(col) for col in zip(*tab)] if tab else [0] * (ncol + 1)
     solve_phase(obj1)
     if obj1[-1] != 0:
-        return ("infeasible", None, None)
+        return ("infeasible", None)
     for i in range(m):
         if basis[i] >= ncol:
             j = next((j for j in range(ncol) if tab[i][j]), None)
@@ -533,19 +562,18 @@ def _lp_min_eager(c, a_ub, b_ub, a_eq, b_eq, nonneg):
     keep = [i for i in range(m) if basis[i] < ncol]
     tab[:] = [tab[i] for i in keep]
     basis[:] = [basis[i] for i in keep]
-    cost = integer_row(c)
-    cost = cost + ([] if nonneg else [-x for x in cost]) + [0] * nslack
+    cost = list(c) + ([] if nonneg else [-x for x in c]) + [0] * nslack
     obj2 = [d * x for x in cost] + [0]
     for row, bi in zip(tab, basis):
         obj2 = [o - cost[bi] * t for o, t in zip(obj2, row)]
     if solve_phase(obj2) != "optimal":
-        return ("unbounded", None, None)
+        return ("unbounded", None)
     xs = [Fraction(0)] * nv
     for row, bi in zip(tab, basis):
         if bi < nv:
             xs[bi] = Fraction(row[-1], d)
     x = xs if nonneg else [xs[j] - xs[n + j] for j in range(n)]
-    return ("optimal", x, sum(ci * xi for ci, xi in zip(c, x)))
+    return ("optimal", x)
 
 
 @st.composite
@@ -636,25 +664,19 @@ def test_lp_min_matches_eager_tableau(width, lp):
         got = exact.lp_min(*lp[:5], nonneg=lp[5])
     finally:
         exact.LAZY_WIDTH = saved
-    assert got == _lp_min_eager(*lp)
+    assert _solution(got) == _lp_min_eager(*lp)
 
 
 @given(lp=wide_lp(), data=st.data())
-@example(lp=([1, 1], [[Fraction(1, 2), 1]], [1], [[1, Fraction(2, 3)]], [2],
-             False), data=None)
+@example(lp=([1, 1], [[1, 2]], [2], [[3, 2]], [6], False), data=None)
 @settings(max_examples=100, deadline=None)
 def test_lp_start_shared_matches_eager(lp, data):
     # one LPStart shared by LPs that differ in their right-hand sides gives
-    # each the result of the whole tableau: the right-hand sides may have
-    # denominators the rows lack, and the rows may be rational
+    # each the result of the whole tableau: right-hand sides scaled by
+    # other factors and signs, and drawn ones
     c, a_ub, b_ub, a_eq, b_eq, nonneg = lp
-    if data is not None and data.draw(st.booleans()):
-        half = Fraction(1, 2)
-        a_ub = [[half * x for x in r] for r in a_ub]
-        a_eq = [[half * x for x in r] for r in a_eq]
     start = exact.LPStart(a_ub, a_eq, nonneg)
-    rhs = [(b_ub, b_eq), ([Fraction(b, 3) for b in b_ub],
-                          [Fraction(-b, 2) for b in b_eq])]
+    rhs = [(b_ub, b_eq), ([3 * b for b in b_ub], [-2 * b for b in b_eq])]
     if data is not None:
         ints = st.integers(-3, 3)
         rhs.append((data.draw(st.lists(ints, min_size=len(a_ub),
@@ -662,8 +684,8 @@ def test_lp_start_shared_matches_eager(lp, data):
                     data.draw(st.lists(ints, min_size=len(a_eq),
                                        max_size=len(a_eq)))))
     for bu, be in rhs:
-        assert exact.lp_min(c, b_ub=bu, b_eq=be, start=start) == \
-            _lp_min_eager(c, a_ub, bu, a_eq, be, nonneg)
+        assert _solution(exact.lp_min(c, b_ub=bu, b_eq=be, start=start)) \
+            == _lp_min_eager(c, a_ub, bu, a_eq, be, nonneg)
 
 
 def test_lp_min_refuses_mixed_or_short_constraints():

@@ -326,20 +326,14 @@ def test_tensor_decomposition_symmetric_in_value_and_order(c):
 
 def test_oracle_uses_no_fraction(monkeypatch):
     # the forms are built once per Cartan datum; after that, Freudenthal,
-    # Weyl's formula and Brauer-Klimyk run in ints only
+    # Weyl's formula and Brauer-Klimyk run in ints only; that no module
+    # imports fractions is a lint (test_hygiene.py)
     monkeypatch.setattr(lieoracle, "_memo", {})
     forms = lieoracle._forms(D4)
     assert type(forms.den) is int
     assert all(type(x) is int for row in forms.gram for x in row)
     assert all(type(x) is int for _, r in forms.roots for x in r)
     assert all(type(x) is int for x in forms.height)
-    assert not hasattr(lieoracle, "Fraction")
-    assert not hasattr(rootdata, "Fraction")
-
-    def no_fraction(*_args):
-        raise AssertionError("Fraction on the oracle's per-call path")
-
-    monkeypatch.setattr(exact, "Fraction", no_fraction)
     c, pairs, _, digest = PINNED["D4"]
     assert _decomposition_digest(c, pairs) == digest
 

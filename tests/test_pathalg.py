@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from arcones import arpresent, cone, exact, pathalg
+from arcones import arpresent, cone, pathalg
 from arcones.system import System
 
 
@@ -172,26 +172,29 @@ def test_bruteforce_route_pinned(letter, n, orient):
     assert got == BRUTE_FORCE_DIGESTS[(letter, n, orient)]
 
 
-def test_construction_makes_no_fraction(monkeypatch):
+def _all_ints(obj):
+    """Whether every leaf of the nested lists and tuples obj is an int."""
+    if isinstance(obj, (list, tuple)):
+        return all(map(_all_ints, obj))
+    return type(obj) is int
+
+
+def test_construction_makes_no_fraction():
     # the AR knitting, PathAlg's Hom spaces and module realizations,
     # sigma's rank check and reduce_for_counting in the brute-force T_v
-    # sets eliminate in ints only, in both D4 orientations
-    systems = [System("D", 4), System("D", 4, D4_MINIMAL)]
-    want = [(s.ar, arpresent.weight_configuration(s.ice()),
-             cone.tv_strict_sets(s.ice(), "bruteforce")) for s in systems]
-    assert not hasattr(pathalg, "Fraction")
-
-    def no_fraction(*_args):
-        raise AssertionError("Fraction in the construction")
-
-    monkeypatch.setattr(exact, "Fraction", no_fraction)
-    for s, (ar, sigma, tv) in zip(systems, want):
+    # sets eliminate in ints only, in both D4 orientations, and give ints;
+    # that no module imports fractions is a lint (test_hygiene.py)
+    for s in (System("D", 4), System("D", 4, D4_MINIMAL)):
+        ar = arpresent.knit_rep_ar(s.quiver)
+        assert ar == s.ar and _all_ints([m.dim for m in ar.modules])
         iq = s.ice()
-        assert arpresent.knit_rep_ar(s.quiver) == ar
         alg = pathalg.PathAlg(iq)
-        assert all(alg.hom_basis(p, p).dim == 1 for p in iq.vertices)
-        assert arpresent.weight_configuration(iq) == sigma
-        assert cone.tv_strict_sets(iq, "bruteforce") == tv
+        homs = [alg.hom_basis(p, p) for p in iq.vertices]
+        assert all(h.dim == 1 for h in homs)
+        assert _all_ints([h.basis for h in homs])
+        assert _all_ints(arpresent.weight_configuration(iq))
+        tv = cone.tv_strict_sets(iq, "bruteforce")
+        assert _all_ints([sorted(vecs) for vecs in tv.values()])
 
 
 @pytest.mark.parametrize("delta", [1, -1])
