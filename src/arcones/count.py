@@ -25,7 +25,9 @@ products: one over the target for the particular solution y, and one
 over y for every right-hand side, box bound and constant row at once.
 SliceFamily.count_lp, which brackets every coordinate by exact LPs and
 reads the target through the HNF instead, is the reference the tests
-compare it against.
+compare it against.  Its LPs are the duals of the brackets: standard-form
+LPs over the active rows as columns, as init's are, with the right-hand
+sides as their cost.
 """
 
 import sys
@@ -34,41 +36,6 @@ from operator import gt, mul, sub
 
 from .exact import (LPStart, dot, integer_row_solution, lcm,
                     left_kernel_lattice, lp_min, row_hnf, scaled_inverse)
-
-
-def lp_bound(objective, ineq_rows=None, ineq_rhs=None, sigma=None,
-             target=None, sense="min"):
-    """Exact optimum of objective . g over the rational polyhedron
-
-        {g : g . row >= rhs for each inequality, g . sigma = target}.
-
-    Returns (status, g, den) with status "optimal", "infeasible" or
-    "unbounded": an optimum g / den, with g a list of ints and den > 0 the
-    least denominator, re-verified by substitution; g and den are None
-    unless status is "optimal".
-    """
-    d = len(objective)
-    ineq_rows = [list(r) for r in (ineq_rows or [])]
-    if ineq_rhs is None:
-        ineq_rhs = [0] * len(ineq_rows)
-    a_ub = [[-r[k] for k in range(d)] for r in ineq_rows]
-    b_ub = [-b for b in ineq_rhs]
-    a_eq, b_eq = [], []
-    if sigma is not None:
-        for j in range(len(target)):
-            a_eq.append([sigma[k][j] for k in range(d)])
-            b_eq.append(target[j])
-    c = list(objective) if sense == "min" else [-x for x in objective]
-    status, x, den = lp_min(c, a_ub, b_ub, a_eq, b_eq)
-    if status != "optimal":
-        return status, None, None
-    for r, b in zip(ineq_rows, ineq_rhs):
-        if dot(x, r) < b * den:
-            raise RuntimeError("lp_bound certificate violates inequality")
-    for r, b in zip(a_eq, b_eq):
-        if dot(r, x) != b * den:
-            raise RuntimeError("lp_bound certificate violates equality")
-    return "optimal", x, den
 
 
 def _pack(values, r):
@@ -257,7 +224,8 @@ class SliceFamily:
     the root's packed right-hand sides (certificate): one sum of m
     products tests every row, never reading the kept slacks.
     count_lp, the reference the tests compare count against, brackets each
-    coordinate by exact LPs instead, and reads the target through
+    coordinate by exact LPs instead, the duals of the brackets in the
+    standard form of the functionals' LPs, and reads the target through
     _slice_rhs: one back-substitution through the HNF for g0, then
     b = -g0 . h for each column h.  Both routes share the width check
     (_checked).
@@ -346,8 +314,8 @@ class SliceFamily:
         touch = [sum(1 for a in rows if a[k]) for k in range(self.m)]
         self.order = sorted(range(self.m), key=lambda k: -touch[k])
         # the active rows as the columns of every functional's LP, whose
-        # integer starting rows the 2m LPs share
-        start = LPStart(a_eq=[list(col) for col in zip(*rows)], nonneg=True)
+        # rows the 2m LPs share, checked for ints once
+        start = LPStart([list(col) for col in zip(*rows)])
         lower_mult = [self._bounding_functional(start, i, 1)
                       for i in range(self.m)]
         upper_mult = [self._bounding_functional(start, i, -1)
@@ -575,7 +543,16 @@ class SliceFamily:
 
     def count_lp(self, target):
         """count by exact LP brackets of every coordinate, with no box and
-        no propagation: the reference the tests compare count against."""
+        no propagation: the reference the tests compare count against.
+
+        Coordinate k = order[depth] is bracketed over the free coordinates
+        order[depth:], where the active rows read free . x >= rest, by the
+        dual (Schrijver 1986, 7.4): a lambda >= 0 with sum_j lambda_j
+        free_j = +-e_0 gives +-c_k >= rest . lambda on every point.
+        So each end is the standard-form LP min -rest . lambda over the
+        columns free_j, whose rows, one LPStart per depth, do not depend on
+        the target; an unbounded dual means no point, and an infeasible one
+        an unbounded bracket, which init's functionals rule out."""
         rhs = self._slice_rhs(target)
         if rhs is None:
             return 0
@@ -583,33 +560,36 @@ class SliceFamily:
         order = self.order
         rows = [list(a) for a, _i in self.active]
         c = [0] * m
+        starts = [LPStart([[a[k] for a in rows] for k in order[depth:]])
+                  for depth in range(m)]
 
-        def rec(depth, free, rest):
-            # free: each row on the coordinates order[depth:], and rest: its
-            # right-hand side less the terms of the coordinates fixed so far
+        def rec(depth, rest):
+            # rest: each row's right-hand side less the terms of the
+            # coordinates fixed so far
             if depth == m:
                 return 1 if all(dot(a, c) >= b
                                 for a, b in zip(rows, rhs)) else 0
-            obj = [1] + [0] * (m - depth - 1)
             k = order[depth]
+            cost = [-b for b in rest]
+            zeros = [0] * (m - depth - 1)
             bracket = []
-            for sense in ("min", "max"):
-                st, g, den = lp_bound(obj, free, rest, sense=sense)
-                if st == "infeasible":
+            for sign, sense in ((1, "min"), (-1, "max")):
+                st, lam, den = lp_min(cost, b_eq=[sign] + zeros,
+                                      start=starts[depth])
+                if st == "unbounded":
                     return 0
                 if st != "optimal":
                     raise RuntimeError("count_lp: the %s of coordinate %d "
-                                       "is %s, but init certified every "
-                                       "slice bounded" % (sense, k, st))
-                bracket.append((g[0], den))
+                                       "is unbounded (its dual is "
+                                       "infeasible), but init certified "
+                                       "every slice bounded" % (sense, k))
+                bracket.append((sign * dot(rest, lam), den))
             (nmin, dmin), (nmax, dmax) = bracket
-            tails = [a[1:] for a in free]
             total = 0
             for v in range(-(-nmin // dmin), nmax // dmax + 1):
                 c[k] = v
-                total += rec(depth + 1, tails,
-                             [b - a[0] * v for a, b in zip(free, rest)])
+                total += rec(depth + 1,
+                             [b - a[k] * v for a, b in zip(rows, rest)])
             return total
 
-        return rec(0, [[a[k] for k in order] for a in rows], rhs)
-
+        return rec(0, rhs)

@@ -4,15 +4,19 @@ Everything here works on plain lists of lists of ints, and returns ints.
 Row reduction (rank, nullspace, scaled_inverse) runs one fraction-free
 Gauss-Jordan elimination on int rows kept primitive by their gcd:
 scaled_inverse gives a^-1 as an integer matrix over its least denominator.
-The linear programs of lp_min are solved by a fraction-free integer
-simplex: its tableau holds only ints over one common denominator, a unit
-pivot over a unit denominator is one subtraction per row, the columns of a
-wide tableau are built only as far as Bland's rule scans them, and LPs
-over the same constraint rows share their integer starting rows
-(LPStart).  Its solution is an int vector over its least denominator.
+lp_min solves linear programs in standard form only, min c.x subject to
+a.x = b and x >= 0, by a fraction-free integer simplex: its tableau holds
+only ints over one common denominator, a unit pivot over a unit
+denominator is one subtraction per row, the columns of a wide tableau are
+built only as far as Bland's rule scans them, and LPs over the same
+constraint rows check them once (LPStart).  Its solution is an int
+vector over its least denominator, certified nonnegative and feasible.
 Lattice bases are reduced by lll_reduce, Cohen's integral LLL, which keeps
 its Gram-Schmidt data as ints with exact divisions.  No floating point and
-no rational type is used anywhere.
+no rational type is used anywhere: row_hnf, lll_reduce,
+integer_row_solution and lp_min refuse a non-int entry with TypeError
+through one check (ints) instead of truncating it, and the elimination
+raises it from math.gcd.
 """
 
 from math import gcd
@@ -131,8 +135,9 @@ def row_hnf(a):
 
     Returns (h, u) with u unimodular over the integers and u a = h, where h is
     in row echelon form with positive pivots and reduced entries above them.
+    Raises TypeError on an entry that is not an int.
     """
-    h = [list(map(int, row)) for row in a]
+    h = [ints(row, "row_hnf", "a row") for row in a]
     m = len(h)
     n = len(h[0]) if m else 0
     u = identity(m)
@@ -183,9 +188,10 @@ def lll_reduce(basis):
     j vectors and lam[k][j] = d[j+1] * mu_kj, so every division is exact.
     The result is size-reduced (|2 lam[k][j]| <= d[j+1]) and meets the
     Lovasz condition 4 d[k+1] d[k-1] >= 3 d[k]**2 - 4 lam[k][k-1]**2; it
-    spans the same lattice.  Raises RuntimeError on dependent rows.
+    spans the same lattice.  Raises RuntimeError on dependent rows and
+    TypeError on an entry that is not an int.
     """
-    b = [list(map(int, row)) for row in basis]
+    b = [ints(row, "lll_reduce", "a basis row") for row in basis]
     n = len(b)
     # vectors count from 0: Cohen's d_j is d[j] (d_0 = 1) and his
     # lambda_{k,j} is lam[k - 1][j - 1]
@@ -261,10 +267,10 @@ def integer_row_solution(hnf, t):
     Taking the Hermite normal form (h, u) of a instead of a itself lets a
     caller that solves for many right-hand sides t compute it once.  None
     means there is no integer solution (there may or may not be a rational
-    one).
+    one).  Raises TypeError on an entry of t that is not an int.
     """
     h, u = hnf
-    t = list(map(int, t))
+    t = ints(t, "integer_row_solution", "t")
     y = []
     res = t
     for row in h:
@@ -291,13 +297,16 @@ def lcm(a, b):
     return a * b // gcd(a, b)
 
 
-def _ints(v, what):
-    """v as a list, which must hold ints only: lp_min's tableau is exact
-    only over ints."""
+def ints(v, who, what):
+    """v as a list, which must hold ints only: the exact routines here
+    floor-divide and compare their entries, so anything else is refused
+    rather than truncated.  who names the routine and what the argument in
+    the TypeError."""
     v = list(v)
     if set(map(type, v)) - {int}:
-        raise TypeError("lp_min takes ints only, but %s holds %r"
-                        % (what, next(x for x in v if type(x) is not int)))
+        bad = next(x for x in v if type(x) is not int)
+        raise TypeError("%s takes ints only, but %s holds %r"
+                        % (who, what, bad))
     return v
 
 
@@ -322,30 +331,19 @@ LAZY_WIDTH = 8
 
 
 class LPStart:
-    """The constraint rows a_ub and a_eq of LPs that differ only in c, b_ub
-    and b_eq, with the row of the starting tableau T0 of each, built once
-    for every lp_min given this as start: x split as u - w unless nonneg,
-    then the slack columns, with 1 at its own slack for an inequality.
-    Raises TypeError on a row entry that is not an int."""
+    """The equality rows a_eq of LPs that differ only in c and b_eq, checked
+    once for every lp_min given this as start; they are the rows of each
+    LP's starting tableau T0.  Raises TypeError on a row entry that is not
+    an int."""
 
-    def __init__(self, a_ub=None, a_eq=None, nonneg=False):
-        self.a_ub = a_ub or []
-        self.a_eq = a_eq or []
-        self.nonneg = nonneg
-        nslack = len(self.a_ub)
-        self.rows = []
-        for i, a in enumerate([*self.a_ub, *self.a_eq]):
-            a = _ints(a, "a constraint row")
-            r = a + ([] if nonneg else [-x for x in a]) + [0] * nslack
-            if i < nslack:
-                r[len(r) - nslack + i] = 1
-            self.rows.append(r)
+    def __init__(self, a_eq=None):
+        self.rows = [ints(a, "lp_min", "a constraint row")
+                     for a in a_eq or []]
 
 
-def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
-           start=None):
-    """Exact linear program: minimize c.x subject to a_ub.x <= b_ub and
-    a_eq.x == b_eq, over free variables x (or x >= 0 when nonneg is True).
+def lp_min(c, a_eq=None, b_eq=None, start=None):
+    """Exact linear program in standard form: minimize c.x subject to
+    a_eq.x == b_eq and x >= 0.
 
     Two-phase simplex with Bland's rule, fraction-free: the integer-
     preserving pivot of Edmonds (1967) and Bareiss (1968).  The tableau
@@ -357,51 +355,48 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
     with status one of "optimal", "infeasible", "unbounded"; x and den are
     None unless status is "optimal".  Then the solution is x / den: x is a
     list of ints, den > 0 and gcd(den, *x) = 1.  x is read off the basic
-    rows over D and divided by gcd(D, *x), and it is re-checked against
-    every constraint over its nonzero entries, as a . x <= b * den and
-    a . x = b * den.  Every entry of c, b_ub, b_eq and the constraint rows
-    must be an int: anything else raises TypeError.
+    rows over D and divided by gcd(D, *x), and it is re-checked over its
+    nonzero entries, as x >= 0 and a . x = b * den for every row.  Every
+    entry of c, b_eq and the constraint rows must be an int: anything else
+    raises TypeError.
 
     Columns are built on demand (partial pricing).  Beside its right-hand
     side each row keeps its part of the block M = D * B^-1, the artificial
     columns, so column j of the tableau is M . T0[:, j] for the starting
-    tableau T0, and the objective row keeps its own part w, so that it
-    reads w . T0[:, j] + D * cost_j there.  Bland's rule enters the first
-    column of negative reduced cost, so the columns past the last one the
-    scan has reached are not built; when the scan reaches them it builds
-    the next max(built, m) of them.  w is 0 exactly when every basic
-    variable costs 0 (M is nonsingular), and then an unbuilt column of
-    nonnegative cost cannot enter: the phase ends without building it.
-    Once every column is built the block is dropped.  A tableau with at
-    most LAZY_WIDTH columns per row, where the block would cost more than
-    the columns it spares, is built whole at once.  The pivots, and so the
-    results, are those of the whole tableau.  start, an LPStart, replaces
-    a_ub, a_eq and nonneg, so LPs over the same rows build T0 rows once.
+    tableau T0, the equality rows with the sign of each row whose right-
+    hand side is negative flipped, and the objective row keeps its own part
+    w, so that it reads w . T0[:, j] + D * cost_j there.  Bland's rule
+    enters the first column of negative reduced cost, so the columns past
+    the last one the scan has reached are not built; when the scan reaches
+    them it builds the next max(built, m) of them.  w is 0 exactly when
+    every basic variable costs 0 (M is nonsingular), and then an unbuilt
+    column of nonnegative cost cannot enter: the phase ends without
+    building it.  Once every column is built the block is dropped.  A
+    tableau with at most LAZY_WIDTH columns per row, where the block would
+    cost more than the columns it spares, is built whole at once.  The
+    pivots, and so the results, are those of the whole tableau.  start, an
+    LPStart, replaces a_eq, so LPs over the same rows check them once.
     """
     if start is None:
-        start = LPStart(a_ub, a_eq, nonneg)
-    elif a_ub is not None or a_eq is not None or nonneg:
+        start = LPStart(a_eq)
+    elif a_eq is not None:
         raise ValueError("lp_min takes its constraint rows either in start "
-                         "or as a_ub, a_eq and nonneg")
-    a_ub, a_eq, nonneg = start.a_ub, start.a_eq, start.nonneg
-    cost = _ints(c, "c")
-    b_ub = _ints(b_ub or [], "b_ub")
-    b_eq = _ints(b_eq or [], "b_eq")
-    if len(b_ub) != len(a_ub) or len(b_eq) != len(a_eq):
+                         "or as a_eq")
+    rows = start.rows
+    cost = ints(c, "lp_min", "c")
+    b_eq = ints(b_eq or [], "lp_min", "b_eq")
+    if len(b_eq) != len(rows):
         raise ValueError("lp_min needs one right-hand side per constraint "
                          "row")
-    n = len(c)
-    # free variables split as x = u - w with u, w >= 0; with nonneg no
-    # splitting is needed
-    nv = n if nonneg else 2 * n
-    nslack = len(a_ub)
-    m = nslack + len(a_eq)
-    # T0's columns: variables, then slacks.  Every row starts with an
-    # artificial basic variable, numbered ncol + i; phase 1 never lets one
-    # enter, so their columns are not built.
-    ncol = nv + nslack
+    m = len(rows)
+    # Every row starts with an artificial basic variable, numbered ncol + i;
+    # phase 1 never lets one enter, so their columns are not built.
+    ncol = len(cost)
+    if any(len(r) != ncol for r in rows):
+        raise ValueError("lp_min needs one entry per variable in each "
+                         "constraint row")
     t0, b0 = [], []
-    for r, b in zip(start.rows, [*b_ub, *b_eq]):
+    for r, b in zip(rows, b_eq):
         if b < 0:
             r = [-x for x in r]
             b = -b
@@ -515,7 +510,6 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
     tab[:] = [tab[i] for i in keep]
     basis[:] = [basis[i] for i in keep]
     # phase 2: D * (reduced costs of c)
-    cost = cost + ([] if nonneg else [-x for x in cost]) + [0] * nslack
     obj2 = [0] * base + [d * x for x in cost[:built]]
     for row, bi in zip(tab, basis):
         if cost[bi]:
@@ -524,21 +518,18 @@ def lp_min(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=False,
     if solve_phase(obj2, cost) != "optimal":
         return ("unbounded", None, None)
     # x over D: a non-basic variable is 0; then over its least denominator
-    xs = [0] * nv
+    x = [0] * ncol
     for row, bi in zip(tab, basis):
-        if bi < nv:
-            xs[bi] = row[0]
-    x = xs if nonneg else [xs[j] - xs[n + j] for j in range(n)]
+        x[bi] = row[0]
     g = gcd(d, *x)
     den = d // g
-    if g > 1:
+    if g != 1:
         x = [v // g for v in x]
     # an exact feasibility certificate over the nonzero entries of x
     support = [(j, v) for j, v in enumerate(x) if v]
-    for a, b in zip(a_ub, b_ub):
-        if sum(a[j] * v for j, v in support) > b * den:
-            raise RuntimeError("lp_min solution violates an inequality")
-    for a, b in zip(a_eq, b_eq):
+    if any(v < 0 for _j, v in support):
+        raise RuntimeError("lp_min solution is negative")
+    for a, b in zip(rows, b_eq):
         if sum(a[j] * v for j, v in support) != b * den:
             raise RuntimeError("lp_min solution violates an equality")
     return ("optimal", x, den)

@@ -23,7 +23,7 @@ height with ties broken by lam, whichever factor comes first.
 from collections import namedtuple
 from functools import cache
 
-from .exact import dot, scaled_inverse, vec_mat
+from .exact import dot, ints, scaled_inverse, vec_mat
 from .rootdata import positive_roots
 
 _memo = {}
@@ -171,9 +171,10 @@ def freudenthal(cd, mu):
     (Moody & Patera 1982).  Both sides are scaled by den, so each
     multiplicity is one exact division.  The orbits are then expanded by
     simple reflections, and the total is checked to equal the Weyl
-    dimension formula value.
+    dimension formula value.  Raises TypeError on an entry of mu that is
+    not an int.
     """
-    mu = tuple(int(x) for x in mu)
+    mu = tuple(ints(mu, "freudenthal", "mu"))
     _check_dominant("mu", mu)
     key = ("fr", cd.Q.letter, cd.Q.n, mu)
     if key in _memo:

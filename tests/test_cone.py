@@ -122,7 +122,7 @@ def _prune_reference(spec):
             continue
         a_eq = [[c[k] for c in others] for k in range(spec.dim)]
         status, _x, _v = exact.lp_min([0] * len(others), a_eq=a_eq,
-                                      b_eq=cols[i], nonneg=True)
+                                      b_eq=cols[i])
         if status == "optimal":
             keep[i] = False
     return [c for c, k in zip(spec.columns, keep) if k]
@@ -169,9 +169,9 @@ def test_prune_by_support_matches_reference(cols):
     spec = _spec(cols)
     lps = []
 
-    def spy(c, a_eq=None, b_eq=None, nonneg=False):
+    def spy(c, a_eq=None, b_eq=None):
         lps.append((a_eq, b_eq))
-        return exact.lp_min(c, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
+        return exact.lp_min(c, a_eq=a_eq, b_eq=b_eq)
 
     cone.lp_min = spy
     try:

@@ -19,38 +19,24 @@ from arcones.system import System
 from test_rootdata import weyl_group
 
 
-def test_lp_bound_zero_slice_pointed():
-    s = System("A", 2)
-    spec, sig = s.cone(), s.sigma()
-    for k in range(spec.dim):
-        obj = [1 if j == k else 0 for j in range(spec.dim)]
-        st, g, den = count.lp_bound(obj, spec.rows(), None, sig,
-                                    [0] * 6, sense="max")
-        assert (st, g, den) == ("optimal", [0] * spec.dim, 1)
+def test_negative_lambda_slice_is_empty(monkeypatch):
+    # lambda = -omega_1 is off the slice lattice, an early return of 0;
+    # lambda = -alpha_1 is on it, but no g >= 0 of the cone has that weight,
+    # so count_lp's first dual is unbounded, which reads as no point
+    fam = System("A", 2).family()
+    assert fam.count([0, 0, 0, 0, -1, 0]) == 0
+    assert fam.count_lp([0, 0, 0, 0, -1, 0]) == 0
+    real, seen = count.lp_min, []
 
+    def spy(*args, **kw):
+        got = real(*args, **kw)
+        seen.append(got[0])
+        return got
 
-def test_lp_bound_infeasible_negative_lambda():
-    s = System("A", 2)
-    spec, sig = s.cone(), s.sigma()
-    st, _g, _v = count.lp_bound([0] * spec.dim, spec.rows(), None,
-                                sig, [0, 0, 0, 0, -1, 0])
-    assert st == "infeasible"
-
-
-def test_lp_bound_d4_brackets_finite():
-    s = System("D", 4)
-    spec, sig = s.cone(), s.sigma()
-    # init finds both bounding functionals of every coordinate, or raises
-    # ...
-    s.family()
-    # ... and a few direct LP brackets confirm them on the example target
-    target = [0, 1, 0, 0] * 3
-    for k in (0, spec.dim // 2, spec.dim - 1):
-        obj = [1 if j == k else 0 for j in range(spec.dim)]
-        for sense in ("min", "max"):
-            st, _g, _v = count.lp_bound(obj, spec.rows(), None, sig,
-                                        target, sense=sense)
-            assert st == "optimal"
+    monkeypatch.setattr(count, "lp_min", spy)
+    assert fam.count([0, 0, 0, 0, -2, 1]) == 0
+    assert fam.count_lp([0, 0, 0, 0, -2, 1]) == 0
+    assert seen == ["unbounded"]
 
 
 def test_count_a2_examples():
@@ -116,6 +102,19 @@ def test_strategies_agree_d4():
     targets += [(1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0),
                 (0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 2),
                 (0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0)]
+    _assert_strategies_agree(s.family(), targets)
+
+
+def test_strategies_agree_d5():
+    s = System("D", 5)
+    # every lambda of the decompositions of the unordered pairs from
+    # {0, omega_i}, plus lambda = omega_1 + omega_5 with each pair, which
+    # is off the slice lattice or zero-valued for most of them
+    pairs = list(itertools.combinations_with_replacement(_fundamental(5), 2))
+    targets = [mu + nu + tuple(lam) for mu, nu in pairs
+               for lam in lieoracle.tensor_decomposition(s.cd, mu, nu)]
+    targets += [mu + nu + (1, 0, 0, 0, 1) for mu, nu in pairs]
+    assert len(targets) == 86
     _assert_strategies_agree(s.family(), targets)
 
 
@@ -828,41 +827,55 @@ def test_missing_bounding_functional_survives_python_O():
 
 
 def test_count_lp_refuses_unbounded_bracket(monkeypatch):
-    # init certified every slice bounded, so an unbounded LP bracket is a
-    # fault in the reference, not an empty slice
+    # an infeasible dual leaves a bracket unbounded; init certified every
+    # slice bounded, so that is a fault in the reference, not an empty slice
     fam = System("A", 2).family()
     assert fam.count_lp((1, 1, 1, 1, 1, 1)) == 2
-    monkeypatch.setattr(count, "lp_bound",
-                        lambda *args, **kw: ("unbounded", None, None))
-    with pytest.raises(RuntimeError, match="count_lp: the min of "
-                       "coordinate .* is unbounded"):
+    monkeypatch.setattr(count, "lp_min",
+                        lambda *args, **kw: ("infeasible", None, None))
+    with pytest.raises(RuntimeError, match=r"count_lp: the min of "
+                       r"coordinate .* is unbounded \(its dual is "
+                       r"infeasible\)"):
         fam.count_lp((1, 1, 1, 1, 1, 1))
 
 
 def test_count_lp_brackets_are_tight(monkeypatch):
-    # the slice 2x + 3y <= t, x, y >= 0 (g = (t, x, y), graded by g_1) has
-    # fractional vertices.  Its projection on a coordinate is that
-    # coordinate's LP bracket, so every integer of [ceil(min), floor(max)]
-    # is the value of a rational point of the slice, and no LP of count_lp
-    # below the root is infeasible; a bracket rounded outward makes some
-    spec = cone.ConeSpec("full2", [_V(), _V(), _V()],
-                         [(_V(), h) for h in ([0, 1, 0], [0, 0, 1],
-                                              [1, -2, -3])])
-    fam = count.SliceFamily(spec, [[1], [0], [0]])
-    real, seen = count.lp_bound, []
+    # slices of g = (t, x, y), graded by g_1, with fractional vertices, as
+    # cone columns h (each g . h >= 0) and by brute force: on the first
+    # every minimum is 0 and the maxima are fractional, on the second
+    # (3x + y >= t, x + 3y >= t, x + y <= 3t/2) the minima are too.  A
+    # slice's projection on a coordinate is that coordinate's LP bracket,
+    # so every integer of [ceil(min), floor(max)] is the value of a
+    # rational point of the slice, and no dual of count_lp below the root
+    # is unbounded (no point); a bracket rounded outward makes some
+    slices = [
+        (([0, 1, 0], [0, 0, 1], [1, -2, -3]),
+         lambda t, x, y: x >= 0 and y >= 0 and 2 * x + 3 * y <= t),
+        (([-1, 3, 1], [-1, 1, 3], [3, -2, -2]),
+         lambda t, x, y: 3 * x + y >= t and x + 3 * y >= t
+         and 2 * x + 2 * y <= 3 * t),
+    ]
+    real = count.lp_min
+    for columns, inside in slices:
+        spec = cone.ConeSpec("full2", [_V(), _V(), _V()],
+                             [(_V(), h) for h in columns])
+        fam = count.SliceFamily(spec, [[1], [0], [0]])
+        seen = []
 
-    def spy(objective, ineq_rows, ineq_rhs, sense):
-        got = real(objective, ineq_rows, ineq_rhs, sense=sense)
-        seen.append((len(objective), got))
-        return got
+        def spy(c, b_eq, start):
+            got = real(c, b_eq=b_eq, start=start)
+            seen.append((len(b_eq), got))
+            return got
 
-    monkeypatch.setattr(count, "lp_bound", spy)
-    for t in range(12):
-        want = sum(1 for x in range(t + 1) for y in range(t + 1)
-                   if 2 * x + 3 * y <= t)
-        assert fam.count([t]) == fam.count_lp([t]) == want, t
-    assert any(den > 1 for _n, (_st, _g, den) in seen)
-    assert all(st == "optimal" for n, (st, _g, _den) in seen if n < fam.m)
+        monkeypatch.setattr(count, "lp_min", spy)
+        for t in range(12):
+            want = sum(1 for x in range(-t, 2 * t + 1)
+                       for y in range(-t, 2 * t + 1) if inside(t, x, y))
+            assert fam.count([t]) == fam.count_lp([t]) == want, (columns, t)
+        assert any(den > 1 for _n, (_st, _lam, den) in seen)
+        assert all(st == "optimal"
+                   for n, (st, _lam, _den) in seen if n < fam.m), columns
+        assert any(n < fam.m for n, _got in seen)
 
 
 _ZERO_SLICE_SYSTEMS = [("A", n, None) for n in range(1, 7)] + [

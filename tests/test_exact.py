@@ -342,6 +342,29 @@ def test_integer_row_solution_none():
     assert exact.integer_row_solution(exact.row_hnf([[2]]), [1]) is None
 
 
+def test_row_hnf_refuses_fractions():
+    # read through int(), the row (1/2, 1) became (0, 1), and h lost a pivot
+    with pytest.raises(TypeError, match="row_hnf takes ints only, but a "
+                                        "row holds Fraction"):
+        exact.row_hnf([[Fraction(1, 2), 1], [0, 1]])
+
+
+def test_lll_reduce_refuses_fractions():
+    # read through int(), the basis row (3/2, 0) became (1, 0)
+    with pytest.raises(TypeError, match="lll_reduce takes ints only"):
+        exact.lll_reduce([[Fraction(3, 2), 0], [0, 1]])
+
+
+def test_integer_row_solution_refuses_fractions():
+    # read through int(), the target (1/2, 1) became (0, 1), which x a = t
+    # solves
+    hnf = exact.row_hnf([[1, 0], [0, 1]])
+    assert exact.integer_row_solution(hnf, [0, 1]) == [0, 1]
+    with pytest.raises(TypeError, match="integer_row_solution takes ints "
+                                        "only, but t holds Fraction"):
+        exact.integer_row_solution(hnf, [Fraction(1, 2), 1])
+
+
 def test_clear_denominators():
     # the reference's scaling of a Fraction nullspace vector, which
     # exact.nullspace returns directly
@@ -417,6 +440,27 @@ def _solution(result):
     return status, [Fraction(v, den) for v in x]
 
 
+def _standard_form(c, a_ub, b_ub, a_eq, b_eq, nonneg):
+    """(c, a_eq, b_eq) of the standard-form LP, min c.z subject to
+    a_eq.z = b_eq and z >= 0, of the LP min c.x subject to a_ub.x <= b_ub
+    and a_eq.x = b_eq over free x (x >= 0 when nonneg).  The columns are x
+    split as u - w (no w when nonneg), then one slack per inequality; the
+    inequality rows come first, with 1 at their own slack."""
+    k = len(a_ub)
+
+    def split(a):
+        return list(a) + ([] if nonneg else [-x for x in a])
+    rows = [split(a) + [int(j == i) for j in range(k)]
+            for i, a in enumerate(a_ub)]
+    rows += [split(a) + [0] * k for a in a_eq]
+    return split(c) + [0] * k, rows, list(b_ub) + list(b_eq)
+
+
+def _general(z, n, nonneg):
+    """x = u - w of a solution z of _standard_form's LP over n variables."""
+    return z[:n] if nonneg else [u - w for u, w in zip(z[:n], z[n:2 * n])]
+
+
 @given(tiny_lp())
 @example(([1, 1], [[1, 0], [-1, 0]], [-1, -1], [], [], False))  # infeasible
 @example(([1, -1], [], [], [[1, 1]], [2], True))                # optimal
@@ -426,12 +470,13 @@ def _solution(result):
 @settings(max_examples=200, deadline=None)
 def test_lp_min_matches_vertex_enumeration(lp):
     c, a_ub, b_ub, a_eq, b_eq, nonneg = lp
-    status, x = _solution(exact.lp_min(c, a_ub, b_ub, a_eq, b_eq,
-                                       nonneg=nonneg))
+    status, z = _solution(exact.lp_min(*_standard_form(*lp)))
     want, best = _lp_by_vertices(*lp)
     assert status == want
     if status != "optimal":
         return
+    assert all(zi >= 0 for zi in z)
+    x = _general(z, len(c), nonneg)
     assert exact.dot(c, x) == best
     assert all(exact.dot(a, x) <= b for a, b in zip(a_ub, b_ub))
     assert all(exact.dot(a, x) == b for a, b in zip(a_eq, b_eq))
@@ -441,78 +486,83 @@ def test_lp_min_matches_vertex_enumeration(lp):
 def test_lp_min_redundant_equality():
     # the artificial variable of the second row stays basic after phase 1
     for nonneg in (True, False):
-        status, x = _solution(exact.lp_min([0, 0], a_eq=[[1, 1], [2, 2]],
-                                           b_eq=[1, 2], nonneg=nonneg))
-        assert status == "optimal" and sum(x) == 1
+        lp = _standard_form([0, 0], [], [], [[1, 1], [2, 2]], [1, 2], nonneg)
+        status, z = _solution(exact.lp_min(*lp))
+        assert status == "optimal" and sum(_general(z, 2, nonneg)) == 1
 
 
 def test_lp_min_rational_input():
     # lp_min and LPStart take ints only: a Fraction anywhere raises, where
     # the integer pivots would otherwise floor-divide it; the LP in ints
-    # has the solution (13/2, 5/2), over its least denominator
+    # has the solution (13/2, 5/2, 0), over its least denominator
     half = Fraction(1, 2)
-    lp = dict(c=[1, 2], a_ub=[[-1, 0], [0, -2]], b_ub=[-2, -5],
-              a_eq=[[1, 1]], b_eq=[9])
-    assert exact.lp_min(**lp) == ("optimal", [13, 5], 2)
-    for key, value in [("c", [half, 2]), ("a_ub", [[-half, 0], [0, -2]]),
-                       ("b_ub", [-2, -half]), ("a_eq", [[1, half]]),
-                       ("b_eq", [half])]:
-        with pytest.raises(TypeError, match="ints only"):
+    lp = dict(c=[1, 2, 0], a_eq=[[1, 1, 0], [0, 2, -1]], b_eq=[9, 5])
+    assert exact.lp_min(**lp) == ("optimal", [13, 5, 0], 2)
+    for key, value in [("c", [half, 2, 0]),
+                       ("a_eq", [[1, 1, 0], [0, half, -1]]),
+                       ("b_eq", [9, half])]:
+        with pytest.raises(TypeError, match="lp_min takes ints only"):
             exact.lp_min(**dict(lp, **{key: value}))
-    with pytest.raises(TypeError, match="ints only"):
-        exact.LPStart(a_eq=[[1, half]], nonneg=True)
-    start = exact.LPStart(a_eq=[[1, 1]], nonneg=True)
-    with pytest.raises(TypeError, match="ints only"):
+    with pytest.raises(TypeError, match="lp_min takes ints only"):
+        exact.LPStart([[1, half]])
+    start = exact.LPStart([[1, 1]])
+    with pytest.raises(TypeError, match="lp_min takes ints only"):
         exact.lp_min([0, 0], b_eq=[half], start=start)
 
 
-def test_lp_min_certificate_survives_python_O():
-    # the starting row of x = 2 is planted as 2x = 2, so the read-out
-    # numerator is 1, one too small; the check against the constraint row
-    # must still fire with asserts stripped
+def _lp_min_under_python_O(plant):
+    """The RuntimeError message of lp_min([1], a_eq=[[2]], b_eq=[3]), whose
+    solution is 3/2, run under python -O with exact.gcd replaced by plant,
+    the read-off's only call of it."""
     script = textwrap.dedent("""
-        import sys
+        import math, sys
         from arcones import exact
         if __debug__:
             sys.exit("not running under -O")
-        start = exact.LPStart(a_eq=[[1]], nonneg=True)
-        start.rows[0] = [2]
+        exact.gcd = %s
         try:
-            exact.lp_min([1], b_eq=[2], start=start)
+            exact.lp_min([1], a_eq=[[2]], b_eq=[3])
         except RuntimeError as exc:
             print(exc)
         else:
             sys.exit("wrong read-out returned")
-    """)
+    """ % plant)
     src = os.path.dirname(os.path.dirname(os.path.abspath(arcones.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert "violates an equality" in res.stdout
+    return res.stdout
 
 
-def _lp_min_eager(c, a_ub, b_ub, a_eq, b_eq, nonneg):
+def test_lp_min_certificate_survives_python_O():
+    # a gcd twice too large reads x = 3 over D = 2 as 1 over 1, which
+    # violates 2x = 3; the check must still fire with asserts stripped
+    assert "violates an equality" in _lp_min_under_python_O(
+        "lambda *args: 2 * math.gcd(*args)")
+
+
+def test_lp_min_sign_certificate_survives_python_O():
+    # a gcd of -1 reads x = 3 over D = 2 as -3 over -2: the equality still
+    # holds, so only the check x >= 0 refuses it, with asserts stripped
+    assert "solution is negative" in _lp_min_under_python_O(
+        "lambda *args: -math.gcd(*args)")
+
+
+def _lp_min_eager(c, a_eq, b_eq):
     """The reference for lp_min: the same two-phase Bland simplex with the
-    same fraction-free pivot, on the whole tableau from the start.
-    Returns (status, x) with x a list of Fractions, or None."""
+    same fraction-free pivot, on the whole tableau from the start, for
+    min c.x subject to a_eq.x = b_eq and x >= 0.  Returns (status, x) with
+    x a list of Fractions, or None."""
     def eliminate(row, pr, col, p, d):
         f = row[col]
         return [(p * x - f * y) // d for x, y in zip(row, pr)]
 
-    n = len(c)
-    nv = n if nonneg else 2 * n
-    rows = ([(a, b, False) for a, b in zip(a_ub, b_ub)] +
-            [(a, b, True) for a, b in zip(a_eq, b_eq)])
-    nslack = len(a_ub)
-    m = len(rows)
-    ncol = nv + nslack
+    ncol = len(c)
+    m = len(a_eq)
     tab = []
-    for i, (a, b, is_eq) in enumerate(rows):
-        a = list(a)
-        r = a + ([] if nonneg else [-x for x in a]) + [0] * nslack + [b]
-        if not is_eq:
-            r[nv + i] = 1
+    for a, b in zip(a_eq, b_eq):
+        r = list(a) + [b]
         tab.append([-x for x in r] if b < 0 else r)
     basis = [ncol + i for i in range(m)]
     d = 1
@@ -562,24 +612,21 @@ def _lp_min_eager(c, a_ub, b_ub, a_eq, b_eq, nonneg):
     keep = [i for i in range(m) if basis[i] < ncol]
     tab[:] = [tab[i] for i in keep]
     basis[:] = [basis[i] for i in keep]
-    cost = list(c) + ([] if nonneg else [-x for x in c]) + [0] * nslack
-    obj2 = [d * x for x in cost] + [0]
+    obj2 = [d * x for x in c] + [0]
     for row, bi in zip(tab, basis):
-        obj2 = [o - cost[bi] * t for o, t in zip(obj2, row)]
+        obj2 = [o - c[bi] * t for o, t in zip(obj2, row)]
     if solve_phase(obj2) != "optimal":
         return ("unbounded", None)
-    xs = [Fraction(0)] * nv
+    x = [Fraction(0)] * ncol
     for row, bi in zip(tab, basis):
-        if bi < nv:
-            xs[bi] = Fraction(row[-1], d)
-    x = xs if nonneg else [xs[j] - xs[n + j] for j in range(n)]
+        x[bi] = Fraction(row[-1], d)
     return ("optimal", x)
 
 
 @st.composite
 def wide_lp(draw):
     """(c, a_ub, b_ub, a_eq, b_eq, nonneg) with up to 7 rows and up to 40
-    tableau columns, so that lp_min builds columns late:
+    columns in _standard_form, so that lp_min builds columns late:
     - "functional": x >= 0, equalities only and zero cost, with b = +-e_i
       or any small vector, like the LPs of SliceFamily and prune_redundant;
     - "free": free variables under inequalities and maybe equalities, with
@@ -642,7 +689,7 @@ def test_lp_min_examples_reach_their_pivots(lp, case, monkeypatch):
         return real(row, pr, col, p, d)
 
     monkeypatch.setattr(exact, "_eliminate", spy)
-    exact.lp_min(*lp[:5], nonneg=lp[5])
+    exact.lp_min(*_standard_form(*lp))
     assert any(case(*pdf) for pdf in seen), seen
 
 
@@ -656,12 +703,13 @@ def test_lp_min_examples_reach_their_pivots(lp, case, monkeypatch):
 @settings(max_examples=150, deadline=None)
 def test_lp_min_matches_eager_tableau(width, lp):
     # width 0 builds every tableau column by column, the default only the
-    # wide ones; the pivots, and so (status, x, value), must be those of
-    # the whole tableau
+    # wide ones; the pivots, and so (status, x, den), must be those of the
+    # whole tableau
+    lp = _standard_form(*lp)
     saved = exact.LAZY_WIDTH
     exact.LAZY_WIDTH = width
     try:
-        got = exact.lp_min(*lp[:5], nonneg=lp[5])
+        got = exact.lp_min(*lp)
     finally:
         exact.LAZY_WIDTH = saved
     assert _solution(got) == _lp_min_eager(*lp)
@@ -675,7 +723,7 @@ def test_lp_start_shared_matches_eager(lp, data):
     # each the result of the whole tableau: right-hand sides scaled by
     # other factors and signs, and drawn ones
     c, a_ub, b_ub, a_eq, b_eq, nonneg = lp
-    start = exact.LPStart(a_ub, a_eq, nonneg)
+    start = exact.LPStart(_standard_form(*lp)[1])
     rhs = [(b_ub, b_eq), ([3 * b for b in b_ub], [-2 * b for b in b_eq])]
     if data is not None:
         ints = st.integers(-3, 3)
@@ -684,15 +732,18 @@ def test_lp_start_shared_matches_eager(lp, data):
                     data.draw(st.lists(ints, min_size=len(a_eq),
                                        max_size=len(a_eq)))))
     for bu, be in rhs:
-        assert _solution(exact.lp_min(c, b_ub=bu, b_eq=be, start=start)) \
-            == _lp_min_eager(c, a_ub, bu, a_eq, be, nonneg)
+        cz, rows, bz = _standard_form(c, a_ub, bu, a_eq, be, nonneg)
+        assert _solution(exact.lp_min(cz, b_eq=bz, start=start)) \
+            == _lp_min_eager(cz, rows, bz)
 
 
 def test_lp_min_refuses_mixed_or_short_constraints():
-    start = exact.LPStart(a_eq=[[1, 1]], nonneg=True)
+    start = exact.LPStart([[1, 1]])
     with pytest.raises(ValueError, match="either in start"):
         exact.lp_min([0, 0], a_eq=[[1, 1]], b_eq=[1], start=start)
     with pytest.raises(ValueError, match="one right-hand side"):
         exact.lp_min([0, 0], b_eq=[1, 2], start=start)
     with pytest.raises(ValueError, match="one right-hand side"):
-        exact.lp_min([0, 0], a_ub=[[1, 1]], b_ub=[])
+        exact.lp_min([0, 0], a_eq=[[1, 1]], b_eq=[])
+    with pytest.raises(ValueError, match="one entry per variable"):
+        exact.lp_min([0, 0], a_eq=[[1, 1], [1]], b_eq=[1, 1])

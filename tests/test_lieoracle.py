@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,13 @@ def test_freudenthal_minuscule():
 
 def test_freudenthal_trivial():
     assert lieoracle.freudenthal(D4, (0, 0, 0, 0)) == {(0, 0, 0, 0): 1}
+
+
+def test_freudenthal_refuses_fractions():
+    # read through int(), mu = (3/2, 0) became (1, 0), a different module
+    with pytest.raises(TypeError, match="freudenthal takes ints only, but "
+                                        "mu holds Fraction"):
+        lieoracle.freudenthal(A2, (Fraction(3, 2), 0))
 
 
 def test_freudenthal_g2():
