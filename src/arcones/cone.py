@@ -29,7 +29,7 @@ def subreps_bruteforce(rep, q):
     NotImplementedError for inputs the enumeration does not handle: total
     dimension above DEFAULT_CAP, or a shape reduce_for_counting refuses.
     """
-    return _subreps_reduced(_reduced(rep), q)
+    return _subreps_reduced(_reduced(rep), q, {})
 
 
 def _reduced(rep):
@@ -43,24 +43,37 @@ def _reduced(rep):
     return pathalg.reduce_for_counting(rep)
 
 
-def _subreps_reduced(rep, q):
-    """subreps_bruteforce of a rep that _reduced returned."""
+def _subreps_reduced(rep, q, tables):
+    """subreps_bruteforce of a rep that _reduced returned.
+
+    tables maps (matrix, source dim, target dim, q) to the closure table of
+    _closure_table; a table missing there is built and stored, so callers
+    that pass one dict share each table between their arrows and T_v.
+    """
     iq = rep.iq
-    n = len(iq.vertices)
-    support = [k for k in range(n) if rep.dims[k]]
-    per = {k: _subspaces(rep.dims[k], q) for k in support}
+    dims = rep.dims
+    support = [k for k in range(len(iq.vertices)) if dims[k]]
     pos = {k: t for t, k in enumerate(support)}
     # checks[t]: each arrow whose later end in the support order is
-    # support[t], with its closure table
+    # support[t], as (its other end, for each subspace chosen there the
+    # mask of the subspaces at support[t] that the arrow allows)
     checks = [[] for _ in support]
     for (s, d, _v, _t), m in zip(iq.arrows, rep.mats):
         if m is not None and any(any(r) for r in m):
             si, di = iq.index[s], iq.index[d]
-            checks[max(pos[si], pos[di])].append(
-                (si, di, _closure_table(m, per[si], per[di], q)))
+            key = (m, dims[si], dims[di], q)
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = _closure_table(m, dims[si], dims[di], q)
+            if pos[di] > pos[si]:
+                checks[pos[di]].append((si, table[0]))
+            else:
+                checks[pos[si]].append((di, table[1]))
+    # the dimension of each subspace at support[t]
+    sizes = [[sub[0] for sub in _subspaces(dims[k], q)] for k in support]
     found = set()
-    sel = [None] * n        # the chosen subspace's index in per[k]
-    cur = [0] * n           # its dimension
+    sel = [0] * len(iq.vertices)    # the chosen subspace's index
+    cur = [0] * len(iq.vertices)    # its dimension
 
     def dfs(t):
         if t == len(support):
@@ -68,34 +81,48 @@ def _subreps_reduced(rep, q):
                 found.add(tuple(cur))
             return
         k = support[t]
-        for a, sub in enumerate(per[k]):
+        size = sizes[t]
+        allowed = (1 << len(size)) - 1
+        for other, masks in checks[t]:
+            allowed &= masks[sel[other]]
+        while allowed:
+            low = allowed & -allowed
+            a = low.bit_length() - 1
+            allowed ^= low
             sel[k] = a
-            if all(sel[di] in table[sel[si]] for si, di, table in checks[t]):
-                cur[k] = sub[0]
-                dfs(t + 1)
+            cur[k] = size[a]
+            dfs(t + 1)
         cur[k] = 0
 
     dfs(0)
     return found
 
 
-def _closure_table(m, src, dst, q):
-    """For each subspace of src (as from _subspaces), the set of indices of
-    the subspaces of dst that contain its image under m mod q."""
-    table = []
-    for _dim, _members, basis in src:
+def _closure_table(m, ds, dd, q):
+    """The subspace pairs that m maps one into the other mod q, over the
+    subspaces of GF(q)^ds and GF(q)^dd as _subspaces lists them, as two
+    lists of bit masks: bit b of the first at a, and bit a of the second
+    at b, when m maps subspace a of the source into subspace b of the
+    target."""
+    src, dst = _subspaces(ds, q), _subspaces(dd, q)
+    into = [0] * len(src)
+    onto = [0] * len(dst)
+    for a, (_dim, _members, basis) in enumerate(src):
         imgs = [tuple(sum(x * y for x, y in zip(row, vec)) % q for row in m)
                 for vec in basis]
-        table.append({b for b, (_d, members, _b) in enumerate(dst)
-                      if all(img in members for img in imgs)})
-    return table
+        for b, (_d, members, _b) in enumerate(dst):
+            if all(img in members for img in imgs):
+                into[a] |= 1 << b
+                onto[b] |= 1 << a
+    return into, onto
 
 
-def strict_subreps(rep, q):
+def strict_subreps(rep, q, tables):
     """Nonzero strict subrepresentation dimension vectors over GF(q) of a
-    rep that _reduced returned, so that one reduction serves every field."""
+    rep that _reduced returned, so that one reduction serves every field;
+    tables is passed to _subreps_reduced."""
     full = tuple(rep.dims)
-    return {dv for dv in _subreps_reduced(rep, q) if dv != full}
+    return {dv for dv in _subreps_reduced(rep, q, tables) if dv != full}
 
 
 @cache
@@ -174,12 +201,14 @@ def tv_strict_sets(iq, source="bruteforce"):
                 out[v] = set(s)
     if source == "bruteforce":
         alg = pathalg.PathAlg(iq)
+        # the closure tables of this call, shared by its T_v and arrows
+        tables = {}
         for v in iq.vertices:
             if not iq.frozen[v]:
                 continue
             rep = _reduced(alg.build_tv(v))
-            s2 = strict_subreps(rep, 2)
-            s3 = strict_subreps(rep, 3)
+            s2 = strict_subreps(rep, 2, tables)
+            s3 = strict_subreps(rep, 3, tables)
             if s2 != s3:
                 raise RuntimeError(
                     "subrep sets of T_%s differ between GF(2) and GF(3): "

@@ -432,7 +432,7 @@ def lp_min(c, a_eq=None, b_eq=None, start=None):
         # build the next max(built, m) columns, so that a scan to the end
         # extends only O(log ncol) times: each row gains M[i] . T0 over
         # them, summed over the nonzero entries of its block, and the
-        # objective w . T0 + D * cost
+        # objective w . T0 + D * cost (phase 1's cost, None, is 0)
         nonlocal built, base
         upto = min(ncol, built + max(built, m, 1))
         part = [r[built:upto] for r in t0]
@@ -442,9 +442,10 @@ def lp_min(c, a_eq=None, b_eq=None, start=None):
                 if x:
                     new = [y + x * z for y, z in zip(new, t)]
             row.extend(new)
-        for j in range(built, upto):
-            if cost[j]:
-                obj[base + j] += d * cost[j]
+        if cost is not None:
+            for j in range(built, upto):
+                if cost[j]:
+                    obj[base + j] += d * cost[j]
         built = upto
         if built == ncol:
             for row in tab + [obj]:
@@ -463,8 +464,9 @@ def lp_min(c, a_eq=None, b_eq=None, start=None):
                 return -1
             extend(obj, cost)
 
-    def solve_phase(obj, cost):
-        last_neg = max((j for j, x in enumerate(cost) if x < 0), default=-1)
+    def solve_phase(obj, cost, last_neg):
+        # cost is None in phase 1, whose costs are all 0; last_neg is the
+        # last column of negative cost, or -1
         while True:
             col = entering(obj, cost, last_neg)
             if col < 0:
@@ -491,7 +493,7 @@ def lp_min(c, a_eq=None, b_eq=None, start=None):
     # w starts at -1 in every row, pricing column j at -sum(T0[:, j])
     obj1 = ([-sum(b0)] + [-1] * (base - 1) +
             ([-sum(col) for col in zip(*t0)] if built else []))
-    solve_phase(obj1, [0] * ncol)
+    solve_phase(obj1, None, -1)
     if obj1[0] != 0:
         return ("infeasible", None, None)
     # drive remaining artificials out of the basis where possible; their
@@ -515,7 +517,8 @@ def lp_min(c, a_eq=None, b_eq=None, start=None):
         if cost[bi]:
             f = cost[bi]
             obj2 = [o - f * t for o, t in zip(obj2, row)]
-    if solve_phase(obj2, cost) != "optimal":
+    last_neg = max((j for j, x in enumerate(cost) if x < 0), default=-1)
+    if solve_phase(obj2, cost, last_neg) != "optimal":
         return ("unbounded", None, None)
     # x over D: a non-basic variable is 0; then over its least denominator
     x = [0] * ncol

@@ -8,13 +8,25 @@ the catalog as an explicit integer matrix, computes Hom spaces between
 presentations by solving the commutativity equations, extracts irreducible
 morphisms as a complement of rad^2 inside rad, and assembles the integer
 quiver representations T_v attached to the frozen vertices of the ice quiver.
+
+PathAlg solves Hom(f, g) for every ordered pair of catalog objects when it
+is built and keeps the bases in the list of lists homs[a][b], addressed by
+the objects' positions in cat.objects.  The solver reads the Shape of each
+realization, made once per ProjMap: which summands each vertex reaches,
+the nonzero entries of each row and column, and reach bit masks that
+settle a pair without variables at once.  Each solved dimension is then
+compared with the one the catalog predicts, read from per-object tables of
+how many plus and minus summands each vertex reaches and, for two modules,
+from the catalog's own Hom table; any mismatch raises RuntimeError.  The
+irreducible morphisms along an arrow are computed once per arrow and
+PathAlg, against an rad^2 span built incrementally in echelon form.
 """
 
 import random
 from dataclasses import dataclass
 from math import gcd
 
-from .exact import mat_mul, nullspace, rank
+from .exact import nullspace, rank
 
 
 @dataclass(frozen=True)
@@ -29,6 +41,35 @@ class ProjMap:
     plus: tuple
     minus: tuple
     mat: tuple
+
+
+class Shape:
+    """What the Hom solver reads of one realization pm, made once.
+
+    plus_from[v] (minus_from[v]) lists the positions of the plus (minus)
+    summands u of pm that vertex v reaches, a path v ~> u; it is indexed by
+    the vertices 1..n of Q.  col_nz[c] lists the pairs (r, x) of the nonzero
+    entries x = mat[r][c] of column c, row_nz[r] the pairs (c, x) of row r.
+    Bit u of plus_mask (minus_mask) is set when u is a plus (minus) summand,
+    bit v of plus_seen (minus_seen) when v reaches one.
+    """
+
+    def __init__(self, pm, reach):
+        self.pm = pm
+        self.plus_from = [tuple(c for c, u in enumerate(pm.plus) if u in r)
+                          for r in reach]
+        self.minus_from = [tuple(m for m, u in enumerate(pm.minus) if u in r)
+                           for r in reach]
+        self.col_nz = [tuple((r, row[c]) for r, row in enumerate(pm.mat)
+                             if row[c])
+                       for c in range(len(pm.plus))]
+        self.row_nz = [tuple((c, x) for c, x in enumerate(row) if x)
+                       for row in pm.mat]
+        self.plus_mask = _mask(pm.plus)
+        self.minus_mask = _mask(pm.minus)
+        self.plus_seen = _mask(v for v, cs in enumerate(self.plus_from) if cs)
+        self.minus_seen = _mask(v for v, ms in enumerate(self.minus_from)
+                                if ms)
 
 
 @dataclass
@@ -68,40 +109,35 @@ class PathAlg:
         self.iq = iq
         self.cat = cat
         self.Q = Q
-        self._reach = _reachability(Q)
-        self.real = {}
-        for p in cat.objects:
-            self.real[p] = self._realize(p)
-        self._hom = {}
+        # reach[v]: the vertices u with a path v ~> u; reach[0] is empty
+        self.reach = _reachability(Q)
+        self.index = {p: a for a, p in enumerate(cat.objects)}
+        # the nullspace of each distinct system of Hom equations solved
+        self.kernels = {}
+        self.shapes = [self._realize(p) for p in cat.objects]
+        self.homs = [[self._solve_hom(F, G) for G in self.shapes]
+                     for F in self.shapes]
         self._validate_all_hom_dims()
-        self._rad2 = {}
-
-    # -- reachability / path bookkeeping --------------------------------
-
-    def _has_path(self, a, b):
-        """Directed path a ~> b in Q (True for a == b)."""
-        return b in self._reach[a]
-
-    def _hom_proj(self, i, j):
-        """dim Hom(P_i, P_j): 1 iff there is a path j ~> i."""
-        return 1 if self._has_path(j, i) else 0
+        # irr[k]: the irreducible morphisms along iq.arrows[k], once built
+        self.irr = [None] * len(iq.arrows)
 
     # -- realizing presentations ----------------------------------------
 
     def _realize(self, p):
         plus, minus = _summands(self.cat, p)
         if p.kind == "negative":
-            return ProjMap(plus, minus, ((),) * len(minus))
+            return Shape(ProjMap(plus, minus, ((),) * len(minus)), self.reach)
         if p.kind == "positive":
-            return ProjMap(plus, minus, ())
+            return Shape(ProjMap(plus, minus, ()), self.reach)
         if p.kind == "neutral":
-            return ProjMap(plus, minus, ((1,),))
+            return Shape(ProjMap(plus, minus, ((1,),)), self.reach)
         return self._realize_module(p, plus, minus)
 
     def _realize_module(self, p, plus, minus):
         # allowed entries: a nontrivial path minus[r] ~> plus[c]
+        reach = self.reach
         slots = [(r, c) for r in range(len(minus)) for c in range(len(plus))
-                 if minus[r] != plus[c] and self._has_path(minus[r], plus[c])]
+                 if minus[r] != plus[c] and plus[c] in reach[minus[r]]]
         rng = random.Random(0xA17)
         for attempt in range(60):
             if attempt == 0:
@@ -113,17 +149,21 @@ class PathAlg:
             mat = [[0] * len(plus) for _ in minus]
             for (r, c), v in zip(slots, vals):
                 mat[r][c] = v
-            pm = ProjMap(plus, minus, tuple(tuple(r) for r in mat))
-            if self._check_module_realization(p, pm):
-                return pm
+            S = Shape(ProjMap(plus, minus, tuple(tuple(r) for r in mat)),
+                      reach)
+            if self._check_module_realization(p, S):
+                return S
         raise RuntimeError("could not realize a minimal presentation of %s"
                            % p.label)
 
-    def _check_module_realization(self, p, pm):
+    def _check_module_realization(self, p, S):
+        pm = S.pm
+        reach = self.reach
         dims = p.module.dim
         for v in range(1, self.Q.n + 1):
-            rows = [r for r, i in enumerate(pm.minus) if self._has_path(i, v)]
-            cols = [c for c, j in enumerate(pm.plus) if self._has_path(j, v)]
+            # the summands that reach v, the ones P_v maps into
+            rows = [r for r, i in enumerate(pm.minus) if v in reach[i]]
+            cols = [c for c, j in enumerate(pm.plus) if v in reach[j]]
             sub = [[pm.mat[r][c] for c in cols] for r in rows]
             if rank(sub) != len(cols):
                 return False          # not injective at vertex v
@@ -131,88 +171,94 @@ class PathAlg:
                 return False
         # the cokernel must be the indecomposable M: its End ring is a brick,
         # so dim Hom(f, f) must equal 1 + dim Hom(P_-, P_+)
-        expected = 1 + sum(self._hom_proj(m, q)
-                           for m in pm.minus for q in pm.plus)
-        basis = self._solve_hom(pm, pm)
-        return len(basis) == expected
+        expected = 1 + sum(len(S.minus_from[q]) for q in pm.plus)
+        return len(self._solve_hom(S, S)) == expected
 
     # -- Hom spaces ------------------------------------------------------
 
     def hom_basis(self, f, g):
-        key = (f, g)
-        if key not in self._hom:
-            basis = self._solve_hom(self.real[f], self.real[g])
-            self._hom[key] = PathHom(f, g, basis)
-        return self._hom[key]
+        return PathHom(f, g, self.homs[self.index[f]][self.index[g]])
 
     def _solve_hom(self, F, G):
-        """Integer basis of {(phi_+, phi_-) : phi_- F = G phi_+}."""
-        pvars = [(r, c) for r in range(len(G.plus)) for c in range(len(F.plus))
-                 if self._has_path(G.plus[r], F.plus[c])]
-        mvars = [(r, c) for r in range(len(G.minus))
-                 for c in range(len(F.minus))
-                 if self._has_path(G.minus[r], F.minus[c])]
-        nv = len(pvars) + len(mvars)
-        if nv == 0:
+        """Integer basis of {(phi_+, phi_-) : phi_- F = G phi_+} for the
+        shapes F and G of two realizations.
+
+        The variables are the entries of phi_+ (row-major, G's plus summands
+        by F's) over a path, then those of phi_-; each equation row is an
+        entry (R, C) of phi_- F - G phi_+ that some variable enters.
+        """
+        if not (G.plus_mask & F.plus_seen or G.minus_mask & F.minus_seen):
             return []
-        pindex = {rc: k for k, rc in enumerate(pvars)}
-        mindex = {rc: k + len(pvars) for k, rc in enumerate(mvars)}
+        fp, fm = len(F.pm.plus), len(F.pm.minus)
+        gp, gm = len(G.pm.plus), len(G.pm.minus)
+        # slots[k]: the flat position of variable k in phi_+ then phi_-;
+        # pk and mk map a flat position of phi_+ and phi_- to its variable
+        slots = []
+        pk = [-1] * (gp * fp)
+        for r, u in enumerate(G.pm.plus):
+            for c in F.plus_from[u]:
+                pk[r * fp + c] = len(slots)
+                slots.append(r * fp + c)
+        mk = [-1] * (gm * fm)
+        for r, u in enumerate(G.pm.minus):
+            for c in F.minus_from[u]:
+                mk[r * fm + c] = len(slots)
+                slots.append(gp * fp + r * fm + c)
+        nv = len(slots)
         rows = []
-        for R in range(len(G.minus)):
-            for C in range(len(F.plus)):
-                row = [0] * nv
-                for m in range(len(F.minus)):
-                    if (R, m) in mindex and F.mat[m][C]:
-                        row[mindex[(R, m)]] += F.mat[m][C]
-                for m in range(len(G.plus)):
-                    if (m, C) in pindex and G.mat[R][m]:
-                        row[pindex[(m, C)]] -= G.mat[R][m]
-                if any(row):
-                    rows.append(row)
-        if rows:
-            sols = nullspace(rows)
-        else:
-            sols = [[int(i == k) for i in range(nv)] for k in range(nv)]
-        basis = []
-        for s in sols:
-            phi_p = [[0] * len(F.plus) for _ in range(len(G.plus))]
-            phi_m = [[0] * len(F.minus) for _ in range(len(G.minus))]
-            for (r, c), k in pindex.items():
-                phi_p[r][c] = s[k]
-            for (r, c), k in mindex.items():
-                phi_m[r][c] = s[k]
-            basis.append((tuple(tuple(r) for r in phi_p),
-                          tuple(tuple(r) for r in phi_m)))
-        return basis
-
-    def _expected_hom_dim(self, f, g):
-        Fp, Fm = self.real[f].plus, self.real[f].minus
-        Gp, Gm = self.real[g].plus, self.real[g].minus
-        if g.kind == "positive":      # Hom(f, O_j^+) = Hom(P_+, P_j)
-            return sum(self._hom_proj(c, g.index) for c in Fp)
-        if g.kind == "neutral":       # Hom(f, Id_j) = Hom(P_-, P_j)
-            return sum(self._hom_proj(m, g.index) for m in Fm)
-        if f.kind == "positive":      # target map injective => 0
-            return 0
-        if f.kind == "neutral":       # Hom(Id_i, g) = Hom(P_i, R_+)
-            return sum(self._hom_proj(f.index, q) for q in Gp)
-        # both f and g present modules (negative presents P_i); the lifting
-        # sequence gives dim Hom(f,g) = dim Hom(M,N) + dim Hom(P_-(f), P_+(g))
-        M = self._cokernel(f)
-        N = self._cokernel(g)
-        corr = sum(self._hom_proj(m, q) for m in Fm for q in Gp)
-        return self.cat.hom[M][N] + corr
-
-    def _cokernel(self, p):
-        if p.kind == "negative":
-            return self.cat.ar.projectives[p.index]
-        return p.module
+        for R, gnz in enumerate(G.row_nz):
+            mrow = mk[R * fm:(R + 1) * fm]
+            for C, fnz in enumerate(F.col_nz):
+                terms = [(mrow[m], x) for m, x in fnz if mrow[m] >= 0]
+                terms += [(pk[m * fp + C], -x) for m, x in gnz
+                          if pk[m * fp + C] >= 0]
+                if terms:
+                    row = [0] * nv
+                    for k, x in terms:
+                        row[k] = x
+                    rows.append(tuple(row))
+        dims = (gp, fp, gm, fm)
+        if not rows:
+            return [_phi((pos,), (1,), dims) for pos in slots]
+        rows = tuple(rows)
+        sols = self.kernels.get(rows)
+        if sols is None:
+            sols = self.kernels[rows] = nullspace(rows)
+        return [_phi(slots, s, dims) for s in sols]
 
     def _validate_all_hom_dims(self):
-        for f in self.cat.objects:
-            for g in self.cat.objects:
-                got = self.hom_basis(f, g).dim
-                want = self._expected_hom_dim(f, g)
+        """Compare every solved dim Hom(f, g) with the catalog's.
+
+        nplus[a][v] (nminus[a][v]) counts the plus (minus) summands of
+        object a that vertex v reaches, that is dim Hom(P(summands), P_v).
+        """
+        cat = self.cat
+        objs = cat.objects
+        nplus = [[len(cs) for cs in S.plus_from] for S in self.shapes]
+        nminus = [[len(ms) for ms in S.minus_from] for S in self.shapes]
+        # the module each object presents (None for O_j^+ and Id_j), and
+        # its row of the catalog's Hom table
+        cokers = [_cokernel(cat, f) for f in objs]
+        hom_rows = [cat.hom[M] if M is not None else None for M in cokers]
+        for a, f in enumerate(objs):
+            row = self.homs[a]
+            for b, g in enumerate(objs):
+                Gp = self.shapes[b].pm.plus
+                if g.kind == "positive":      # Hom(f, O_j^+) = Hom(P_+, P_j)
+                    want = nplus[a][g.index]
+                elif g.kind == "neutral":     # Hom(f, Id_j) = Hom(P_-, P_j)
+                    want = nminus[a][g.index]
+                elif f.kind == "positive":    # target map injective => 0
+                    want = 0
+                elif f.kind == "neutral":     # Hom(Id_i, g) = Hom(P_i, R_+)
+                    want = sum(nplus[a][q] for q in Gp)
+                else:
+                    # both f and g present modules (negative presents P_i);
+                    # the lifting sequence gives dim Hom(f, g) =
+                    # dim Hom(M, N) + dim Hom(P_-(f), P_+(g))
+                    want = (hom_rows[a][cokers[b]] +
+                            sum(nminus[a][q] for q in Gp))
+                got = len(row[b])
                 if got != want:
                     raise RuntimeError(
                         "Hom(%s, %s): solved dimension %d, expected %d"
@@ -220,48 +266,39 @@ class PathAlg:
 
     # -- radicals and irreducible morphisms ------------------------------
 
-    def rad_basis(self, f, g):
-        """Basis of rad(f, g); equals Hom(f, g) for f != g (bricks)."""
-        basis = self.hom_basis(f, g).basis
-        if f is not g:
+    def _rad(self, a, b):
+        """Basis of rad(f, g) for the objects at a and b; equals Hom(f, g)
+        for f != g (bricks)."""
+        basis = self.homs[a][b]
+        if a != b:
             return basis
         # End(f) is local with End/rad = Q, so rad(f, f) = 0 when End(f) is
         # one-dimensional; it is for every catalog object of A1-A7, D4 (all
         # orientations), D5, D6 and E6
         if len(basis) > 1:
             raise RuntimeError("dim End(%s) = %d > 1: not a brick"
-                               % (f.label, len(basis)))
+                               % (self.cat.objects[a].label, len(basis)))
         return []
-
-    def rad2_basis(self, f, g):
-        key = (f, g)
-        if key not in self._rad2:
-            vecs = []
-            for h in self.cat.objects:
-                left = self.rad_basis(f, h)
-                right = self.rad_basis(h, g)
-                for a in left:
-                    for b in right:
-                        vecs.append(_compose(b, a))
-            self._rad2[key] = _span_basis([_flatten(v) for v in vecs])
-        return self._rad2[key]
 
     def irreducible_morphisms(self, f, g):
         """A deterministic basis of Irr(f, g) = rad(f, g)/rad^2(f, g),
-        returned as representatives (phi_plus, phi_minus) in rad."""
-        radb = self.rad_basis(f, g)
+        returned as representatives (phi_plus, phi_minus) in rad: each
+        vector of rad(f, g)'s basis, in order, that is not in the span of
+        rad^2(f, g) and the ones chosen before it."""
+        a, b = self.index[f], self.index[g]
+        radb = self._rad(a, b)
         if not radb:
             return []
-        stack = list(self.rad2_basis(f, g))
-        base_rank = rank(stack) if stack else 0
-        reps = []
-        for phi in radb:
-            cand = stack + [_flatten(phi)]
-            r = rank(cand)
-            if r > base_rank + len(reps):
-                stack = cand
-                reps.append(phi)
-        return reps
+        F = self.shapes[a].pm
+        widths = (len(F.plus), len(F.minus))
+        span = []
+        for h in range(len(self.shapes)):
+            left = self._rad(a, h)
+            if left:
+                for psi in self._rad(h, b):
+                    for phi in left:
+                        _span_add(span, _compose_flat(psi, phi, widths))
+        return [phi for phi in radb if _span_add(span, _flatten(phi))]
 
     # -- the modules T_v ---------------------------------------------------
 
@@ -273,7 +310,7 @@ class PathAlg:
         i = v.index
         dims = iq.tv_dim(v)
         mats = []
-        for (src, dst, _val, typ) in iq.arrows:
+        for k, (src, dst, _val, typ) in enumerate(iq.arrows):
             ds, dd = dims[iq.index[src]], dims[iq.index[dst]]
             if ds == 0 or dd == 0:
                 mats.append(None)
@@ -281,13 +318,17 @@ class PathAlg:
             if typ == "C":
                 mats.append(tuple((0,) * ds for _ in range(dd)))
                 continue
-            reps = self.irreducible_morphisms(src, dst)
+            reps = self.irr[k]
+            if reps is None:
+                reps = self.irr[k] = self.irreducible_morphisms(src, dst)
             if len(reps) != 1:
                 raise RuntimeError("Irr(%s,%s) not one-dimensional"
                                    % (src.label, dst.label))
             phi = reps[0][part]
-            s_sum = self.real[src].plus if part == 0 else self.real[src].minus
-            d_sum = self.real[dst].plus if part == 0 else self.real[dst].minus
+            s_pm = self.shapes[self.index[src]].pm
+            d_pm = self.shapes[self.index[dst]].pm
+            s_sum = s_pm.plus if part == 0 else s_pm.minus
+            d_sum = d_pm.plus if part == 0 else d_pm.minus
             srows = [k for k, q in enumerate(d_sum) if q == i]
             scols = [k for k, q in enumerate(s_sum) if q == i]
             if len(srows) != dd or len(scols) != ds:
@@ -436,10 +477,12 @@ def _add_line(lines, vec):
 # -- small helpers ---------------------------------------------------------
 
 def _reachability(Q):
+    """reach[v] for v in 0..n: the set of vertices u with a path v ~> u
+    (v itself included); reach[0] is empty."""
     out = {i: [] for i in range(1, Q.n + 1)}
     for (i, j) in Q.arrows:
         out[i].append(j)
-    reach = {}
+    reach = [set()]
     for s in range(1, Q.n + 1):
         seen = {s}
         todo = [s]
@@ -449,23 +492,72 @@ def _reachability(Q):
                 if w not in seen:
                     seen.add(w)
                     todo.append(w)
-        reach[s] = seen
+        reach.append(seen)
     return reach
 
 
-def _compose(psi, phi):
-    """psi after phi, componentwise on (phi_plus, phi_minus)."""
-    return (tuple(tuple(r) for r in mat_mul(psi[0], phi[0])),
-            tuple(tuple(r) for r in mat_mul(psi[1], phi[1])))
+def _mask(vertices):
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _cokernel(cat, p):
+    """The module p presents: M for a module, P_i for O_i^-, None for
+    O_i^+ and Id_i."""
+    if p.kind == "negative":
+        return cat.ar.projectives[p.index]
+    return p.module
+
+
+def _phi(slots, values, dims):
+    """(phi_plus, phi_minus) as tuples of rows, for dims = (gp, fp, gm, fm):
+    phi_plus is gp x fp and phi_minus gm x fm, zero but for the values at
+    the flat positions slots, which count phi_plus's entries first."""
+    gp, fp, gm, fm = dims
+    off = gp * fp
+    flat = [0] * (off + gm * fm)
+    for pos, x in zip(slots, values):
+        flat[pos] = x
+    return (tuple(tuple(flat[r * fp:(r + 1) * fp]) for r in range(gp)),
+            tuple(tuple(flat[off + r * fm:off + (r + 1) * fm])
+                  for r in range(gm)))
+
+
+def _compose_flat(psi, phi, widths):
+    """psi after phi, componentwise on (phi_plus, phi_minus), flattened
+    like _flatten; widths are the column counts of phi's two parts, which
+    a part through no summand (no rows) does not show."""
+    out = []
+    for p, q, w in zip(psi, phi, widths):
+        if q:
+            cols = list(zip(*q))
+            for row in p:
+                out.extend(sum(x * y for x, y in zip(row, col))
+                           for col in cols)
+        else:
+            out.extend([0] * (len(p) * w))
+    return out
 
 
 def _flatten(phi):
     return [x for part in phi for row in part for x in row]
 
 
-def _span_basis(vecs):
-    basis = []
-    for v in vecs:
-        if any(v) and (not basis or rank(basis + [v]) > len(basis)):
-            basis.append(v)
-    return basis
+def _span_add(span, v):
+    """Reduce the int vector v by span, a list of (pivot, row) pairs in
+    echelon form (each row is zero at the pivots before its own), and
+    append the primitive remainder when it is nonzero; return whether v
+    was outside the span."""
+    for p, row in span:
+        x = v[p]
+        if x:
+            y = row[p]
+            v = [y * s - x * t for s, t in zip(v, row)]
+    p = next((k for k, x in enumerate(v) if x), -1)
+    if p < 0:
+        return False
+    g = gcd(*v)
+    span.append((p, [x // g for x in v] if g > 1 else v))
+    return True

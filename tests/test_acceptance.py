@@ -17,8 +17,10 @@ D4_ORIENT = [(2, 1), (3, 2), (4, 2)]
 
 @pytest.fixture(scope="module")
 def systems():
-    return {"A2": System("A", 2), "A3": System("A", 3),
-            "D4": System("D", 4, D4_ORIENT)}
+    out = {"A%d" % n: System("A", n) for n in range(2, 9)}
+    out["D4"] = System("D", 4, D4_ORIENT)
+    out["D4 default"] = System("D", 4)
+    return out
 
 
 # -- A: D4 structural fixture ------------------------------------------------
@@ -131,7 +133,8 @@ def test_e_mutation_identities(systems, key):
 
 # -- F: F-polynomial subreps equal brute force -------------------------------
 
-@pytest.mark.parametrize("key", ["A2", "A3", "D4"])
+@pytest.mark.parametrize("key", ["A2", "A3", "D4", "A4", "A5", "A6", "A7",
+                                 "A8", "D4 default"])
 def test_f_fpoly_equals_bruteforce(systems, key):
     iq = systems[key].ice()
     sets = systems[key].tv_bruteforce

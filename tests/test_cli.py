@@ -371,9 +371,9 @@ def test_verify_all_bruteforce_once(monkeypatch):
     calls = []
     real = cone.strict_subreps
 
-    def counted(rep, q):
+    def counted(rep, q, tables):
         calls.append(q)
-        return real(rep, q)
+        return real(rep, q, tables)
 
     monkeypatch.setattr(cone, "strict_subreps", counted)
     res = run("verify", "all", "--type", "A2", "--max", "1")

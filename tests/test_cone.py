@@ -324,8 +324,8 @@ def test_field_mismatch_raises(monkeypatch):
     # a subrep set planted to differ between GF(2) and GF(3) is refused
     strict = cone.strict_subreps
 
-    def planted(rep, q):
-        found = strict(rep, q)
+    def planted(rep, q, tables):
+        found = strict(rep, q, tables)
         return found if q == 2 else set(sorted(found)[1:])
 
     monkeypatch.setattr(cone, "strict_subreps", planted)
@@ -355,3 +355,35 @@ def test_bruteforce_reduces_each_tv_once(monkeypatch):
     with pytest.raises(NotImplementedError, match="exceeds cap"):
         cone.subreps_bruteforce(pathalg.PathAlg(iq).build_tv(v), 2)
     assert calls == []
+
+
+def test_bruteforce_tables_and_irr_once_per_call(monkeypatch):
+    # within one tv_strict_sets call each closure table is built once per
+    # (matrix, dims, q) and each arrow's irreducible morphisms once; a
+    # second call builds all of them again, so no memo outlives a call
+    tables, irr = [], []
+    real_table = cone._closure_table
+    real_irr = pathalg.PathAlg.irreducible_morphisms
+
+    def table_spy(m, ds, dd, q):
+        tables.append((m, ds, dd, q))
+        return real_table(m, ds, dd, q)
+
+    def irr_spy(self, f, g):
+        irr.append((f, g))
+        return real_irr(self, f, g)
+
+    monkeypatch.setattr(cone, "_closure_table", table_spy)
+    monkeypatch.setattr(pathalg.PathAlg, "irreducible_morphisms", irr_spy)
+    iq = System("A", 5).ice()
+    arrows = {(s, d) for s, d, _v, typ in iq.arrows if typ != "C"}
+    calls = []
+    for _ in range(2):
+        tables.clear()
+        irr.clear()
+        cone.tv_strict_sets(iq, "bruteforce")
+        assert tables and len(set(tables)) == len(tables)
+        assert {q for *_k, q in tables} == {2, 3}
+        assert irr and len(set(irr)) == len(irr) and set(irr) <= arrows
+        calls.append((list(tables), list(irr)))
+    assert calls[0] == calls[1]

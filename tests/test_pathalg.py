@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -151,11 +152,21 @@ BRUTE_FORCE_DIGESTS = {
         "591e805d8e2461895039244d32339d3a6891e52583287abb3f7a7addf65016c9",
         "c597c6a1fc64d28c6c29e65a7eacdf1204aa792d38cde1aed46c388b279b7ed6",
         "c597c6a1fc64d28c6c29e65a7eacdf1204aa792d38cde1aed46c388b279b7ed6"),
+    ("A", 5, None): (
+        "045f6dc80ee8e4e2d28903738c12607b18ef393d8c9f63b31eaeade24b1e28a8",
+        "d10e6a700a5b31311872928227a5a00581f8da4a50337334d725e7953e2822ad",
+        "e5fb6a0f0b66c88b3effc62c0221cc49457ede12b194095edba4315274409e67",
+        "e5fb6a0f0b66c88b3effc62c0221cc49457ede12b194095edba4315274409e67"),
+    ("A", 6, None): (
+        "a530fb0650f243fdcd2319cbcd1bc66ff375ce2b4db0520d5dfafe3c3b368f3f",
+        "aaef60bbf5bd4e8408c4ef6cfddee215a125f02aa898f99047a37f561c6f2ddd",
+        "cadbdeb3d0191f8d02746a40926fe4d2f232b082d0f7ab467678c6a1f4d4a471",
+        "cadbdeb3d0191f8d02746a40926fe4d2f232b082d0f7ab467678c6a1f4d4a471"),
 }
 
 
 @pytest.mark.parametrize("letter,n,orient", list(BRUTE_FORCE_DIGESTS),
-                         ids=["A4", "D4", "D4 2>1,3>2,4>2"])
+                         ids=["A4", "D4", "D4 2>1,3>2,4>2", "A5", "A6"])
 def test_bruteforce_route_pinned(letter, n, orient):
     s = System(letter, n, D4_MINIMAL if orient else None)
     alg = pathalg.PathAlg(s.ice())
@@ -207,3 +218,44 @@ def test_wrong_hom_dimension_raises(delta):
     cat.hom[M][M] += delta
     with pytest.raises(RuntimeError, match="solved dimension"):
         pathalg.PathAlg(s.ice())
+
+
+@pytest.mark.parametrize("rows", [True, False],
+                         ids=["with equation rows", "without equation rows"])
+def test_missing_basis_vector_raises(rows, monkeypatch):
+    # one basis vector too few in one solved Hom space is caught by the
+    # all-pairs comparison with the catalog's dimensions, both for a pair
+    # of modules whose commutativity equations cut the variables down and
+    # for a pair into O_j^+, whose equations have no row
+    alg = pathalg.PathAlg(System("D", 4).ice())
+    objs = alg.cat.objects
+
+    def variables(a, b):
+        F, G = alg.shapes[a], alg.shapes[b]
+        return (sum(len(F.plus_from[u]) for u in G.pm.plus) +
+                sum(len(F.minus_from[u]) for u in G.pm.minus))
+
+    if rows:
+        # fewer solutions than variables: some equation row is nonzero
+        a, b = next((a, b) for a, f in enumerate(objs)
+                    for b, g in enumerate(objs)
+                    if a != b and f.kind == g.kind == "module"
+                    and 0 < len(alg.homs[a][b]) < variables(a, b))
+    else:
+        a, b = next((a, b) for a, f in enumerate(objs)
+                    for b, g in enumerate(objs)
+                    if a != b and g.kind == "positive" and alg.homs[a][b])
+        assert not alg.shapes[b].pm.minus
+    dim = len(alg.homs[a][b])
+    target = (alg.shapes[a].pm, alg.shapes[b].pm)
+    real = pathalg.PathAlg._solve_hom
+
+    def planted(self, F, G):
+        basis = real(self, F, G)
+        return basis[:-1] if (F.pm, G.pm) == target else basis
+
+    monkeypatch.setattr(pathalg.PathAlg, "_solve_hom", planted)
+    want = "Hom(%s, %s): solved dimension %d, expected %d" % (
+        objs[a].label, objs[b].label, dim - 1, dim)
+    with pytest.raises(RuntimeError, match=re.escape(want)):
+        pathalg.PathAlg(System("D", 4).ice())
